@@ -112,17 +112,18 @@ def cmd_ball(args) -> int:
 
 def cmd_growth(args) -> int:
     sys_ = _load(args)
+    if args.radius < 0:
+        raise InputError("radius must be nonnegative")
     series = growth_series(sys_)
-    n = max(args.radius, 0)
     payload = {
         "command": "growth",
         "numerator": list(series.numerator),
         "denominator": list(series.denominator),
-        "coefficients": series.taylor(n),
+        "coefficients": series.taylor(args.radius),
     }
     text = "\n".join([
         f"growth series: {series}",
-        f"coefficients to degree {n}: {series.taylor(n)}",
+        f"coefficients to degree {args.radius}: {series.taylor(args.radius)}",
     ])
     _emit(args, payload, text)
     return 0

@@ -427,18 +427,46 @@ class CoxeterSystem:
             out.extend(Element(self, word) for word, _ in level)
         return out
 
-    def ball_with_masks(self, radius: int, max_elements: int = DEFAULT_MAX_BALL):
-        """Ball elements together with their canonical-extension masks.
+    def ball_table(self, radius: int, max_elements: int = DEFAULT_MAX_BALL
+                   ) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
+        """The ball's canonical words with their right-multiplication table.
 
-        Bit s of the mask is set iff word + (s,) is again a canonical word;
-        callers use this to extend elements without re-normalizing.
+        Returns ``(words, lengths, right, descent)``: the words in ball
+        order and their lengths; ``right[s, i]`` is the index of
+        ``words[i] * s``, or -1 when the product leaves the ball, and
+        ``descent[s, i]`` flags right descents.  No word is normalized:
+        right multiplication by s is an involution, so the table is fixed
+        by its descents.  For z = z't, zt = z'; a generator s != t is a
+        descent of z iff it commutes with t and is a descent of z', and then
+        zs = (z's)t is read from the row of z's, two levels down.  Each
+        lengthening entry is the reverse of a descent entry of the level
+        above, so a level's row is complete once the next level is built.
         """
-        elems, masks = [], []
-        for level in self._ball_levels(radius, max_elements):
-            for word, mask in level:
-                elems.append(Element(self, word))
-                masks.append(mask)
-        return elems, masks
+        levels = self._ball_levels(radius, max_elements)
+        words = [word for level in levels for word, _ in level]
+        lengths = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+        right = np.full((self.n, len(words)), -1, dtype=np.int64)
+        descent = np.zeros((self.n, len(words)), dtype=bool)
+        comm = np.array(self._comm, dtype=np.int64)
+        bits = np.left_shift(1, np.arange(self.n, dtype=np.int64))
+        start = 0
+        for level, nxt in zip(levels, levels[1:]):
+            masks = np.array([mask for _, mask in level], dtype=np.int64)
+            # children in enumeration order: by parent, then by last letter
+            parent, last = np.nonzero(masks[:, None] & bits)
+            parent += start
+            start += len(level)
+            child = np.arange(start, start + len(nxt))
+            for s in range(self.n):
+                own = last == s
+                right[s, child[own]] = parent[own]
+                other = (comm[last] & bits[s] != 0) & descent[s, parent]
+                right[s, child[other]] = right[last[other],
+                                               right[s, parent[other]]]
+                descent[s, child] = own | other
+                down = child[own | other]
+                right[s, right[s, down]] = down
+        return words, lengths, right, descent
 
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
         """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k}.

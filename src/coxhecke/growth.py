@@ -31,7 +31,7 @@ from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import (CapacityError, ConsistencyError, DomainError, InputError,
                      PreconditionError)
-from .laurent import LaurentPoly, P_SYMBOL
+from .laurent import LaurentPoly
 
 # -- integer polynomial helpers (dense, ascending degree) ----------------------
 
@@ -58,10 +58,6 @@ def _poly_add(a: Sequence, b: Sequence) -> list:
     for i, y in enumerate(b):
         out[i] += y
     return _poly_trim(out)
-
-
-def _poly_scale(a: Sequence, c) -> list:
-    return _poly_trim([c * x for x in a])
 
 
 def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
@@ -214,8 +210,7 @@ def growth_series(system: CoxeterSystem, validate_to: int = 12,
     for k, c in enumerate(counts):
         if not c:
             continue
-        piece = [c * (-1) ** k] + [0] * 0
-        piece = _poly_scale(_shift(piece, k), 1)
+        piece = _shift([(-1) ** k * c], k)
         rest = [1]
         for _ in range(n - k):
             rest = _poly_mul(rest, one_t)
@@ -654,11 +649,13 @@ def coset_recurrence(q, f0: float, f1: float, n: int,
 class ProjectionReport:
     """Numerical certificate for the rank-one central projection at q < rho.
 
-    The action matrix of the truncated radial operator is assembled by
-    iterated generator right-multiplication on the ball; entries with
-    |v| + |w| <= radius are exact (truncation effects cannot propagate
-    that far inward), so residuals are evaluated on the certified square
-    sub-block over the half-radius ball.
+    The action matrix of the truncated radial operator is assembled on the
+    ball's right-multiplication table, the column of w = w't being the
+    column of w' times t; entries with |v| + |w| <= radius are exact
+    (truncation effects cannot propagate that far inward), so residuals
+    are evaluated on the certified square sub-block over the half-radius
+    ball.  The scaling identity is exact: it is decided in integers on the
+    table's lengths, one check per interior vertex and generator.
     """
     q: Fraction
     radius: int
@@ -689,39 +686,13 @@ class ProjectionReport:
         ])
 
 
-def _ball_adjacency(system: CoxeterSystem, ball, masks, index):
-    """Right multiplication tables on a ball.
-
-    For each generator s: idx[i] is the ball index of (element i) * s, or
-    -1 when the product leaves the ball; desc[i] flags right descents.
-    Lengthening products reuse the canonical-word automaton masks so most
-    entries need no re-normalization.
-    """
-    n = len(ball)
-    idx = np.full((system.n, n), -1, dtype=np.int64)
-    desc = np.zeros((system.n, n), dtype=bool)
-    for i, (w, mask) in enumerate(zip(ball, masks)):
-        for s in range(system.n):
-            if (mask >> s) & 1:
-                j = index.get(w.word + (s,))
-                if j is not None:
-                    idx[s, i] = j
-                continue
-            ws, delta = system.mult_gen(w, s, RIGHT)
-            if delta < 0:
-                desc[s, i] = True
-            j = index.get(ws.word)
-            if j is not None:
-                idx[s, i] = j
-    return idx, desc
-
-
 def verify_central_projection(system: CoxeterSystem, q, radius: int,
                               max_elements: int = DEFAULT_MAX_BALL) -> ProjectionReport:
     """Certify that the normalized radial operator is close to a projection.
 
     Runs four checks: (a) the exact generator scaling identity for the
-    radial symbol on interior vertices, in the formal ring; (b) the
+    radial symbol on interior vertices, decided by integer exponents on
+    the ball's right-multiplication table (the symbol is u^{|w|}); (b) the
     residual ||P^2 - P|| of the truncated, normalized action matrix on the
     certified sub-block, against the analytic tail bound; (c) commutation
     of P with every generator's left action on the certified sub-block;
@@ -740,25 +711,17 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
             "no central projection exists for q >= rho: the radial vector "
             "is not square-summable")
 
-    ball, masks = system.ball_with_masks(radius, max_elements)
-    index = {w.word: i for i, w in enumerate(ball)}
-    idx, desc = _ball_adjacency(system, ball, masks, index)
-    lengths = np.array([len(w) for w in ball])
+    words, lengths, idx, desc = system.ball_table(radius, max_elements)
 
-    # (a) formal scaling identity on interior vertices
-    u = LaurentPoly.u_power(1)
-    xi = [LaurentPoly.u_power(len(w)) for w in ball]
-    checks = 0
-    exact_ok = True
-    interior = lengths <= radius - 1
-    for s in range(system.n):
-        for i in np.nonzero(interior)[0]:
-            j = idx[s, i]
-            neighbor = xi[j] if j >= 0 else LaurentPoly.zero()
-            image = neighbor + (P_SYMBOL * xi[i] if desc[s, i] else LaurentPoly.zero())
-            if image != u * xi[i]:
-                exact_ok = False
-            checks += 1
+    # (a) formal scaling identity on interior vertices: for xi = u^{|w|} and
+    # p = u - 1/u, xi(ws) + [s descent] p xi(w) = u xi(w) holds iff ws lies
+    # in the ball with |ws| = |w| - 1 on a descent and |w| + 1 otherwise
+    n_in = int(np.count_nonzero(lengths <= radius - 1))
+    image = idx[:, :n_in]
+    step = np.where(desc[:, :n_in], -1, 1)
+    exact_ok = bool(np.all((image >= 0)
+                           & (lengths[image] == lengths[:n_in] + step)))
+    checks = system.n * n_in
 
     # numeric data
     qf = float(q)
@@ -769,19 +732,21 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
 
     h = radius // 2
     n_h = int(np.count_nonzero(lengths <= h))
-    ball_h = ball[:n_h]
+    ends = np.searchsorted(lengths, np.arange(2 * h + 1), side="right")
 
-    def apply_right(vec: np.ndarray, s: int) -> np.ndarray:
-        moved = np.where(idx[s] >= 0, vec[idx[s]], 0.0)
-        return moved + p * vec * desc[s]
+    def apply_right(vec: np.ndarray, s: int, end: int) -> np.ndarray:
+        moved = np.where(idx[s, :end] >= 0, vec[idx[s, :end]], 0.0)
+        return moved + p * vec[:end] * desc[s, :end]
 
-    # (b) truncated action matrix of the radial operator, certified block
-    m_h = np.empty((n_h, n_h))
-    for jcol, w in enumerate(ball_h):
-        vec = zeta
-        for s in w.word:
-            vec = apply_right(vec, s)
-        m_h[:, jcol] = vec[:n_h]
+    # (b) truncated action matrix of the radial operator, certified block.
+    # The column of w = w't is its parent's column times t; a column at
+    # length k is needed only up to length 2h - k to fill the block.
+    columns = [zeta[:ends[2 * h]]]
+    for jcol in range(1, n_h):
+        t = words[jcol][-1]
+        columns.append(apply_right(columns[idx[t, jcol]], t,
+                                   ends[2 * h - lengths[jcol]]))
+    m_h = np.column_stack([col[:n_h] for col in columns])
     partial = float(sum(Fraction(c) * q ** k
                         for k, c in enumerate(system.sphere_counts(h))))
     p_mat = m_h / w_q
@@ -791,12 +756,14 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     # (c) commutators with generator left actions on the certified block
     n_c = int(np.count_nonzero(lengths <= h - 1))
     commutator_max = 0.0
+    ball_h = [Element(system, word) for word in words[:n_h]]
+    index = {w.word: i for i, w in enumerate(ball_h)}
     for s in range(system.n):
         l_mat = np.zeros((n_h, n_h))
         for jcol, w in enumerate(ball_h):
             sw, delta = system.mult_gen(w, s, LEFT)
             i = index.get(sw.word)
-            if i is not None and i < n_h:
+            if i is not None:
                 l_mat[i, jcol] = 1.0
             if delta < 0:
                 l_mat[jcol, jcol] += p

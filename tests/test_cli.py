@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +194,50 @@ def test_reports_byte_identical(capsys, group_file):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
+
+# zeta-check stdout, byte for byte (floats included)
+ZETA_CHECK_PINS = {
+    ("free3", "1/5"): (
+        '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
+        '3.0739759555446695e-17, "partial_norm_sq": 1.9744, "passed": true, '
+        '"projection_bound": 0.012800000000000034, "projection_residual": '
+        '0.012636160000000233, "q": "1/5", "radius": 8, "rayleigh_estimate": '
+        '1.9743999999999982, "scaling_identity_exact": true, "schema": 1, '
+        '"w_q": 2.0}\n'),
+    ("z2sq-z2", "1/5"): (
+        '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
+        '6.559606617459334e-17, "partial_norm_sq": 1.8848, "passed": true, '
+        '"projection_bound": 0.005244444444444373, "projection_residual": '
+        '0.0052169402469129855, "q": "1/5", "radius": 8, "rayleigh_estimate": '
+        '1.8847999999999983, "scaling_identity_exact": true, "schema": 1, '
+        '"w_q": 1.894736842105263}\n'),
+    ("pentagon", "1/8"): (
+        '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
+        '1.2312597404858716e-16, "partial_norm_sq": 1.963134765625, '
+        '"passed": true, "projection_bound": 0.006314501350308631, '
+        '"projection_residual": 0.0062746284230057615, "q": "1/8", '
+        '"radius": 8, "rayleigh_estimate": 1.9631347656250009, '
+        '"scaling_identity_exact": true, "schema": 1, '
+        '"w_q": 1.975609756097561}\n'),
+}
+
+
+@pytest.mark.parametrize("name,q", sorted(ZETA_CHECK_PINS))
+def test_zeta_check_pinned(capsys, name, q):
+    code, out, _ = run(capsys, ["zeta-check", "--group",
+                                str(GROUPS / f"{name}.json"), "--q", q,
+                                "--radius", "8", "--format", "json"])
+    assert code == 0
+    assert out == ZETA_CHECK_PINS[name, q]
+
+
+def test_growth_rejects_negative_radius(capsys, group_file):
+    path = group_file(FREE3)
+    for command in ("growth", "ball"):
+        code, out, err = run(capsys, [command, "--group", path,
+                                      "--radius", "-5"])
+        assert code == 2 and out == ""
+        assert "radius must be nonnegative" in err

@@ -300,7 +300,44 @@ def test_ball_capacity_guard(free3):
     with pytest.raises(CapacityError):
         free3.ball(30, max_elements=1000)
     with pytest.raises(CapacityError):
+        free3.ball_table(30, max_elements=1000)
+    size = len(free3.ball(6))
+    assert len(free3.ball_table(6, max_elements=size)[0]) == size
+    with pytest.raises(CapacityError):
+        free3.ball_table(6, max_elements=size - 1)
+    with pytest.raises(CapacityError):
         free3.sphere_counts(30, max_total=1000)
+
+
+def assert_table_matches_mult_gen(sys, radius):
+    """Every entry of the recurrence-built table against mult_gen."""
+    words, lengths, right, descent = sys.ball_table(radius)
+    ball = sys.ball(radius)
+    assert words == [w.word for w in ball]
+    assert lengths.tolist() == [len(w) for w in ball]
+    index = {w.word: i for i, w in enumerate(ball)}
+    for i, w in enumerate(ball):
+        for s in range(sys.n):
+            ws, delta = sys.mult_gen(w, s, RIGHT)
+            assert right[s, i] == index.get(ws.word, -1), (w, s)
+            assert descent[s, i] == (delta < 0), (w, s)
+
+
+@pytest.mark.parametrize("name,radius",
+                         [("free3", 10), ("z2sq-z2", 10), ("pentagon", 8)])
+def test_ball_table_matches_mult_gen(named_systems, name, radius):
+    assert_table_matches_mult_gen(named_systems[name], radius)
+
+
+def test_ball_table_matches_mult_gen_random_graphs():
+    rng = random.Random(2015)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        sys = CoxeterSystem([f"g{i}" for i in range(n)], pairs)
+        assert_table_matches_mult_gen(sys, 6 if n <= 4 else 4)
 
 
 def brute_force_sphere_counts(sys, n):

@@ -303,3 +303,29 @@ def test_projection_partial_norm_exact(free3):
                        for n in range(1, 5))
     assert rep.partial_norm_sq == pytest.approx(float(expected))
     assert rep.w_q == pytest.approx(2.5)
+
+
+def test_projection_scaling_checks_count(named_systems):
+    for sys in named_systems.values():
+        q = Fraction(rho_info(sys).value / 2).limit_denominator(1000)
+        rep = verify_central_projection(sys, q, 7)
+        assert rep.scaling_checks == sys.n * len(sys.ball(6))
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_projection_scaling_identity_detects_flipped_descent(
+        monkeypatch, free3, s):
+    # word 's' has s as its only right descent: flip a true and a false flag
+    build = CoxeterSystem.ball_table
+
+    def flipped(self, radius, max_elements):
+        words, lengths, right, descent = build(self, radius, max_elements)
+        descent = descent.copy()
+        descent[s, 1] = not descent[s, 1]
+        return words, lengths, right, descent
+
+    assert verify_central_projection(free3, Fraction(1, 4), 6) \
+        .scaling_identity_exact
+    monkeypatch.setattr(CoxeterSystem, "ball_table", flipped)
+    rep = verify_central_projection(free3, Fraction(1, 4), 6)
+    assert not rep.scaling_identity_exact
