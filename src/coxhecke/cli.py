@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem
-from .cosets import build_gamma_ball, verify_component_structure
+from .cosets import _component_report, build_gamma_ball
 from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho, dykema_decompose
@@ -179,8 +179,7 @@ def cmd_classify(args) -> int:
 def cmd_gamma(args) -> int:
     sys_ = _load(args)
     graph = build_gamma_ball(sys_, args.radius, args.max_ball)
-    report = verify_component_structure(sys_, args.radius, args.slack,
-                                        args.max_ball)
+    report = _component_report(graph, args.slack)
     if args.edges_out:
         with open(args.edges_out, "w") as fh:
             graph.write_edge_list(fh)

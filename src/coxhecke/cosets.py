@@ -12,8 +12,12 @@ empirically.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
 from .errors import CapacityError, DomainError, InputError
@@ -142,17 +146,37 @@ def _noncommuting_partners(system: CoxeterSystem, s: int) -> Iterable[int]:
     return (t for t in range(system.n) if t != s and not system.commutes(s, t))
 
 
+def _degenerate_cover(system: CoxeterSystem, s: int, t: int) -> int:
+    """{s, t} plus the generators commuting with both, as a bitmask: for
+    m(s,t) = infinity, DwD is degenerate iff supp(w) lies inside it."""
+    return (1 << s) | (1 << t) | (system._cmask[s] & system._cmask[t])
+
+
+def _edge_flags(system: CoxeterSystem, supports: np.ndarray) -> np.ndarray:
+    """``flags[s, i]``: s is an edge generator of the element whose support
+    bitmask is ``supports[i]``."""
+    flags = np.zeros((system.n, len(supports)), dtype=bool)
+    for s in range(system.n):
+        for t in _noncommuting_partners(system, s):
+            flags[s] |= (supports & ~_degenerate_cover(system, s, t)) != 0
+    return flags
+
+
+def coset_nondegenerate(pair: InfinitePair, w: Element) -> bool:
+    """Whether DwD is non-degenerate, decided by the support rule of the
+    module docstring; :func:`shortest_rep` decides the same by stripping."""
+    system = pair.system
+    system._check_own(w)
+    cover = _degenerate_cover(system, pair.s, pair.t)
+    return any(not (cover >> x) & 1 for x in w.word)
+
+
 def edge_generators(system: CoxeterSystem, w: Element) -> list[int]:
     """Generators s for which w gains edges to ws and sw: some t with
     m(s,t) = infinity makes the coset of w non-degenerate."""
-    out = []
-    for s in range(system.n):
-        for t in _noncommuting_partners(system, s):
-            pair = InfinitePair(system, s, t)
-            if shortest_rep(system, pair, w).nondegenerate:
-                out.append(s)
-                break
-    return out
+    return [s for s in range(system.n)
+            if any(coset_nondegenerate(InfinitePair(system, s, t), w)
+                   for t in _noncommuting_partners(system, s))]
 
 
 def gamma_neighbors(system: CoxeterSystem, w: Element) -> set[Element]:
@@ -165,22 +189,28 @@ def gamma_neighbors(system: CoxeterSystem, w: Element) -> set[Element]:
     return out
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _component_labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on range(n) with edges (lo, hi),
+    labelled 0, 1, ... in order of first appearance.
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    Each root is hooked onto the least root across an edge, then paths are
+    compressed, until every edge joins one root; that root is the least
+    vertex of its component, so ranking the roots gives first appearance.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[lo], root[hi]
+        if np.array_equal(a, b):
+            break
+        least = np.minimum(a, b)
+        np.minimum.at(root, a, least)
+        np.minimum.at(root, b, least)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return np.unique(root, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -201,8 +231,17 @@ class GammaBallGraph:
     def n_components(self) -> int:
         return max(self.component_label) + 1 if self.component_label else 0
 
+    def index(self, w: Element) -> int:
+        """Position of w among the vertices, by bisection on their
+        (length, ShortLex) order; ValueError if w is not a vertex."""
+        i = bisect.bisect_left(self.vertices, w.sort_key(),
+                               key=Element.sort_key)
+        if i == len(self.vertices) or self.vertices[i] != w:
+            raise ValueError(f"{w} is not a vertex of the ball")
+        return i
+
     def component_of(self, w: Element) -> int:
-        return self.component_label[self.vertices.index(w)]
+        return self.component_label[self.index(w)]
 
     def components(self) -> list[list[Element]]:
         out: list[list[Element]] = [[] for _ in range(self.n_components)]
@@ -227,30 +266,30 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
                      max_elements: int = DEFAULT_MAX_BALL) -> GammaBallGraph:
     """Construct the ball-restricted interaction graph.
 
-    Scans every vertex, attaches its edges, and drops edges leaving the
-    ball; the resulting edge set is symmetric by construction and tested
-    to be consistent with rescanning from the other endpoint.
+    Edge generators come from the support rule on the ball's support
+    bitmasks, and the edges to ws and sw from its right and left
+    multiplication tables; edges leaving the ball are dropped.  Edges are
+    stored as sorted index pairs, so the set is symmetric by construction.
     """
-    ball = system.ball(radius, max_elements)
-    index = {w: i for i, w in enumerate(ball)}
-    edges: set[tuple[int, int]] = set()
-    for i, w in enumerate(ball):
-        for s in edge_generators(system, w):
-            for side in (LEFT, RIGHT):
-                other, _ = system.mult_gen(w, s, side)
-                j = index.get(other)
-                if j is not None and j != i:
-                    edges.add((min(i, j), max(i, j)))
-    uf = _UnionFind(len(ball))
-    for i, j in edges:
-        uf.union(i, j)
-    roots: dict[int, int] = {}
-    labels = []
-    for i in range(len(ball)):
-        r = uf.find(i)
-        labels.append(roots.setdefault(r, len(roots)))
-    return GammaBallGraph(system, radius, tuple(ball), frozenset(edges),
-                          tuple(labels))
+    words, lengths, right, _ = system.ball_table(radius, max_elements)
+    left, _ = system.ball_left_table(words, lengths, right)
+    flags = _edge_flags(system, system.ball_supports(words, lengths, right))
+    size = len(words)
+    keys = []
+    for s in range(system.n):
+        i = np.flatnonzero(flags[s])
+        for table in (left, right):
+            j = table[s, i]
+            inside = j >= 0
+            keys.append(np.minimum(i, j)[inside] * size
+                        + np.maximum(i, j)[inside])
+    keys = np.unique(np.concatenate(keys))
+    lo, hi = keys // size, keys % size
+    labels = _component_labels(size, lo, hi)
+    return GammaBallGraph(system, radius,
+                          tuple(Element(system, w) for w in words),
+                          frozenset(zip(lo.tolist(), hi.tolist())),
+                          tuple(labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -274,6 +313,15 @@ class ComponentReport:
                 f"vertices in one component of size {self.big_component_size}")
 
 
+def _check_component_domain(system: CoxeterSystem):
+    if not system.irreducible or system.is_finite():
+        raise DomainError("component verification needs an irreducible "
+                          "infinite system")
+    if system.n < 3:
+        raise DomainError("component verification needs at least 3 "
+                          "generators; with 2 the graph has no edges")
+
+
 def verify_component_structure(system: CoxeterSystem, radius: int,
                                slack: int = 2,
                                max_elements: int = DEFAULT_MAX_BALL) -> ComponentReport:
@@ -285,38 +333,34 @@ def verify_component_structure(system: CoxeterSystem, radius: int,
     balls, hence the slack.  This is an empirical check on a finite ball,
     not a proof.
     """
-    if not system.irreducible or system.is_finite():
-        raise DomainError("component verification needs an irreducible "
-                          "infinite system")
-    if system.n < 3:
-        raise DomainError("component verification needs at least 3 "
-                          "generators; with 2 the graph has no edges")
-    graph = build_gamma_ball(system, radius, max_elements)
+    _check_component_domain(system)
+    return _component_report(build_gamma_ball(system, radius, max_elements),
+                             slack)
+
+
+def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
+    """The checks of :func:`verify_component_structure` on a built graph."""
+    system, radius = graph.system, graph.radius
+    _check_component_domain(system)
     exceptional = [system.identity]
     z2gen = system.free_z2_factor_generator()
     if z2gen is not None:
         exceptional.append(system.element([z2gen]))
 
-    core = [w for w in graph.vertices
-            if len(w) <= radius - slack and w not in exceptional]
-    labels = {w: graph.component_label[i] for i, w in enumerate(graph.vertices)}
-    big_label = None
-    failures = []
-    for w in core:
-        if big_label is None:
-            big_label = labels[w]
-        elif labels[w] != big_label:
-            failures.append(w)
-    for w in exceptional:
-        # expected isolated: no edges at all inside the ball
-        i = graph.vertices.index(w)
-        if any(i in e for e in graph.edges):
-            failures.append(w)
-    big_size = sum(1 for v, lab in zip(graph.vertices, graph.component_label)
-                   if lab == big_label) if big_label is not None else 0
+    special = [graph.index(w) for w in exceptional]
+    labels = graph.component_label
+    core = [i for i, w in enumerate(graph.vertices)
+            if len(w) <= radius - slack and i not in special]
+    big_label = labels[core[0]] if core else None
+    failures = [graph.vertices[i] for i in core if labels[i] != big_label]
+    # expected isolated: no edges at all inside the ball
+    ends = np.fromiter(itertools.chain.from_iterable(graph.edges),
+                       dtype=np.int64, count=2 * len(graph.edges))
+    degree = np.bincount(ends, minlength=len(graph.vertices))
+    failures += [w for w, i in zip(exceptional, special) if degree[i]]
     return ComponentReport(
         radius=radius, slack=slack, passed=not failures,
         exceptional=tuple(exceptional), n_components=graph.n_components,
-        big_component_size=big_size, core_size=len(core),
-        failures=tuple(failures),
+        big_component_size=labels.count(big_label) if core else 0,
+        core_size=len(core), failures=tuple(failures),
     )

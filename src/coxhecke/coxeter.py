@@ -468,6 +468,48 @@ class CoxeterSystem:
                 right[s, right[s, down]] = down
         return words, lengths, right, descent
 
+    @staticmethod
+    def _tree_levels(words: list[Word], lengths: np.ndarray, right: np.ndarray,
+                     end: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Levels 1, 2, ... of the first ``end`` words of a :meth:`ball_table`,
+        each as (indices, last letters, parent indices)."""
+        starts = np.searchsorted(lengths[:end],
+                                 np.arange(1, int(lengths[end - 1]) + 2))
+        for lo, hi in zip(starts, starts[1:]):
+            child = np.arange(lo, hi)
+            last = np.array([words[i][-1] for i in range(lo, hi)], dtype=np.int64)
+            yield child, last, right[last, child]
+
+    def ball_left_table(self, words: list[Word], lengths: np.ndarray,
+                        right: np.ndarray, end: int | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Left multiplication on the first ``end`` elements of a ball table.
+
+        Takes the output of :meth:`ball_table` and returns ``(left,
+        descent)``: ``left[s, i]`` is the index of ``s * words[i]``, or -1
+        when the product leaves the ball, and ``descent[s, i]`` flags left
+        descents.  For z = z't, sz = (sz')t is read from the right table at
+        the row of sz', which lies in the ball since |sz'| <= |z|; no word
+        is normalized.  Only the requested prefix is built.
+        """
+        end = len(words) if end is None else end
+        left = np.full((self.n, end), -1, dtype=np.int64)
+        left[:, 0] = right[:, 0]
+        for child, last, parent in self._tree_levels(words, lengths, right, end):
+            left[:, child] = right[last, left[:, parent]]
+        descent = (left >= 0) & (lengths[left] < lengths[:end])
+        return left, descent
+
+    def ball_supports(self, words: list[Word], lengths: np.ndarray,
+                      right: np.ndarray) -> np.ndarray:
+        """Support bitmasks of the words of a :meth:`ball_table`, built per
+        level as supp(z't) = supp(z') | bit(t)."""
+        supp = np.zeros(len(words), dtype=np.int64)
+        for child, last, parent in self._tree_levels(words, lengths, right,
+                                                     len(words)):
+            supp[child] = supp[parent] | (1 << last)
+        return supp
+
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
         """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k}.
 

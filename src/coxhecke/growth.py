@@ -695,8 +695,9 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     the ball's right-multiplication table (the symbol is u^{|w|}); (b) the
     residual ||P^2 - P|| of the truncated, normalized action matrix on the
     certified sub-block, against the analytic tail bound; (c) commutation
-    of P with every generator's left action on the certified sub-block;
-    (d) the certified Rayleigh quotient converging to W(q).
+    of P with every generator's left action on the certified sub-block,
+    read from the left table of the half-radius ball; (d) the certified
+    Rayleigh quotient converging to W(q).
     """
     q = Fraction(q)
     if not system.irreducible or system.is_finite() or system.n < 3:
@@ -756,17 +757,14 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     # (c) commutators with generator left actions on the certified block
     n_c = int(np.count_nonzero(lengths <= h - 1))
     commutator_max = 0.0
-    ball_h = [Element(system, word) for word in words[:n_h]]
-    index = {w.word: i for i, w in enumerate(ball_h)}
+    left, ldesc = system.ball_left_table(words, lengths, idx, n_h)
+    cols = np.arange(n_h)
     for s in range(system.n):
         l_mat = np.zeros((n_h, n_h))
-        for jcol, w in enumerate(ball_h):
-            sw, delta = system.mult_gen(w, s, LEFT)
-            i = index.get(sw.word)
-            if i is not None:
-                l_mat[i, jcol] = 1.0
-            if delta < 0:
-                l_mat[jcol, jcol] += p
+        inside = (left[s] >= 0) & (left[s] < n_h)
+        l_mat[left[s, inside], cols[inside]] = 1.0
+        down = cols[ldesc[s]]
+        l_mat[down, down] = p
         comm = (l_mat @ p_mat - p_mat @ l_mat)[:n_c, :n_c]
         if comm.size:
             commutator_max = max(commutator_max,

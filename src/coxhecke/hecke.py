@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coxeter import LEFT, RIGHT, CoxeterSystem, Element
-from .errors import InputError, ParseError
+from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
+from .errors import CapacityError, InputError, ParseError
 from .laurent import LaurentPoly, P_SYMBOL
 
 EXACT = "exact"
@@ -293,12 +293,9 @@ class ActionMatrix:
         return len(self.elements)
 
 
-def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> ActionMatrix:
-    """Truncation of the multiplication operator of ``a`` to a metric ball."""
-    if a.q is None:
-        raise InputError("action matrices need numeric mode")
-    if side not in (LEFT, RIGHT):
-        raise InputError(f"side must be {LEFT!r} or {RIGHT!r}")
+def _action_by_products(a: HeckeElement, ball: list[Element],
+                        side: str) -> ActionMatrix:
+    """The action matrix column by column, one Hecke product per column."""
     index = {w: i for i, w in enumerate(ball)}
     n = len(ball)
     mat = np.zeros((n, n))
@@ -312,6 +309,112 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
                 exact[j] = False
             else:
                 mat[i, j] = c
+    return ActionMatrix(tuple(ball), mat, exact, side)
+
+
+def _peel(words: list[tuple[int, ...]], depth: int) -> np.ndarray:
+    """``peel[k, j]``: the k-th letter of ``words[j]`` from the end, or -1."""
+    out = np.full((depth, len(words)), -1, dtype=np.int64)
+    for j, word in enumerate(words):
+        out[:len(word), j] = word[::-1]
+    return out
+
+
+def _locate(peel: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Table indices of the peeled words, built up by left multiplication."""
+    where = np.zeros(peel.shape[1], dtype=np.int64)
+    for s in peel:
+        go = s >= 0
+        where[go] = left[s[go], where[go]]
+    return where
+
+
+def _merge(col, at, val, size):
+    """Sum the coefficients of equal (column, element) terms in array order
+    and drop zeros."""
+    keys, where = np.unique(col * size + at, return_inverse=True)
+    val = np.bincount(where, weights=val, minlength=len(keys))
+    keep = val != 0
+    return keys[keep] // size, keys[keep] % size, val[keep]
+
+
+def _left_step(terms, s, left, descent, p):
+    """Multiply the terms on the left by T_s, a generator per term (-1
+    leaves a term as it is): T_s T_x = T_sx, plus p T_x on a descent."""
+    col, at, val = terms
+    go = s >= 0
+    x, sx = at[go], s[go]
+    down = descent[sx, x]
+    return _merge(np.concatenate([col[~go], col[go], col[go][down]]),
+                  np.concatenate([at[~go], left[sx, x], x[down]]),
+                  np.concatenate([val[~go], val[go], p * val[go][down]]),
+                  left.shape[1])
+
+
+def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> ActionMatrix:
+    """Truncation of the multiplication operator of ``a`` to a metric ball.
+
+    ``ball`` may be any list of elements.  This enumerates ball(r + m), r
+    and m the longest words in ``ball`` and in ``a``, and runs the
+    one-generator recursion of :func:`mul` on its left-multiplication table,
+    for all columns at once.  Every intermediate term lies in ball(r + m),
+    so images leaving ``ball`` keep their identities.  Side "left" peels
+    each term of ``a`` and sums the terms in order; side "right" peels each
+    column's word from the end.  A recursion step gives a term at most two
+    contributions, so the entries are bit for bit those of per-column
+    products.  When ball(r + m) would exceed ``DEFAULT_MAX_BALL`` elements,
+    the columns are computed one product at a time instead, so this raises
+    no ``CapacityError`` on any input.
+    """
+    if a.q is None:
+        raise InputError("action matrices need numeric mode")
+    if side not in (LEFT, RIGHT):
+        raise InputError(f"side must be {LEFT!r} or {RIGHT!r}")
+    sys = a.system
+    if any(w.system is not sys for w in ball):
+        raise InputError("elements live over different Coxeter systems")
+    r = max((len(w) for w in ball), default=0)
+    m = max((len(v) for v in a.terms), default=0)
+    try:                # counted by the automaton, before any enumeration
+        fits = sum(sys.sphere_counts(r + m)) <= DEFAULT_MAX_BALL
+    except CapacityError:
+        fits = False
+    if not fits:
+        return _action_by_products(a, ball, side)
+    words, lengths, right, _ = sys.ball_table(r + m)
+    left, descent = sys.ball_left_table(words, lengths, right)
+    p = a._p()
+
+    n = len(ball)
+    cols = np.arange(n)
+    peel = _peel([w.word for w in ball], r)
+    where = _locate(peel, left)
+    if side == LEFT:
+        parts = [(cols[:0], cols[:0], np.zeros(0))]     # for the zero element
+        for v, c in a.terms.items():
+            terms = (cols, where, np.ones(n))
+            for s in reversed(v.word):
+                terms = _left_step(terms, np.full(len(terms[0]), s),
+                                   left, descent, p)
+            parts.append((terms[0], terms[1], c * terms[2]))
+        col, at, val = _merge(*map(np.concatenate, zip(*parts)), len(words))
+    else:
+        support = list(a.terms)
+        start = _locate(_peel([v.word for v in support], m), left)
+        col, at, val = (np.repeat(cols, len(support)), np.tile(start, n),
+                        np.tile([a.terms[v] for v in support], n))
+        for s in peel:
+            col, at, val = _left_step((col, at, val), s[col], left, descent, p)
+
+    row = np.full(len(words), -1, dtype=np.int64)
+    last, first = np.unique(where[::-1], return_index=True)
+    row[last] = n - 1 - first           # a repeated element takes its last row
+    i = row[at]
+    inside = i >= 0
+    mat = np.zeros((n, n))
+    mat[i[inside], col[inside]] = val[inside]
+    exact = np.ones(n, dtype=bool)
+    exact[col[~inside]] = False
     return ActionMatrix(tuple(ball), mat, exact, side)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import RIGHT, CoxeterSystem
-from .cosets import InfinitePair, brute_force_min_rep, shortest_rep, \
-    verify_component_structure
+from .cosets import InfinitePair, brute_force_min_rep, coset_nondegenerate, \
+    shortest_rep, verify_component_structure
 from .freeprod import (FreeFactorSpec, cross_validate_with_rho,
                        dykema_decompose, freeness_test, hvn_z2_idempotents, mu_k)
 from .growth import (check_symbol_commutation, growth_series, rho_info,
@@ -45,6 +45,16 @@ def _three_gen_patterns() -> list[CoxeterSystem]:
     patterns = [[], [("a", "b")], [("a", "b"), ("b", "c")],
                 [("a", "b"), ("b", "c"), ("a", "c")]]
     return [CoxeterSystem(gens, p) for p in patterns]
+
+
+def random_system(rng: random.Random, max_n: int = 8) -> CoxeterSystem:
+    """A seeded random commutation graph on 1..max_n generators: one edge
+    density is drawn, then each pair commutes with that probability."""
+    n = rng.randint(1, max_n)
+    density = rng.random()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density]
+    return CoxeterSystem([f"g{i}" for i in range(n)], pairs)
 
 
 def _random_word(rng: random.Random, n_gens: int, length: int) -> list[int]:
@@ -189,9 +199,21 @@ def suite_growth(seed: int) -> SuiteResult:
 
 
 def suite_cosets(seed: int) -> SuiteResult:
-    """Shortest double-coset representatives against brute force, and
+    """Shortest double-coset representatives against brute force, the
+    support rule for degeneracy against them on seeded random graphs, and
     the one-big-component structure of the interaction graph."""
     systems = _named_systems()
+    rng = random.Random(seed)
+    for _ in range(20):
+        sys = random_system(rng)
+        pairs = [InfinitePair(sys, s, t) for s in range(sys.n)
+                 for t in range(sys.n) if s != t and not sys.commutes(s, t)]
+        for w in sys.ball(3):
+            for pair in pairs:
+                if coset_nondegenerate(pair, w) != \
+                        shortest_rep(sys, pair, w).nondegenerate:
+                    return SuiteResult("cosets-graph", False,
+                                       f"{sys}: support rule at {w}")
     for name in ("free3", "z2sq-z2"):
         sys = systems[name]
         pair = InfinitePair.of(sys, 0, 1)
@@ -206,7 +228,8 @@ def suite_cosets(seed: int) -> SuiteResult:
         rep = verify_component_structure(sys, 5, 2)
         if not rep.passed or len(rep.exceptional) != expected_exceptional[name]:
             return SuiteResult("cosets-graph", False, f"{name}: {rep.summary()}")
-    return SuiteResult("cosets-graph", True, "3 systems at radius 5")
+    return SuiteResult("cosets-graph", True, "3 systems at radius 5, "
+                       "support rule on 20 random graphs at radius 3")
 
 
 def suite_radial_symbol(seed: int) -> SuiteResult:

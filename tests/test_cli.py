@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -232,6 +233,50 @@ def test_zeta_check_pinned(capsys, name, q):
                                 "--radius", "8", "--format", "json"])
     assert code == 0
     assert out == ZETA_CHECK_PINS[name, q]
+
+
+# gamma stdout byte for byte, and the SHA-256 and line count of --edges-out
+GAMMA_PINS = {
+    ("free3", 5, 2): (
+        '{"big_component_size": 93, "command": "gamma", "components": 2, '
+        '"edges": 180, "exceptional": ["e"], "passed": true, "radius": 5, '
+        '"schema": 1, "slack": 2, "vertices": 94}\n',
+        "b9e2ad6a9e59706ecd2c9290802472ecb54a70c415388c974cf8b48c24f8d89a",
+        180),
+    ("z2sq-z2", 7, 2): (
+        '{"big_component_size": 136, "command": "gamma", "components": 5, '
+        '"edges": 286, "exceptional": ["e", "s"], "passed": true, '
+        '"radius": 7, "schema": 1, "slack": 2, "vertices": 140}\n',
+        "9898ba1493d71f92940be99cf7b854a75b30ecff83b69c951266a24240170461",
+        286),
+    ("pentagon", 5, 2): (
+        '{"big_component_size": 440, "command": "gamma", "components": 2, '
+        '"edges": 1160, "exceptional": ["e"], "passed": true, "radius": 5, '
+        '"schema": 1, "slack": 2, "vertices": 441}\n',
+        "f7b864719f4c608490a64e27a146b0daca8227157d8cbe7d4b74971e8518db34",
+        1160),
+    ("pentagon", 4, 0): (
+        '{"big_component_size": 165, "command": "gamma", "components": 2, '
+        '"edges": 410, "exceptional": ["e"], "passed": true, "radius": 4, '
+        '"schema": 1, "slack": 0, "vertices": 166}\n',
+        "a868de216787334b585ecd9d3c253f65746d5a5b6dfe28207850bf775fe587db",
+        410),
+}
+
+
+@pytest.mark.parametrize("name,radius,slack", sorted(GAMMA_PINS))
+def test_gamma_pinned(capsys, tmp_path, name, radius, slack):
+    edges = tmp_path / "edges.txt"
+    code, out, _ = run(capsys, ["gamma", "--group",
+                                str(GROUPS / f"{name}.json"),
+                                "--radius", str(radius), "--slack", str(slack),
+                                "--format", "json", "--edges-out", str(edges)])
+    assert code == 0
+    stdout, digest, lines = GAMMA_PINS[name, radius, slack]
+    assert out == stdout
+    data = edges.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_growth_rejects_negative_radius(capsys, group_file):

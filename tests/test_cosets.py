@@ -6,10 +6,11 @@ import random
 import pytest
 
 from coxhecke import (CoxeterSystem, DomainError, InputError, InfinitePair,
-                      brute_force_min_rep, build_gamma_ball,
+                      LEFT, RIGHT, brute_force_min_rep, build_gamma_ball,
                       gamma_neighbors, shortest_rep,
                       verify_component_structure)
-from coxhecke.cosets import coset_elements, dihedral_words
+from coxhecke.cosets import coset_elements, coset_nondegenerate, dihedral_words
+from coxhecke.verify import random_system, suite_cosets
 
 
 def test_infinite_pair_validation(free3, z2xz2):
@@ -163,3 +164,82 @@ def test_edge_list_export(free3):
     for line in lines:
         u, v = line.split(" ")
         assert u != v
+
+
+def assert_support_rule_matches_shortest_rep(sys, radius):
+    pairs = [InfinitePair(sys, s, t) for s in range(sys.n)
+             for t in range(sys.n) if s != t and not sys.commutes(s, t)]
+    for w in sys.ball(radius):
+        for pair in pairs:
+            assert coset_nondegenerate(pair, w) == \
+                shortest_rep(sys, pair, w).nondegenerate, (w, pair.s, pair.t)
+
+
+def test_support_rule_matches_shortest_rep(named_systems):
+    for sys in named_systems.values():
+        assert_support_rule_matches_shortest_rep(sys, 4)
+    rng = random.Random(2017)
+    for _ in range(60):
+        sys = random_system(rng)
+        assert_support_rule_matches_shortest_rep(sys, 3)
+
+
+def gamma_by_shortest_rep(sys, radius):
+    """Edges and component labels of the ball-restricted graph, built from
+    shortest_rep and mult_gen with a breadth-first labelling."""
+    ball = sys.ball(radius)
+    index = {w: i for i, w in enumerate(ball)}
+    edges = set()
+    for i, w in enumerate(ball):
+        for s in range(sys.n):
+            if not any(shortest_rep(sys, InfinitePair(sys, s, t), w)
+                       .nondegenerate for t in range(sys.n)
+                       if t != s and not sys.commutes(s, t)):
+                continue
+            for side in (LEFT, RIGHT):
+                j = index.get(sys.mult_gen(w, s, side)[0])
+                if j is not None:
+                    edges.add((min(i, j), max(i, j)))
+    nbrs = {i: [] for i in range(len(ball))}
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    labels = [None] * len(ball)
+    count = 0
+    for start in range(len(ball)):
+        if labels[start] is None:
+            labels[start] = count
+            queue = [start]
+            for v in queue:
+                for u in nbrs[v]:
+                    if labels[u] is None:
+                        labels[u] = count
+                        queue.append(u)
+            count += 1
+    return edges, tuple(labels)
+
+
+def test_gamma_ball_matches_shortest_rep_oracle(named_systems):
+    cases = [(sys, 4) for sys in named_systems.values()]
+    rng = random.Random(2018)
+    cases += [(random_system(rng), 3) for _ in range(20)]
+    for sys, radius in cases:
+        g = build_gamma_ball(sys, radius)
+        assert g.vertices == tuple(sys.ball(radius))
+        assert (set(g.edges), g.component_label) == \
+            gamma_by_shortest_rep(sys, radius)
+
+
+def test_gamma_vertex_index(z2sq_z2):
+    g = build_gamma_ball(z2sq_z2, 4)
+    for i, w in enumerate(g.vertices):
+        assert g.index(w) == i
+        assert g.component_of(w) == g.component_label[i]
+    with pytest.raises(ValueError):
+        g.index(z2sq_z2.element("s t s t s"))
+
+
+def test_verify_suite_checks_support_rule():
+    for seed in (0, 1):
+        result = suite_cosets(seed)
+        assert result.passed and "support rule" in result.detail

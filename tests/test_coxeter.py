@@ -13,6 +13,7 @@ import random
 import pytest
 
 from coxhecke import (CapacityError, CoxeterSystem, InputError, LEFT, RIGHT)
+from coxhecke.verify import random_system
 
 
 def rewriting_closure_min(sys, word):
@@ -338,6 +339,40 @@ def test_ball_table_matches_mult_gen_random_graphs():
                  if rng.random() < density]
         sys = CoxeterSystem([f"g{i}" for i in range(n)], pairs)
         assert_table_matches_mult_gen(sys, 6 if n <= 4 else 4)
+
+
+
+def assert_left_table_matches_mult_gen(sys, radius):
+    """Left table (index and descent) and support masks against mult_gen,
+    on the whole ball and on a prefix."""
+    words, lengths, right, _ = sys.ball_table(radius)
+    left, descent = sys.ball_left_table(words, lengths, right)
+    supports = sys.ball_supports(words, lengths, right)
+    ball = sys.ball(radius)
+    index = {w.word: i for i, w in enumerate(ball)}
+    for i, w in enumerate(ball):
+        assert supports[i] == sum(1 << x for x in sys.support(w))
+        for s in range(sys.n):
+            sw, delta = sys.mult_gen(w, s, LEFT)
+            assert left[s, i] == index.get(sw.word, -1), (w, s)
+            assert descent[s, i] == (delta < 0), (w, s)
+    end = (len(words) + 1) // 2
+    prefix, prefix_descent = sys.ball_left_table(words, lengths, right, end)
+    assert (prefix == left[:, :end]).all()
+    assert (prefix_descent == descent[:, :end]).all()
+
+
+@pytest.mark.parametrize("name,radius",
+                         [("free3", 9), ("z2sq-z2", 10), ("pentagon", 7)])
+def test_ball_left_table_matches_mult_gen(named_systems, name, radius):
+    assert_left_table_matches_mult_gen(named_systems[name], radius)
+
+
+def test_ball_left_table_matches_mult_gen_random_graphs():
+    rng = random.Random(2016)
+    for _ in range(60):
+        sys = random_system(rng)
+        assert_left_table_matches_mult_gen(sys, 6 if sys.n <= 4 else 4)
 
 
 def brute_force_sphere_counts(sys, n):

@@ -6,6 +6,7 @@ with q = u^2; agreement with the normalized product is checked through
 the rescaling T~_w = u^{|w|} T_w.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +17,9 @@ import pytest
 from coxhecke import (InputError, LEFT, RIGHT, LaurentPoly,
                       P_SYMBOL, action_matrix, inner, j_iso, l2_norm, mul,
                       parse_expression, state_phi, t_basis, t_tilde, unit)
+from coxhecke import CoxeterSystem
 from coxhecke.hecke import HeckeElement
+from coxhecke.verify import random_system
 
 
 Q_POLY = LaurentPoly({2: 1})          # q = u^2
@@ -285,6 +288,122 @@ def test_left_right_actions_commute_on_exact_columns(named_systems):
             # columns whose full two-step images stay in the ball
             safe = [j for j, w in enumerate(ball) if len(w) <= 1]
             assert np.abs(comm[:, safe]).max() < 1e-12
+
+
+
+def action_cases():
+    """Inputs of the pinned action matrices, on the pentagon at q = 0.37."""
+    sys = CoxeterSystem("pqrst", [("p", "q"), ("q", "r"), ("r", "s"),
+                                  ("s", "t"), ("t", "p")])
+    q = 0.37
+
+    def elem(terms):
+        return HeckeElement(sys, {sys.element(w): c for w, c in terms}, q=q)
+
+    b5, b4, b3 = sys.ball(5), sys.ball(4), sys.ball(3)
+    # every third element backwards, a repeat and an element of length 4
+    nonball = b4[::-3] + [b4[7], sys.element("p q r s")]
+    return {
+        "two-term": (elem([("p r", 1.25), ("q s", -0.8)]), b5),
+        "unit": (unit(sys, q=q), b4),
+        "zero": (unit(sys, q=q).scale(0), b3),
+        "non-ball": (elem([("r", 0.5), ("p s t", -1.5)]), nonball),
+        # T(s p) and T(s q) send T(p q r) outside ball(3) with opposite
+        # coefficients, which cancel
+        "cancel": (elem([("s p", 1.0), ("s q", -1.0)]), b3),
+    }
+
+
+# SHA-256 of matrix.tobytes() + exact_columns.tobytes(), recorded from
+# the per-column products
+ACTION_PINS = {
+    ("two-term", "left"):
+        "47b1780003d06455b5ac5d398c7f6ef921e95b1f9ed2631ee3384c14e2a71889",
+    ("two-term", "right"):
+        "e378c4ef5f731c1f66d7c5aca1d3d11aec6fd877fe7874658e6a93af1210fb21",
+    ("unit", "left"):
+        "5095150520cd4ba0b0f45b49c6cc853e589012c1ad9a3284790a518a2beb3e10",
+    ("unit", "right"):
+        "5095150520cd4ba0b0f45b49c6cc853e589012c1ad9a3284790a518a2beb3e10",
+    ("zero", "left"):
+        "6621e8ad9f7402523faa4234180a85f1e82115569675cb901518aaaba367f9df",
+    ("zero", "right"):
+        "6621e8ad9f7402523faa4234180a85f1e82115569675cb901518aaaba367f9df",
+    ("non-ball", "left"):
+        "1a7014cc1298aabd7cc3c91eca2e97e833cf535b2d05ab68067aeac47e68fe8d",
+    ("non-ball", "right"):
+        "9f8fab42cd6e55192c311a07c4dad052798b9c855debf61e3506093913e159eb",
+    ("cancel", "left"):
+        "af4f7d6cc5bc73766aae0c9c55e052f418daf6e8ce43e3b8a68cf1ce38287aef",
+    ("cancel", "right"):
+        "b084502181d2c66a7efdb92d57b6689b64511c3f34fdddf15229fdc0edea77e4",
+}
+
+
+def action_by_products(a, ball, side):
+    """Matrix and exact flags column by column from one product each."""
+    index = {w: i for i, w in enumerate(ball)}
+    mat = np.zeros((len(ball), len(ball)))
+    exact = np.ones(len(ball), dtype=bool)
+    for j, w in enumerate(ball):
+        basis = t_basis(w, q=a.q)
+        image = mul(a, basis) if side == LEFT else mul(basis, a)
+        for v, c in image.terms.items():
+            if v in index:
+                mat[index[v], j] = c
+            else:
+                exact[j] = False
+    return mat, exact
+
+
+@pytest.mark.parametrize("name,side", sorted(ACTION_PINS))
+def test_action_matrix_pinned(name, side):
+    a, ball = action_cases()[name]
+    am = action_matrix(a, ball, side)
+    mat, exact = action_by_products(a, ball, side)
+    assert np.array_equal(am.matrix, mat)
+    assert np.array_equal(am.exact_columns, exact)
+    digest = hashlib.sha256(am.matrix.tobytes()
+                            + am.exact_columns.tobytes()).hexdigest()
+    assert digest == ACTION_PINS[name, side]
+
+
+def test_action_matrix_cancellation_outside_ball():
+    a, ball = action_cases()["cancel"]
+    j = [str(w) for w in ball].index("p.q.r")
+    one_term = HeckeElement(a.system, {a.system.element("s p"): 1.0}, q=a.q)
+    assert action_matrix(a, ball, LEFT).exact_columns[j]
+    assert not action_matrix(one_term, ball, LEFT).exact_columns[j]
+
+
+def test_action_matrix_matches_products_on_random_graphs():
+    rng = random.Random(2019)
+    for _ in range(30):
+        sys = random_system(rng, 6)
+        ball = sys.ball(3)
+        q = rng.uniform(0.05, 4.0)
+        a = HeckeElement(sys, {rng.choice(ball): rng.uniform(-2.0, 2.0)
+                               for _ in range(rng.randint(0, 3))}, q=q)
+        lists = (ball, [rng.choice(ball) for _ in range(rng.randint(0, 12))])
+        for lst, side in itertools.product(lists, (LEFT, RIGHT)):
+            am = action_matrix(a, lst, side)
+            mat, exact = action_by_products(a, lst, side)
+            assert np.array_equal(am.matrix, mat)
+            assert np.array_equal(am.exact_columns, exact)
+
+
+def test_action_matrix_beyond_table_cap(free3):
+    """ball(21) of three involutions exceeds the table cap: the columns
+    come from single products, with no CapacityError."""
+    w = free3.element(["t", "u"] * 10)
+    ball = [w, free3.identity, free3.element("s")]
+    a = t_basis(free3.element("s"), q=0.5)
+    for side in (LEFT, RIGHT):
+        am = action_matrix(a, ball, side)
+        mat, exact = action_by_products(a, ball, side)
+        assert np.array_equal(am.matrix, mat)
+        assert np.array_equal(am.exact_columns, exact)
+        assert am.exact_columns.tolist() == [False, True, True]
 
 
 # -- expression language ---------------------------------------------------------------
