@@ -347,7 +347,9 @@ def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     if z2gen is not None:
         exceptional.append(system.element([z2gen]))
 
-    special = [graph.index(w) for w in exceptional]
+    # an exceptional element outside the ball has no edges inside it
+    inside = [w for w in exceptional if len(w) <= radius]
+    special = [graph.index(w) for w in inside]
     labels = graph.component_label
     core = [i for i, w in enumerate(graph.vertices)
             if len(w) <= radius - slack and i not in special]
@@ -357,7 +359,7 @@ def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     ends = np.fromiter(itertools.chain.from_iterable(graph.edges),
                        dtype=np.int64, count=2 * len(graph.edges))
     degree = np.bincount(ends, minlength=len(graph.vertices))
-    failures += [w for w, i in zip(exceptional, special) if degree[i]]
+    failures += [w for w, i in zip(inside, special) if degree[i]]
     return ComponentReport(
         radius=radius, slack=slack, passed=not failures,
         exceptional=tuple(exceptional), n_components=graph.n_components,

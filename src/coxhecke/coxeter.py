@@ -319,10 +319,18 @@ class CoxeterSystem:
 
         delta is the exact length change, -1 iff s is a descent of a on
         that side.
+
+        A lengthening product inserts s into the canonical word of a where
+        the greedy of :meth:`_lex_least` would emit it.  On the right, that
+        is before the first letter greater than s among the trailing
+        letters that commute with s.  On the left, the leading letters
+        smaller than s and commuting with it stay in front; s goes next
+        unless a smaller letter that does not commute with s follows, and
+        only then is the rest re-sorted.
         """
         self._check_own(a)
         s = self.generator_index(s)
-        comm = self._comm
+        comm = self._comm[s]
         word = list(a.word)
         if side == RIGHT:
             i = len(word) - 1
@@ -331,24 +339,28 @@ class CoxeterSystem:
                 if t == s:
                     del word[i]
                     return Element(self, self._lex_least(word)), -1
-                if not ((comm[s] >> t) & 1):
+                if not ((comm >> t) & 1):
                     break
                 i -= 1
-            word.append(s)
-        elif side == LEFT:
-            i = 0
-            while i < len(word):
-                t = word[i]
-                if t == s:
-                    del word[i]
-                    return Element(self, self._lex_least(word)), -1
-                if not ((comm[s] >> t) & 1):
-                    break
+            i += 1
+            while i < len(word) and word[i] < s:
                 i += 1
-            word.insert(0, s)
-        else:
+            return Element(self, tuple(word[:i]) + (s,) + tuple(word[i:])), +1
+        if side != LEFT:
             raise InputError(f"side must be {LEFT!r} or {RIGHT!r}")
-        return Element(self, self._lex_least(word)), +1
+        for i, t in enumerate(word):
+            if t == s:
+                del word[i]
+                return Element(self, self._lex_least(word)), -1
+            if not ((comm >> t) & 1):
+                break
+        i = 0
+        while i < len(word) and word[i] < s and (comm >> word[i]) & 1:
+            i += 1
+        tail = [s] + word[i:]
+        if i < len(word) and word[i] < s:
+            tail = self._lex_least(tail)
+        return Element(self, tuple(word[:i]) + tuple(tail)), +1
 
     def descent_sets(self, a: "Element") -> tuple[frozenset[int], frozenset[int]]:
         """(D_L, D_R): generators shortening a on the left / right."""

@@ -31,33 +31,9 @@ from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import (CapacityError, ConsistencyError, DomainError, InputError,
                      PreconditionError)
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _poly_add, _poly_mul, _poly_trim
 
-# -- integer polynomial helpers (dense, ascending degree) ----------------------
-
-
-def _poly_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_add(a: Sequence, b: Sequence) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _poly_trim(out)
+# -- rational polynomial helpers (dense, ascending degree) ---------------------
 
 
 def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:

@@ -9,6 +9,14 @@ The product is the bilinear extension of the one-generator recursion
 with p = (q - 1)/sqrt(q).  In exact mode coefficients are Laurent
 polynomials in u (u^2 = q) and p is the ring element u - 1/u; numeric
 mode fixes a concrete q > 0 and keeps float coefficients.
+
+By the recursion, a product of basis terms is T_v T_w = sum_x n_x(p) T_x
+with integer structure constants: each n_x is a polynomial in p with
+nonnegative integer coefficients.  Exact products compute these as dense
+``int`` lists and expand each target's Laurent coefficient once, with
+rational coefficients cleared to integers first.  Numeric products run the
+recursion on the float coefficients themselves, term by term, which fixes
+the order of every float sum (:func:`action_matrix` follows the same order).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
 from .errors import CapacityError, InputError, ParseError
-from .laurent import LaurentPoly, P_SYMBOL
+from .laurent import LaurentPoly, P_SYMBOL, _coerce, _poly_add
 
 EXACT = "exact"
 
@@ -199,15 +207,90 @@ def _gen_mul(system: CoxeterSystem, s: int, terms: dict, p, side: str, zero):
     return {w: c for w, c in out.items() if c}
 
 
+def _structure_constants(system: CoxeterSystem, v: Element,
+                         w: Element) -> dict[Element, list[int]]:
+    """T_v T_w as {x: n_x}, each n_x a dense int list in powers of p.
+
+    Peels v's canonical word over {w: [1]}: T_s sends the term n T_x to
+    n T_sx, plus (p n) T_x on a descent.  The coefficients stay
+    nonnegative, so no term cancels.
+    """
+    cur = {w: [1]}
+    for s in reversed(v.word):
+        nxt: dict[Element, list[int]] = {}
+        for x, n in cur.items():
+            sx, delta = system.mult_gen(x, s, LEFT)
+            old = nxt.get(sx)
+            nxt[sx] = n if old is None else _poly_add(old, n)
+            if delta < 0:
+                old = nxt.get(x)
+                nxt[x] = [0] + n if old is None else _poly_add(old, [0] + n)
+        cur = nxt
+    return cur
+
+
+def _numerators(a: HeckeElement) -> tuple[int, dict[Element, dict[int, int]]]:
+    """A common denominator d of a's coefficients, and the coefficients of
+    d a as {w: {exponent: int}}."""
+    d = 1
+    for c in a.terms.values():
+        for x in c.terms.values():
+            if type(x) is not int:
+                d = math.lcm(d, x.denominator)
+    return d, {w: {e: x * d if type(x) is int
+                   else x.numerator * (d // x.denominator)
+                   for e, x in c.terms.items()}
+               for w, c in a.terms.items()}
+
+
+def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
+    """The exact product on the integer numerators of a and b: c_a c_b
+    n_x(p) is summed into one exponent dict per target x, with the powers
+    of p computed once, and divided by the common denominator at the end."""
+    da, num_a = _numerators(a)
+    db, num_b = _numerators(b)
+    powers = [LaurentPoly.one()]
+    result: dict[Element, dict[int, int]] = {}
+    for v, ca in num_a.items():
+        for w, cb in num_b.items():
+            cab: dict[int, int] = {}
+            for e1, c1 in ca.items():
+                for e2, c2 in cb.items():
+                    cab[e1 + e2] = cab.get(e1 + e2, 0) + c1 * c2
+            for x, n in _structure_constants(a.system, v, w).items():
+                acc = result.setdefault(x, {})
+                while len(powers) < len(n):
+                    powers.append(powers[-1] * p)
+                for nk, pk in zip(n, powers):
+                    if not nk:
+                        continue
+                    for e1, c1 in cab.items():
+                        c1 *= nk
+                        for e2, c2 in pk.terms.items():
+                            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    d = da * db
+    return HeckeElement(a.system, {
+        x: LaurentPoly({e: Fraction(c, d) for e, c in acc.items()}
+                       if d > 1 else acc)
+        for x, acc in result.items()})
+
+
 def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     """The Hecke product ab.
 
     The left factor is peeled one generator at a time along its canonical
     word, applying the defining recursion; ``p_override`` substitutes a
     different structure constant (used for the sign-twisted target algebra
-    of the duality isomorphism).
+    of the duality isomorphism).  In exact mode each pair of basis terms
+    goes through its integer structure constants, and ``p_override`` must
+    be exact (a LaurentPoly or a rational).  In numeric mode the recursion
+    runs on the float coefficients themselves, term by term, so the order
+    of the float sums is that of the recursion.
     """
     a._check_compat(b)
+    if a.q is None:
+        return _exact_mul(a, b, P_SYMBOL if p_override is None
+                          else _coerce(p_override))
     sys = a.system
     p = a._p() if p_override is None else p_override
     zero = a._zero_coeff()

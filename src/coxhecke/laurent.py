@@ -1,4 +1,5 @@
-"""Exact Laurent polynomials in one variable u with rational coefficients.
+"""Exact Laurent polynomials in one variable u with rational coefficients,
+and the dense integer polynomial helpers shared by the other modules.
 
 The Hecke deformation parameter enters through u with u^2 = q, so the
 structure constant p = (q - 1)/sqrt(q) is the ring element u - 1/u and
@@ -11,11 +12,46 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
+
+# -- integer polynomial helpers (dense, ascending degree) ----------------------
+
+
+def _poly_trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_add(a: Sequence, b: Sequence) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return _poly_trim(out)
+
+
+# -- Laurent polynomials -------------------------------------------------------
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial sum of c_k u^k with rational c_k."""
+    """Immutable Laurent polynomial sum of c_k u^k with rational c_k.
+
+    A coefficient is stored as an ``int`` when it is integral (a
+    ``Fraction`` with denominator 1 is reduced to one) and as a
+    ``Fraction`` otherwise, so integer arithmetic is never boxed.
+    Equality, hashing and printing do not see the difference.
+    """
 
     __slots__ = ("terms",)
 
@@ -23,7 +59,10 @@ class LaurentPoly:
         clean = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[int(k)] = c
         object.__setattr__(self, "terms", clean)
@@ -47,7 +86,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     # -- ring operations -----------------------------------------------------
 
@@ -55,7 +94,7 @@ class LaurentPoly:
         other = _coerce(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -71,11 +110,11 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = _coerce(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Fraction | int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -116,10 +155,10 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(k == 0 for k in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Fraction | int:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(0, Fraction(0))
+        return self.terms.get(0, 0)
 
     def evaluate(self, u_value: float) -> float:
         """Numeric value at a concrete u (callers pass sqrt(q))."""

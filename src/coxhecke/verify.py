@@ -152,11 +152,10 @@ def suite_length_additivity(seed: int) -> SuiteResult:
     return SuiteResult("length-additivity", True, f"{checked} checks")
 
 
-def suite_hecke(seed: int) -> SuiteResult:
-    """Product associativity, the duality homomorphism, the involution,
-    and exact-versus-numeric agreement on seeded random elements."""
-    rng = random.Random(seed)
-    sys = CoxeterSystem(["s", "t", "u"], [("t", "u")])
+def _hecke_failure(rng: random.Random, sys: CoxeterSystem,
+                   triples: int) -> str | None:
+    """The first failed Hecke identity on seeded random triples supported
+    on ball(3), or None."""
     ball = sys.ball(3)
 
     def rand_elem():
@@ -167,22 +166,38 @@ def suite_hecke(seed: int) -> SuiteResult:
                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         return acc
 
-    for _ in range(60):
+    for _ in range(triples):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
         if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            return SuiteResult("hecke", False, "associativity failed")
+            return "associativity failed"
         if mul(a, b).star() != mul(b.star(), a.star()):
-            return SuiteResult("hecke", False, "involution failed")
+            return "involution failed"
         if j_iso(mul(a, b)) != mul(j_iso(a), j_iso(b), p_override=-P_SYMBOL):
-            return SuiteResult("hecke", False, "duality homomorphism failed")
+            return "duality homomorphism failed"
         q = 0.25 + rng.random()
         lhs = mul(a, b).specialize(q)
         rhs = mul(a.specialize(q), b.specialize(q))
         support = set(lhs.terms) | set(rhs.terms)
         if any(abs(lhs.coefficient(w) - rhs.coefficient(w)) > 1e-10
                for w in support):
-            return SuiteResult("hecke", False, "specialization mismatch")
-    return SuiteResult("hecke", True, "60 random triples")
+            return "specialization mismatch"
+    return None
+
+
+def suite_hecke(seed: int) -> SuiteResult:
+    """Product associativity, the duality homomorphism, the involution,
+    and exact-versus-numeric agreement on seeded random elements, over
+    z2sq-z2 and seeded random graphs."""
+    rng = random.Random(seed)
+    cases = [(CoxeterSystem(["s", "t", "u"], [("t", "u")]), 60)]
+    cases += [(random_system(rng), 12) for _ in range(5)]
+    for sys, triples in cases:
+        failure = _hecke_failure(rng, sys, triples)
+        if failure:
+            return SuiteResult("hecke", False, f"{sys}: {failure}")
+    return SuiteResult("hecke", True,
+                       "60 random triples on z2sq-z2, 12 on each of 5 "
+                       "random graphs")
 
 
 def suite_growth(seed: int) -> SuiteResult:

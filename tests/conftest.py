@@ -1,6 +1,28 @@
 import pytest
 
-from coxhecke import CoxeterSystem
+from coxhecke import LEFT, CoxeterSystem, LaurentPoly
+
+
+def oracle_unnormalized_mul(sys, v, w):
+    """Product T~_v T~_w in the unnormalized basis, peeling v's word.
+
+    Independent of the package's product: the shortening rule picks up
+    q and q - 1 (with q = u^2) directly on a coefficient dict.
+    """
+    q_poly = LaurentPoly({2: 1})
+    qm1_poly = LaurentPoly({2: 1, 0: -1})
+    terms = {w: LaurentPoly.one()}
+    for s in reversed(v.word):
+        nxt = {}
+        for x, c in terms.items():
+            sx, delta = sys.mult_gen(x, s, LEFT)
+            if delta > 0:
+                nxt[sx] = nxt.get(sx, LaurentPoly.zero()) + c
+            else:
+                nxt[sx] = nxt.get(sx, LaurentPoly.zero()) + q_poly * c
+                nxt[x] = nxt.get(x, LaurentPoly.zero()) + qm1_poly * c
+        terms = {x: c for x, c in nxt.items() if c}
+    return terms
 
 
 @pytest.fixture

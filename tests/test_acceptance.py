@@ -22,6 +22,8 @@ from coxhecke import (CoxeterSystem, FreeFactorSpec, InfinitePair, LaurentPoly,
                       zeta_symbol)
 from coxhecke.hecke import HeckeElement
 
+from conftest import oracle_unnormalized_mul
+
 
 def named_systems():
     return {
@@ -182,25 +184,6 @@ def test_acceptance_6_graph_structure():
         assert [str(w) for w in rep.exceptional] == expected_exceptional[name]
     elapsed = time.perf_counter() - t0
     report(6, "graph component structure", elapsed)
-
-
-def oracle_unnormalized_mul(sys, v, w):
-    """Independent product oracle in the unnormalized basis (the
-    shortening rule picks up q and q - 1, with q = u^2)."""
-    q_poly = LaurentPoly({2: 1})
-    qm1_poly = LaurentPoly({2: 1, 0: -1})
-    terms = {w: LaurentPoly.one()}
-    for s in reversed(v.word):
-        nxt = {}
-        for x, c in terms.items():
-            sx, delta = sys.mult_gen(x, s, "left")
-            if delta > 0:
-                nxt[sx] = nxt.get(sx, LaurentPoly.zero()) + c
-            else:
-                nxt[sx] = nxt.get(sx, LaurentPoly.zero()) + q_poly * c
-                nxt[x] = nxt.get(x, LaurentPoly.zero()) + qm1_poly * c
-        terms = {x: c for x, c in nxt.items() if c}
-    return terms
 
 
 def test_acceptance_7_hecke_soundness():

@@ -279,6 +279,105 @@ def test_gamma_pinned(capsys, tmp_path, name, radius, slack):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_gamma_radius_zero(capsys):
+    """ball(0) holds only e: the free-factor generator s of z2sq-z2 lies
+    outside it, stays listed as exceptional and is not looked up."""
+    code, out, err = run(capsys, ["gamma", "--group",
+                                  str(GROUPS / "z2sq-z2.json"),
+                                  "--radius", "0", "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["exceptional"] == ["e", "s"]
+    assert (doc["vertices"], doc["edges"], doc["components"]) == (1, 0, 1)
+    code, out, _ = run(capsys, ["gamma", "--group",
+                                str(GROUPS / "z2sq-z2.json"), "--radius", "0"])
+    assert code == 0 and "pass: radius 0" in out
+
+
+# hecke stdout byte for byte, text and JSON: a rational multi-term product,
+# star and j, and a sum that cancels to zero
+HECKE_EXPRS = {
+    "rational": ("pentagon",
+        "(2/3*T(p r) - 1/2*T(q s t) + T(e))*(3/4*T(r s) + 5/7*T(t p q) - "
+        "T(q))"),
+    "star-j": ("z2sq-z2",
+        "star(T(s t u) + 2*T(u s))*j(1/3*T(t s) - T(s u s))*T(s u t s)"),
+    "cancel": ("pentagon",
+        "(T(p q) - 2*T(r))*(T(q p) + T(r)) - T(p q)*T(q p) - T(p q)*T(r) "
+        "+ 2*T(r)*T(q p) + 2*T(r)*T(r)"),
+}
+
+HECKE_PINS = {
+    ("rational", "text"): (
+        "(-1)*T(q) + (1/2)*T(p.s) + (3/4)*T(r.s) + (-2/3)*T(p.q.r) + "
+        "(-1/2*u^-1 + 1/2*u)*T(p.r.s) + (5/7)*T(p.t.q) + (-3/8)*T(q.t.r) "
+        "+ (-5/14)*T(q.s.p.q) + (1/2)*T(q.s.t.q) + (3/8*u^-1 - "
+        "3/8*u)*T(q.s.t.r) + (10/21)*T(p.r.p.t.q) + (5/14*u^-1 - "
+        "5/14*u)*T(q.s.p.t.q)\n"),
+    ("rational", "json"): (
+        '{"command": "hecke", "expr": "(2/3*T(p r) - 1/2*T(q s t) + '
+        'T(e))*(3/4*T(r s) + 5/7*T(t p q) - T(q))", "schema": 1, '
+        '"terms": [{"coefficient": "-1", "word": "q"}, {"coefficient": '
+        '"1/2", "word": "p.s"}, {"coefficient": "3/4", "word": "r.s"}, '
+        '{"coefficient": "-2/3", "word": "p.q.r"}, {"coefficient": '
+        '"-1/2*u^-1 + 1/2*u", "word": "p.r.s"}, {"coefficient": "5/7", '
+        '"word": "p.t.q"}, {"coefficient": "-3/8", "word": "q.t.r"}, '
+        '{"coefficient": "-5/14", "word": "q.s.p.q"}, {"coefficient": '
+        '"1/2", "word": "q.s.t.q"}, {"coefficient": "3/8*u^-1 - 3/8*u", '
+        '"word": "q.s.t.r"}, {"coefficient": "10/21", "word": '
+        '"p.r.p.t.q"}, {"coefficient": "5/14*u^-1 - 5/14*u", "word": '
+        '"q.s.p.t.q"}]}\n'),
+    ("star-j", "text"): (
+        "(2/3)*T(e) + (-5/3*u^-1 + 5/3*u)*T(s) + (u^-2 - 2 + u^2)*T(t.s) "
+        "+ (u^-2 - 1 + u^2)*T(u.s) + (-2/3*u^-1 + 2/3*u)*T(s.t.s) + "
+        "(-2/3*u^-1 + 2/3*u)*T(s.u.s) + (-u^-3 + 2*u^-1 - 2*u + "
+        "u^3)*T(t.u.s) + (2/3*u^-2 - 4/3 + 2/3*u^2)*T(s.t.u.s) + "
+        "(2)*T(s.u.s.t.s) + (-u^-1 + u)*T(t.s.t.u.s) + (-u^-1 + "
+        "u)*T(t.u.s.t.s) + (1/3)*T(t.u.s.u.s) + (-2*u^-1 + "
+        "2*u)*T(s.u.s.t.u.s) + (2*u^-2 - 1/3*u^-1 - 4 + 1/3*u + "
+        "2*u^2)*T(t.u.s.t.u.s) + (-2/3*u^-1 + 2/3*u)*T(s.t.u.s.t.u.s) + "
+        "(-2*u^-1 + 2*u)*T(s.u.s.u.s.t.u.s) + (-1/3*u^-1 + "
+        "1/3*u)*T(t.u.s.t.s.t.u.s) + (u^-2 - 2 + u^2)*T(t.u.s.u.s.t.u.s)\n"),
+    ("star-j", "json"): (
+        '{"command": "hecke", "expr": "star(T(s t u) + 2*T(u '
+        's))*j(1/3*T(t s) - T(s u s))*T(s u t s)", "schema": 1, "terms": '
+        '[{"coefficient": "2/3", "word": "e"}, {"coefficient": '
+        '"-5/3*u^-1 + 5/3*u", "word": "s"}, {"coefficient": "u^-2 - 2 + '
+        'u^2", "word": "t.s"}, {"coefficient": "u^-2 - 1 + u^2", "word": '
+        '"u.s"}, {"coefficient": "-2/3*u^-1 + 2/3*u", "word": "s.t.s"}, '
+        '{"coefficient": "-2/3*u^-1 + 2/3*u", "word": "s.u.s"}, '
+        '{"coefficient": "-u^-3 + 2*u^-1 - 2*u + u^3", "word": "t.u.s"}, '
+        '{"coefficient": "2/3*u^-2 - 4/3 + 2/3*u^2", "word": "s.t.u.s"}, '
+        '{"coefficient": "2", "word": "s.u.s.t.s"}, {"coefficient": '
+        '"-u^-1 + u", "word": "t.s.t.u.s"}, {"coefficient": "-u^-1 + u", '
+        '"word": "t.u.s.t.s"}, {"coefficient": "1/3", "word": '
+        '"t.u.s.u.s"}, {"coefficient": "-2*u^-1 + 2*u", "word": '
+        '"s.u.s.t.u.s"}, {"coefficient": "2*u^-2 - 1/3*u^-1 - 4 + 1/3*u '
+        '+ 2*u^2", "word": "t.u.s.t.u.s"}, {"coefficient": "-2/3*u^-1 + '
+        '2/3*u", "word": "s.t.u.s.t.u.s"}, {"coefficient": "-2*u^-1 + '
+        '2*u", "word": "s.u.s.u.s.t.u.s"}, {"coefficient": "-1/3*u^-1 + '
+        '1/3*u", "word": "t.u.s.t.s.t.u.s"}, {"coefficient": "u^-2 - 2 + '
+        'u^2", "word": "t.u.s.u.s.t.u.s"}]}\n'),
+    ("cancel", "text"): (
+        "0\n"),
+    ("cancel", "json"): (
+        '{"command": "hecke", "expr": "(T(p q) - 2*T(r))*(T(q p) + T(r)) '
+        '- T(p q)*T(q p) - T(p q)*T(r) + 2*T(r)*T(q p) + 2*T(r)*T(r)", '
+        '"schema": 1, "terms": []}\n'),
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(HECKE_PINS))
+def test_hecke_pinned(capsys, name, fmt):
+    group, expr = HECKE_EXPRS[name]
+    code, out, _ = run(capsys, ["hecke", "--group",
+                                str(GROUPS / f"{group}.json"),
+                                "--expr", expr, "--format", fmt])
+    assert code == 0
+    assert out == HECKE_PINS[name, fmt]
+
+
 def test_growth_rejects_negative_radius(capsys, group_file):
     path = group_file(FREE3)
     for command in ("growth", "ball"):

@@ -200,6 +200,26 @@ def test_mult_gen_matches_multiply(z2sq_z2, pentagon):
                 assert dl == len(left) - len(w)
 
 
+def test_mult_gen_matches_normal_forms_random_graphs():
+    """mult_gen inserts the new letter into the canonical word instead of
+    re-sorting it: checked against the rewriting-closure oracle on short
+    words and against normalize on long ones."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        sys = random_system(rng)
+        for _ in range(20):
+            w = sys.normalize([rng.randrange(sys.n)
+                               for _ in range(rng.randint(0, 12))])
+            for s in range(sys.n):
+                for side, word in ((RIGHT, w.word + (s,)),
+                                   (LEFT, (s,) + w.word)):
+                    got, delta = sys.mult_gen(w, s, side)
+                    want = (min(rewriting_closure_min(sys, word))
+                            if len(word) <= 6 else sys.normalize(word).word)
+                    assert got.word == want, (sys, w, s, side)
+                    assert delta == len(want) - len(w)
+
+
 # -- descent sets -----------------------------------------------------------------
 
 def test_descent_examples(free3, z2xz2):

@@ -19,31 +19,9 @@ from coxhecke import (InputError, LEFT, RIGHT, LaurentPoly,
                       parse_expression, state_phi, t_basis, t_tilde, unit)
 from coxhecke import CoxeterSystem
 from coxhecke.hecke import HeckeElement
-from coxhecke.verify import random_system
+from coxhecke.verify import random_system, suite_hecke
 
-
-Q_POLY = LaurentPoly({2: 1})          # q = u^2
-QM1_POLY = LaurentPoly({2: 1, 0: -1})  # q - 1
-
-
-def oracle_unnormalized_mul(sys, v, w):
-    """Product T~_v T~_w in the unnormalized basis, peeling v's word.
-
-    Independent of the package's product: uses the unnormalized recursion
-    directly on a coefficient dict.
-    """
-    terms = {w: LaurentPoly.one()}
-    for s in reversed(v.word):
-        nxt = {}
-        for x, c in terms.items():
-            sx, delta = sys.mult_gen(x, s, LEFT)
-            if delta > 0:
-                nxt[sx] = nxt.get(sx, LaurentPoly.zero()) + c
-            else:
-                nxt[sx] = nxt.get(sx, LaurentPoly.zero()) + Q_POLY * c
-                nxt[x] = nxt.get(x, LaurentPoly.zero()) + QM1_POLY * c
-        terms = {x: c for x, c in nxt.items() if c}
-    return terms
+from conftest import oracle_unnormalized_mul
 
 
 def random_exact_element(rng, sys, ball, n_terms=3):
@@ -112,6 +90,79 @@ def test_oracle_equivalence_all_short_pairs(named_systems):
                     rhs = got.coefficient(x) * LaurentPoly.u_power(
                         scale - len(x))
                     assert lhs == rhs, (v, w, x)
+
+
+def expected_product(a, b):
+    """ab from the unnormalized oracle: T_v T_w is u^{-|v|-|w|} T~_v T~_w,
+    and T~_x = u^{|x|} T_x."""
+    sys = a.system
+    out = {}
+    for v, ca in a.terms.items():
+        for w, cb in b.terms.items():
+            for x, c in oracle_unnormalized_mul(sys, v, w).items():
+                term = ca * cb * c * LaurentPoly.u_power(
+                    len(x) - len(v) - len(w))
+                out[x] = out.get(x, LaurentPoly.zero()) + term
+    return HeckeElement(sys, out)
+
+
+def random_graph_cases(seed, count=40):
+    """Seeded random graphs, each with a few pairs of 1-3-term rational
+    elements supported on ball(4)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sys = random_system(rng)
+        ball = sys.ball(4)
+        for _ in range(5):
+            yield (random_exact_element(rng, sys, ball),
+                   random_exact_element(rng, sys, ball))
+
+
+def test_mul_matches_oracle_on_random_graphs():
+    for a, b in random_graph_cases(61):
+        assert mul(a, b) == expected_product(a, b), (a, b)
+
+
+def test_j_homomorphism_on_random_graphs():
+    for a, b in random_graph_cases(67):
+        assert j_iso(mul(a, b)) == mul(j_iso(a), j_iso(b),
+                                       p_override=-P_SYMBOL)
+
+
+def test_rational_p_override_matches_numeric():
+    """An exact rational structure constant against the float recursion
+    of numeric mode with the same constant."""
+    q = 0.6
+    for a, b in itertools.islice(random_graph_cases(71), 60):
+        for p in (Fraction(2, 3), -3):
+            exact = mul(a, b, p_override=p).specialize(q)
+            numeric = mul(a.specialize(q), b.specialize(q),
+                          p_override=float(p))
+            for w in set(exact.terms) | set(numeric.terms):
+                lhs, rhs = exact.coefficient(w), numeric.coefficient(w)
+                assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def test_verify_suite_covers_random_graphs():
+    for seed in (0, 1):
+        result = suite_hecke(seed)
+        assert result.passed and "5 random graphs" in result.detail
+
+
+def test_laurent_integral_coefficients():
+    """Integral coefficients are stored as int; equality, hashing and
+    printing do not tell them from Fractions, and others stay Fractions."""
+    boxed, plain = LaurentPoly({0: Fraction(4, 2)}), LaurentPoly({0: 2})
+    assert boxed == plain and hash(boxed) == hash(plain)
+    assert str(boxed) == str(plain) == "2"
+    assert type(boxed.terms[0]) is int
+    third = LaurentPoly({1: Fraction(1, 3), 0: Fraction(-6, 3)})
+    assert third.terms == {1: Fraction(1, 3), 0: -2}
+    assert type(third.terms[1]) is Fraction
+    assert str(third) == "-2 + 1/3*u"
+    assert (third + third).terms[1] == Fraction(2, 3)
+    assert (third * LaurentPoly.const(3)).terms == {1: 1, 0: -6}
+    assert type((third * 3).terms[1]) is int
 
 
 def test_associativity_random_triples(z2sq_z2):
