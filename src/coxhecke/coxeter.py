@@ -27,7 +27,8 @@ RIGHT = "right"
 #: A purely syntactic word: generator indices in order, possibly non-reduced.
 Word = tuple[int, ...]
 
-#: Default cap on the number of elements a single enumeration may produce.
+#: Default cap on the elements a single enumeration may produce, and on the
+#: automaton states of one level when spheres are counted.
 DEFAULT_MAX_BALL = 10**6
 
 #: Hard limit on the generator count; masks are kept in 64-bit words.
@@ -106,9 +107,6 @@ class CoxeterSystem:
         self._ext_cgt = tuple(comm[i] & gt[i] for i in range(self.n))
 
         self._identity = Element(self, ())
-        self._sphere_counts: list[int] = [1]
-        self._sphere_frontier = np.array([full], dtype=np.int64)
-        self._sphere_total = 1
         self._subsystem_cache: dict = {}
 
     # -- basic structure ----------------------------------------------------
@@ -523,33 +521,39 @@ class CoxeterSystem:
         return supp
 
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
-        """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k}.
-
-        Levels are generated by the canonical-word automaton with masks held
-        in numpy arrays; counts are cached on the system.
-        """
+        """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k},
+        counted by the canonical-word automaton; raises ``CapacityError``
+        when the ball of radius n would exceed ``max_total`` elements."""
         if n < 0:
             raise InputError("n must be nonnegative")
-        counts = self._sphere_counts
-        frontier = self._sphere_frontier
-        total = self._sphere_total
-        while len(counts) <= n and frontier.size:
-            children = []
-            for s in range(self.n):
-                sel = frontier[(frontier >> s) & 1 == 1]
-                if sel.size:
-                    children.append(self._ext_nc[s] | (self._ext_cgt[s] & sel))
-            frontier = (np.concatenate(children) if children
-                        else np.empty(0, dtype=np.int64))
-            total += int(frontier.size)
+        counts, total = [], 0
+        for count in self._sphere_sizes(n):
+            total += count
             if total > max_total:
                 raise CapacityError(
-                    f"sphere enumeration would exceed {max_total} elements")
-            counts.append(int(frontier.size))
-            self._sphere_counts = counts
-            self._sphere_frontier = frontier
-            self._sphere_total = total
-        return [counts[k] if k < len(counts) else 0 for k in range(n + 1)]
+                    f"ball of radius {n} would exceed {max_total} elements")
+            counts.append(count)
+        return counts
+
+    def _sphere_sizes(self, depth: int) -> Iterator[int]:
+        """Sphere sizes a_0..a_depth by the canonical-word automaton (the
+        ShortLex automatic structure of Brink-Howlett): each level maps a
+        state, the mask of :meth:`_ball_levels`, to the words reaching it."""
+        nc, cgt = self._ext_nc, self._ext_cgt
+        level = {self._full: 1}
+        yield 1
+        for k in range(1, depth + 1):
+            nxt: dict[int, int] = {}
+            for mask, count in level.items():
+                for s in _bits(mask):
+                    state = nc[s] | (cgt[s] & mask)
+                    nxt[state] = nxt.get(state, 0) + count
+            if len(nxt) > DEFAULT_MAX_BALL:
+                raise CapacityError(
+                    f"sphere automaton level {k} has {len(nxt)} states, "
+                    f"more than the cap of {DEFAULT_MAX_BALL}")
+            level = nxt
+            yield sum(level.values())
 
     # -- length-additive joins ------------------------------------------------
 
@@ -673,8 +677,8 @@ class CoxeterSystem:
 class Element:
     """A group element, held as its canonical reduced word.
 
-    Equality and hashing are by identity of the owning system plus the
-    canonical word; lengths and orderings refer to ShortLex.
+    Equality is by owning system and canonical word, the hash by the word
+    alone; lengths and orderings refer to ShortLex.
     """
     system: CoxeterSystem
     word: tuple[int, ...]
@@ -695,7 +699,7 @@ class Element:
         return self.sort_key() < other.sort_key()
 
     def __hash__(self):
-        return hash((id(self.system), self.word))
+        return hash(self.word)
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.system is other.system

@@ -4,8 +4,9 @@ numerical certification of the radial central symbol.
 The spherical growth series of a right-angled system is rational:
 W(t) = (1+t)^n / P(t) where P sums (-t)^{|C|} (1+t)^{n-|C|} over the
 cliques C of the commutation graph.  The formula is validated at
-construction against enumerated sphere counts and the build aborts on
-any mismatch, so no downstream result rests on the formula alone.
+construction against the sphere counts of the canonical-word automaton
+to depth 12, and the build aborts on any mismatch, so no downstream
+result rests on the formula alone.
 
 The convergence radius rho is the smallest positive root of the reduced
 denominator: the series has nonnegative coefficients, hence a singularity
@@ -29,8 +30,7 @@ import numpy as np
 
 from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
 from .cosets import InfinitePair, coset_elements, shortest_rep
-from .errors import (CapacityError, ConsistencyError, DomainError, InputError,
-                     PreconditionError)
+from .errors import ConsistencyError, DomainError, InputError, PreconditionError
 from .laurent import LaurentPoly, _poly_add, _poly_mul, _poly_trim
 
 # -- rational polynomial helpers (dense, ascending degree) ---------------------
@@ -163,34 +163,28 @@ def _clique_size_counts(system: CoxeterSystem) -> list[int]:
     return counts
 
 
-def growth_series(system: CoxeterSystem, validate_to: int = 12,
-                  max_total: int = DEFAULT_MAX_BALL) -> RationalSeries:
+#: Depth to which every growth series is checked against sphere counts.
+VALIDATION_DEPTH = 12
+
+
+def growth_series(system: CoxeterSystem) -> RationalSeries:
     """The spherical growth series, reduced to lowest terms.
 
-    Construction validates the Taylor coefficients against enumerated
-    sphere counts (up to ``validate_to``, truncated if the enumeration cap
-    is reached first) and aborts on any disagreement.  The validated
-    result is cached on the system for the default arguments.
+    Construction checks the Taylor coefficients against the sphere counts
+    of the canonical-word automaton up to ``VALIDATION_DEPTH`` and aborts
+    on any disagreement.  The validated result is cached on the system.
     """
-    default_args = validate_to == 12 and max_total == DEFAULT_MAX_BALL
     cached = getattr(system, "_growth_series", None)
-    if default_args and cached is not None:
+    if cached is not None:
         return cached
     n = system.n
-    counts = _clique_size_counts(system)
-    one_t = [1, 1]
-    num = [1]
+    powers = [[1]]                              # (1 + t)^0 .. (1 + t)^n
     for _ in range(n):
-        num = _poly_mul(num, one_t)
-    den: list = []
-    for k, c in enumerate(counts):
-        if not c:
-            continue
-        piece = _shift([(-1) ** k * c], k)
-        rest = [1]
-        for _ in range(n - k):
-            rest = _poly_mul(rest, one_t)
-        den = _poly_add(den, _poly_mul(piece, rest))
+        powers.append(_poly_mul(powers[-1], [1, 1]))
+    num, den = powers[n], []
+    for k, c in enumerate(_clique_size_counts(system)):
+        term = [(-1) ** k * c * x for x in powers[n - k]]
+        den = _poly_add(den, [0] * k + term)
     g = _poly_gcd(num, den)
     num_r, rem1 = _poly_divmod(num, g)
     den_r, rem2 = _poly_divmod(den, g)
@@ -203,25 +197,15 @@ def growth_series(system: CoxeterSystem, validate_to: int = 12,
         den_i = [-x for x in den_i]
     series = RationalSeries(tuple(num_i), tuple(den_i))
 
-    # hard postcondition: closed form must reproduce the enumerated counts
-    check_n = validate_to
-    try:
-        observed = system.sphere_counts(check_n, max_total=max_total)
-    except CapacityError:
-        check_n = len(system._sphere_counts) - 1
-        observed = system.sphere_counts(check_n, max_total=max_total)
-    predicted = series.taylor(check_n)
+    # hard postcondition: closed form must reproduce the automaton's counts
+    observed = list(system._sphere_sizes(VALIDATION_DEPTH))
+    predicted = series.taylor(VALIDATION_DEPTH)
     if predicted != observed:
         raise ConsistencyError(
             f"growth series coefficients {predicted} disagree with "
-            f"enumerated sphere counts {observed}")
-    if default_args:
-        system._growth_series = series
+            f"automaton sphere counts {observed}")
+    system._growth_series = series
     return series
-
-
-def _shift(p: Sequence, k: int) -> list:
-    return [0] * k + list(p)
 
 
 # -- convergence radius -----------------------------------------------------------

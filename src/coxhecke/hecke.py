@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
-from .errors import CapacityError, InputError, ParseError
+from .errors import InputError, ParseError
 from .laurent import LaurentPoly, P_SYMBOL, _coerce, _poly_add
 
 EXACT = "exact"
@@ -446,8 +446,9 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     column's word from the end.  A recursion step gives a term at most two
     contributions, so the entries are bit for bit those of per-column
     products.  When ball(r + m) would exceed ``DEFAULT_MAX_BALL`` elements,
-    the columns are computed one product at a time instead, so this raises
-    no ``CapacityError`` on any input.
+    the columns are computed one product at a time instead.  The only
+    ``CapacityError`` comes from that count, when one level of the
+    canonical-word automaton has more than ``DEFAULT_MAX_BALL`` states.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")
@@ -458,11 +459,8 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
         raise InputError("elements live over different Coxeter systems")
     r = max((len(w) for w in ball), default=0)
     m = max((len(v) for v in a.terms), default=0)
-    try:                # counted by the automaton, before any enumeration
-        fits = sum(sys.sphere_counts(r + m)) <= DEFAULT_MAX_BALL
-    except CapacityError:
-        fits = False
-    if not fits:
+    # counted by the automaton, before any enumeration
+    if sum(sys._sphere_sizes(r + m)) > DEFAULT_MAX_BALL:
         return _action_by_products(a, ball, side)
     words, lengths, right, _ = sys.ball_table(r + m)
     left, descent = sys.ball_left_table(words, lengths, right)

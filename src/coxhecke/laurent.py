@@ -161,8 +161,9 @@ class LaurentPoly:
         return self.terms.get(0, 0)
 
     def evaluate(self, u_value: float) -> float:
-        """Numeric value at a concrete u (callers pass sqrt(q))."""
-        return float(sum(float(c) * u_value ** k for k, c in self.terms.items()))
+        """Numeric value at a concrete u (callers pass sqrt(q)); ``fsum``
+        makes it independent of the order of the terms."""
+        return math.fsum(float(c) * u_value ** k for k, c in self.terms.items())
 
     def evaluate_at_q(self, q: float) -> float:
         return self.evaluate(math.sqrt(q))

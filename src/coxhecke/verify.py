@@ -17,8 +17,9 @@ from .cosets import InfinitePair, brute_force_min_rep, coset_nondegenerate, \
     shortest_rep, verify_component_structure
 from .freeprod import (FreeFactorSpec, cross_validate_with_rho,
                        dykema_decompose, freeness_test, hvn_z2_idempotents, mu_k)
-from .growth import (check_symbol_commutation, growth_series, rho_info,
-                     verify_central_projection, zeta_symbol)
+from .growth import (VALIDATION_DEPTH, check_symbol_commutation,
+                     growth_series, rho_info, verify_central_projection,
+                     zeta_symbol)
 from .hecke import j_iso, mul, t_basis, unit
 from .laurent import P_SYMBOL
 
@@ -201,7 +202,8 @@ def suite_hecke(seed: int) -> SuiteResult:
 
 
 def suite_growth(seed: int) -> SuiteResult:
-    """Closed-form growth coefficients against enumeration, and the
+    """Closed-form growth coefficients against the automaton's sphere
+    counts on the named systems and seeded random graphs, and the
     bracketed convergence radius."""
     expected_rho = {"free3": 0.5, "z2sq-z2": (5 ** 0.5 - 1) / 2,
                     "pentagon": (3 - 5 ** 0.5) / 2}
@@ -210,7 +212,11 @@ def suite_growth(seed: int) -> SuiteResult:
         info = rho_info(sys, series)
         if abs(info.value - expected_rho[name]) > 1e-9:
             return SuiteResult("growth-rho", False, f"{name}: rho off")
-    return SuiteResult("growth-rho", True, "3 systems, coefficients to 12")
+    rng = random.Random(seed)
+    for _ in range(20):
+        growth_series(random_system(rng))
+    return SuiteResult("growth-rho", True, "3 systems and 20 random graphs, "
+                       f"coefficients to {VALIDATION_DEPTH}")
 
 
 def suite_cosets(seed: int) -> SuiteResult:

@@ -25,6 +25,15 @@ def oracle_unnormalized_mul(sys, v, w):
     return terms
 
 
+def three_generator_patterns():
+    """The four commutation graphs on three generators, up to relabelling:
+    no edge, one edge, a path and a triangle."""
+    gens = "abc"
+    patterns = [[], [("a", "b")], [("a", "b"), ("b", "c")],
+                [("a", "b"), ("b", "c"), ("a", "c")]]
+    return [CoxeterSystem(gens, p) for p in patterns]
+
+
 @pytest.fixture
 def free3():
     """Free product of three involutions: no commuting pairs."""

@@ -22,7 +22,7 @@ from coxhecke import (CoxeterSystem, FreeFactorSpec, InfinitePair, LaurentPoly,
                       zeta_symbol)
 from coxhecke.hecke import HeckeElement
 
-from conftest import oracle_unnormalized_mul
+from conftest import oracle_unnormalized_mul, three_generator_patterns
 
 
 def named_systems():
@@ -226,13 +226,6 @@ def test_acceptance_7_hecke_soundness():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(7, "Hecke algebra soundness", elapsed, 30)
-
-
-def three_generator_patterns():
-    gens = "abc"
-    patterns = [[], [("a", "b")], [("a", "b"), ("b", "c")],
-                [("a", "b"), ("b", "c"), ("a", "c")]]
-    return [CoxeterSystem(gens, p) for p in patterns]
 
 
 def test_acceptance_8_agreement_triangle():

@@ -13,7 +13,10 @@ import random
 import pytest
 
 from coxhecke import (CapacityError, CoxeterSystem, InputError, LEFT, RIGHT)
+from coxhecke import coxeter
 from coxhecke.verify import random_system
+
+from conftest import three_generator_patterns
 
 
 def rewriting_closure_min(sys, word):
@@ -35,13 +38,6 @@ def rewriting_closure_min(sys, word):
                 stack.append(nxt)
     min_len = min(len(w) for w in seen)
     return frozenset(w for w in seen if len(w) == min_len)
-
-
-def three_generator_patterns():
-    gens = "abc"
-    patterns = [[], [("a", "b")], [("a", "b"), ("b", "c")],
-                [("a", "b"), ("b", "c"), ("a", "c")]]
-    return [CoxeterSystem(gens, p) for p in patterns]
 
 
 def four_generator_patterns():
@@ -273,6 +269,13 @@ def test_length_additivity_criterion(named_systems):
 
 # -- support and centralizers ------------------------------------------------------
 
+def test_elements_of_different_systems_differ(free3, z2sq_z2):
+    """The hash ignores the system, equality does not."""
+    s_free, s_z2 = free3.element("s"), z2sq_z2.element("s")
+    assert hash(s_free) == hash(s_z2) and s_free != s_z2
+    assert s_z2 not in {s_free: 1} and len({s_free, s_z2}) == 2
+
+
 def test_support(free3, dihedral):
     assert free3.support(free3.identity) == frozenset()
     assert free3.support(free3.element("s t u")) == {0, 1, 2}
@@ -422,6 +425,33 @@ def test_sphere_counts_known_values(free3, z2xz2, pentagon):
     assert z2xz2.sphere_counts(4) == [1, 2, 1, 0, 0]
     assert free3.sphere_counts(5) == [1, 3, 6, 12, 24, 48]
     assert pentagon.sphere_counts(3) == [1, 5, 15, 40]
+
+
+def test_sphere_counts_automaton_random_graphs():
+    """Automaton counts against brute-force normalization and against the
+    length histogram of the ball table, on 40 seeded random graphs."""
+    rng = random.Random(2017)
+    for _ in range(40):
+        sys = random_system(rng)
+        depth = 5 if sys.n <= 4 else 3
+        assert sys.sphere_counts(depth) == brute_force_sphere_counts(sys, depth)
+        radius = 6 if sys.n <= 4 else 4
+        lengths = sys.ball_table(radius)[1]
+        assert sys.sphere_counts(radius) == [int((lengths == k).sum())
+                                             for k in range(radius + 1)]
+
+
+def test_sphere_counts_deep_free3(free3):
+    assert free3.sphere_counts(40, max_total=10**30) == (
+        [1] + [3 * 2 ** (k - 1) for k in range(1, 41)])
+
+
+def test_sphere_automaton_state_cap(free3, monkeypatch):
+    """Level 1 of free3's automaton has 3 states; a cap of 2 is named."""
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_BALL", 2)
+    assert free3.sphere_counts(0) == [1]
+    with pytest.raises(CapacityError, match=r"3 states, more than the cap of 2"):
+        free3.sphere_counts(1)
 
 
 def test_ball_matches_sphere_partial_sums(named_systems):

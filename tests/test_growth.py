@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from coxhecke import (CoxeterSystem, DomainError,
+from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       InfinitePair, InputError, LaurentPoly, P_SYMBOL,
                       PreconditionError, check_symbol_commutation, classify,
                       coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
+from coxhecke.verify import suite_growth
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -34,6 +35,31 @@ def test_growth_series_taylor_matches_enumeration(named_systems):
     for sys in named_systems.values():
         series = growth_series(sys)
         assert series.taylor(12) == sys.sphere_counts(12)
+
+
+def test_growth_series_checked_to_depth_12_beyond_ball_cap(monkeypatch):
+    """The free product of 6 involutions has 6 * 5^11 elements of length
+    12, far beyond the ball cap; its series is still checked to depth 12,
+    so a sphere count corrupted at depth 12 alone aborts the build."""
+    series = growth_series(CoxeterSystem("pqrstu"))
+    assert (series.numerator, series.denominator) == ((1, 1), (1, -5))
+    assert series.taylor(12)[12] == 6 * 5 ** 11
+    sizes = CoxeterSystem._sphere_sizes
+
+    def corrupted(self, depth):
+        counts = list(sizes(self, depth))
+        counts[12] += 1
+        return iter(counts)
+
+    monkeypatch.setattr(CoxeterSystem, "_sphere_sizes", corrupted)
+    with pytest.raises(ConsistencyError):
+        growth_series(CoxeterSystem("pqrstu"))
+
+
+def test_verify_growth_suite_covers_random_graphs():
+    for seed in (0, 1):
+        result = suite_growth(seed)
+        assert result.passed and "20 random graphs" in result.detail
 
 
 def test_growth_series_str(free3):

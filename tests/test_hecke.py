@@ -165,6 +165,15 @@ def test_laurent_integral_coefficients():
     assert type((third * 3).terms[1]) is int
 
 
+def test_laurent_evaluate_independent_of_term_order():
+    """Equal polynomials evaluate to the same float, even where their
+    terms cancel and come in another order."""
+    a = LaurentPoly({-2: 1, 0: -2, 2: 1})
+    b = LaurentPoly({2: 1, -2: 1, 0: -2})
+    assert a == b
+    assert a.evaluate(1.0000003) == b.evaluate(1.0000003)
+
+
 def test_associativity_random_triples(z2sq_z2):
     rng = random.Random(17)
     ball = z2sq_z2.ball(3)
