@@ -115,15 +115,16 @@ def cmd_growth(args) -> int:
     if args.radius < 0:
         raise InputError("radius must be nonnegative")
     series = growth_series(sys_)
+    coefficients = series.taylor(args.radius)
     payload = {
         "command": "growth",
         "numerator": list(series.numerator),
         "denominator": list(series.denominator),
-        "coefficients": series.taylor(args.radius),
+        "coefficients": coefficients,
     }
     text = "\n".join([
         f"growth series: {series}",
-        f"coefficients to degree {args.radius}: {series.taylor(args.radius)}",
+        f"coefficients to degree {args.radius}: {coefficients}",
     ])
     _emit(args, payload, text)
     return 0

@@ -224,15 +224,17 @@ class CoxeterSystem:
             return tuple(self.generator_index(p) for p in parts)
         return tuple(self.generator_index(x) for x in word)
 
-    def _reduce(self, letters: Iterable[int]) -> list[int]:
-        """Delete-to-reduced: fold letters in from the right.
+    def _reduce(self, letters: Iterable[int],
+                start: Sequence[int] = ()) -> list[int]:
+        """Delete-to-reduced: fold letters in from the right onto the
+        reduced word ``start``.
 
         Appending s to a reduced word is non-reduced iff some occurrence of
         s is followed only by letters commuting with s; the matched
         occurrence is deleted, otherwise s is appended.
         """
         comm = self._comm
-        word: list[int] = []
+        word = list(start)
         for s in letters:
             i = len(word) - 1
             while i >= 0:
@@ -291,22 +293,7 @@ class CoxeterSystem:
     def multiply(self, a: "Element", b: "Element") -> "Element":
         """Product ab in canonical form."""
         self._check_own(a, b)
-        word = list(a.word)
-        comm = self._comm
-        for s in b.word:
-            i = len(word) - 1
-            while i >= 0:
-                t = word[i]
-                if t == s:
-                    del word[i]
-                    break
-                if not ((comm[s] >> t) & 1):
-                    word.append(s)
-                    break
-                i -= 1
-            else:
-                word.append(s)
-        return Element(self, self._lex_least(word))
+        return Element(self, self._lex_least(self._reduce(b.word, a.word)))
 
     def inverse(self, a: "Element") -> "Element":
         self._check_own(a)
@@ -364,11 +351,12 @@ class CoxeterSystem:
         """(D_L, D_R): generators shortening a on the left / right."""
         return self.left_descents(a), self.right_descents(a)
 
-    def right_descents(self, a: "Element") -> frozenset[int]:
-        self._check_own(a)
+    def _front_letters(self, letters: Iterable[int]) -> frozenset[int]:
+        """Letters of a reduced word that commute with every letter before
+        them, i.e. the generators that can be moved to its front."""
         d = 0
         movable = self._full
-        for x in reversed(a.word):
+        for x in letters:
             if (movable >> x) & 1:
                 d |= 1 << x
             movable &= self._comm[x]
@@ -376,17 +364,13 @@ class CoxeterSystem:
                 break
         return frozenset(_bits(d))
 
+    def right_descents(self, a: "Element") -> frozenset[int]:
+        self._check_own(a)
+        return self._front_letters(reversed(a.word))
+
     def left_descents(self, a: "Element") -> frozenset[int]:
         self._check_own(a)
-        d = 0
-        movable = self._full
-        for x in a.word:
-            if (movable >> x) & 1:
-                d |= 1 << x
-            movable &= self._comm[x]
-            if not movable:
-                break
-        return frozenset(_bits(d))
+        return self._front_letters(a.word)
 
     def support(self, a: "Element") -> frozenset[int]:
         """S(a): generators appearing in any reduced expression of a."""

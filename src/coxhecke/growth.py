@@ -3,7 +3,11 @@ numerical certification of the radial central symbol.
 
 The spherical growth series of a right-angled system is rational:
 W(t) = (1+t)^n / P(t) where P sums (-t)^{|C|} (1+t)^{n-|C|} over the
-cliques C of the commutation graph.  The formula is validated at
+cliques C of the commutation graph.  Only the empty clique contributes
+a constant term, so P(0) = 1; the numerator is a power of the irreducible
+1 + t, so the only common factor is (1 + t)^k, k the multiplicity of the
+root -1 of P (at most n).  Integer synthetic division by 1 + t, k times,
+puts the series in lowest terms.  The formula is validated at
 construction against the sphere counts of the canonical-word automaton
 to depth 12, and the build aborts on any mismatch, so no downstream
 result rests on the formula alone.
@@ -24,86 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
 
 from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
-from .laurent import LaurentPoly, _poly_add, _poly_mul, _poly_trim
-
-# -- rational polynomial helpers (dense, ascending degree) ---------------------
-
-
-def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    _poly_trim(a), _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_gcd(a: Sequence, b: Sequence) -> list:
-    a = _poly_trim([Fraction(x) for x in a])
-    b = _poly_trim([Fraction(x) for x in b])
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _poly_to_int(p: Sequence[Fraction]) -> list[int]:
-    if not p:
-        return []
-    lcm = 1
-    for x in p:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in p]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in ints] if g else ints
-
-
-def _poly_eval(p: Sequence, x):
-    out = x * 0
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def poly_str(p: Sequence[int], var: str = "t") -> str:
-    """Human-readable polynomial, ascending degree."""
-    if not p:
-        return "0"
-    parts = []
-    for k, c in enumerate(p):
-        if not c:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            mono = var if k == 1 else f"{var}^{k}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
-
+from .laurent import LaurentPoly, _poly_add, _poly_eval, _poly_mul, poly_str
 
 # -- the rational growth series -------------------------------------------------
 
@@ -181,21 +113,17 @@ def growth_series(system: CoxeterSystem) -> RationalSeries:
     powers = [[1]]                              # (1 + t)^0 .. (1 + t)^n
     for _ in range(n):
         powers.append(_poly_mul(powers[-1], [1, 1]))
-    num, den = powers[n], []
+    den = []
     for k, c in enumerate(_clique_size_counts(system)):
         term = [(-1) ** k * c * x for x in powers[n - k]]
         den = _poly_add(den, [0] * k + term)
-    g = _poly_gcd(num, den)
-    num_r, rem1 = _poly_divmod(num, g)
-    den_r, rem2 = _poly_divmod(den, g)
-    if rem1 or rem2:
-        raise ConsistencyError("gcd does not divide")
-    num_i = _poly_to_int(num_r)
-    den_i = _poly_to_int(den_r)
-    if den_i[0] < 0:
-        num_i = [-x for x in num_i]
-        den_i = [-x for x in den_i]
-    series = RationalSeries(tuple(num_i), tuple(den_i))
+    # gcd((1 + t)^n, den) is (1 + t)^k, k the multiplicity of the root -1;
+    # synthetic division by 1 + t: q_0 = d_0, q_i = d_i - q_{i-1}
+    k = 0
+    while k < n and _poly_eval(den, -1) == 0:
+        den = list(accumulate(den[:-1], lambda q, d: d - q))
+        k += 1
+    series = RationalSeries(tuple(powers[n - k]), tuple(den))
 
     # hard postcondition: closed form must reproduce the automaton's counts
     observed = list(system._sphere_sizes(VALIDATION_DEPTH))
@@ -245,7 +173,7 @@ GRID_STEP = Fraction(1, 10**4)
 BISECT_TOL = 1e-12
 
 
-def rho_info(system: CoxeterSystem, series: RationalSeries | None = None) -> RhoInfo:
+def rho_info(system: CoxeterSystem) -> RhoInfo:
     """Locate the smallest denominator root in (0, 1] by grid bracketing
     plus bisection.
 
@@ -254,13 +182,10 @@ def rho_info(system: CoxeterSystem, series: RationalSeries | None = None) -> Rho
     points that both evaluate positive), then bisection narrows the
     bracket below 1e-12.  The result is cached on the system.
     """
-    if series is None:
-        series = growth_series(system)
     cached = getattr(system, "_rho_info", None)
-    if cached is not None and cached.denominator == series.denominator:
+    if cached is not None:
         return cached
-    den = series.denominator
-    info = _locate_root(system, den)
+    info = _locate_root(system, growth_series(system).denominator)
     system._rho_info = info
     return info
 
@@ -666,7 +591,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     if radius < 2:
         raise InputError("radius must be at least 2")
     series = growth_series(system)
-    info = rho_info(system, series)
+    info = rho_info(system)
     if not info.q_below_rho(q):
         raise PreconditionError(
             "no central projection exists for q >= rho: the radial vector "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # -- integer polynomial helpers (dense, ascending degree) ----------------------
 
@@ -39,6 +39,35 @@ def _poly_add(a: Sequence, b: Sequence) -> list:
     for i, y in enumerate(b):
         out[i] += y
     return _poly_trim(out)
+
+
+def _poly_eval(p: Sequence, x):
+    out = x * 0
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _terms_str(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
+    """Sum of nonzero c*var^k in the given order; "0" when there is none."""
+    parts = []
+    for k, c in terms:
+        if k == 0:
+            parts.append(str(c))
+        else:
+            mono = var if k == 1 else f"{var}^{k}"
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def poly_str(p: Sequence[int], var: str = "t") -> str:
+    """Human-readable polynomial, ascending degree."""
+    return _terms_str(((k, c) for k, c in enumerate(p) if c), var)
 
 
 # -- Laurent polynomials -------------------------------------------------------
@@ -169,24 +198,7 @@ class LaurentPoly:
         return self.evaluate(math.sqrt(q))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                mono = str(c)
-            else:
-                var = "u" if k == 1 else f"u^{k}"
-                if c == 1:
-                    mono = var
-                elif c == -1:
-                    mono = f"-{var}"
-                else:
-                    mono = f"{c}*{var}"
-            parts.append(mono)
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
+        return _terms_str(sorted(self.terms.items()), "u")
 
     def __repr__(self):
         return f"LaurentPoly({self})"

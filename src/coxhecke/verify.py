@@ -31,7 +31,12 @@ class SuiteResult:
     detail: str
 
 
-def _named_systems() -> dict[str, CoxeterSystem]:
+def named_systems() -> dict[str, CoxeterSystem]:
+    """The paper's three named systems, built fresh on every call so that
+    no cached series or table is shared between callers: the free product
+    of three involutions, Z2^2 * Z2 (s is the free factor, t and u
+    commute), and the five generators whose commutation graph is a
+    5-cycle.  ``groups/*.json`` describe the same systems."""
     return {
         "free3": CoxeterSystem("stu"),
         "z2sq-z2": CoxeterSystem(["s", "t", "u"], [("t", "u")]),
@@ -41,7 +46,9 @@ def _named_systems() -> dict[str, CoxeterSystem]:
     }
 
 
-def _three_gen_patterns() -> list[CoxeterSystem]:
+def three_generator_patterns() -> list[CoxeterSystem]:
+    """The four commutation graphs on three generators, up to relabelling:
+    no edge, one edge, a path and a triangle (built fresh on every call)."""
     gens = "abc"
     patterns = [[], [("a", "b")], [("a", "b"), ("b", "c")],
                 [("a", "b"), ("b", "c"), ("a", "c")]]
@@ -67,7 +74,7 @@ def suite_word_conditions(seed: int) -> SuiteResult:
     seeded random longer ones."""
     rng = random.Random(seed)
     checked = 0
-    for sys in _three_gen_patterns():
+    for sys in three_generator_patterns():
         for n in range(5):
             for word in itertools.product(range(3), repeat=n):
                 for s in range(3):
@@ -111,7 +118,7 @@ def _rewriting_classes(sys: CoxeterSystem, word: tuple[int, ...]) -> frozenset:
 def suite_normal_forms(seed: int) -> SuiteResult:
     """Canonical forms against the rewriting-closure oracle, plus parity."""
     checked = 0
-    for sys in _three_gen_patterns():
+    for sys in three_generator_patterns():
         for n in range(6):
             for word in itertools.product(range(3), repeat=n):
                 cls = _rewriting_classes(sys, word)
@@ -130,7 +137,7 @@ def suite_length_additivity(seed: int) -> SuiteResult:
     """|vw| = |v| + |w| iff the right and left descent sets are disjoint,
     and the descent recursion for lengthening products."""
     checked = 0
-    for name, sys in _named_systems().items():
+    for name, sys in named_systems().items():
         ball = sys.ball(4)
         for v in ball:
             for w in ball:
@@ -190,7 +197,7 @@ def suite_hecke(seed: int) -> SuiteResult:
     and exact-versus-numeric agreement on seeded random elements, over
     z2sq-z2 and seeded random graphs."""
     rng = random.Random(seed)
-    cases = [(CoxeterSystem(["s", "t", "u"], [("t", "u")]), 60)]
+    cases = [(named_systems()["z2sq-z2"], 60)]
     cases += [(random_system(rng), 12) for _ in range(5)]
     for sys, triples in cases:
         failure = _hecke_failure(rng, sys, triples)
@@ -207,9 +214,8 @@ def suite_growth(seed: int) -> SuiteResult:
     bracketed convergence radius."""
     expected_rho = {"free3": 0.5, "z2sq-z2": (5 ** 0.5 - 1) / 2,
                     "pentagon": (3 - 5 ** 0.5) / 2}
-    for name, sys in _named_systems().items():
-        series = growth_series(sys)          # aborts on coefficient mismatch
-        info = rho_info(sys, series)
+    for name, sys in named_systems().items():
+        info = rho_info(sys)      # its series aborts on coefficient mismatch
         if abs(info.value - expected_rho[name]) > 1e-9:
             return SuiteResult("growth-rho", False, f"{name}: rho off")
     rng = random.Random(seed)
@@ -223,7 +229,7 @@ def suite_cosets(seed: int) -> SuiteResult:
     """Shortest double-coset representatives against brute force, the
     support rule for degeneracy against them on seeded random graphs, and
     the one-big-component structure of the interaction graph."""
-    systems = _named_systems()
+    systems = named_systems()
     rng = random.Random(seed)
     for _ in range(20):
         sys = random_system(rng)
@@ -255,7 +261,7 @@ def suite_cosets(seed: int) -> SuiteResult:
 
 def suite_radial_symbol(seed: int) -> SuiteResult:
     """Exact radial-symbol constraints and the projection residual bound."""
-    for name, sys in _named_systems().items():
+    for name, sys in named_systems().items():
         info = rho_info(sys)
         q = Fraction(info.value).limit_denominator(10**6) / 2
         zv = zeta_symbol(sys, q, 6)
@@ -296,7 +302,7 @@ def suite_free_products(seed: int) -> SuiteResult:
             if len(dec.atoms) > 1:
                 return SuiteResult("free-products", False,
                                    f"{ranks} at {q}: several atoms")
-    sys = CoxeterSystem(["s", "t", "u"], [("t", "u")])
+    sys = named_systems()["z2sq-z2"]
     if freeness_test(sys, [("s",), ("t", "u")], 5):
         return SuiteResult("free-products", False, "freeness witnesses found")
     return SuiteResult("free-products", True,

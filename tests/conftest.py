@@ -1,6 +1,6 @@
 import pytest
 
-from coxhecke import LEFT, CoxeterSystem, LaurentPoly
+from coxhecke import LEFT, CoxeterSystem, LaurentPoly, verify
 
 
 def oracle_unnormalized_mul(sys, v, w):
@@ -25,32 +25,22 @@ def oracle_unnormalized_mul(sys, v, w):
     return terms
 
 
-def three_generator_patterns():
-    """The four commutation graphs on three generators, up to relabelling:
-    no edge, one edge, a path and a triangle."""
-    gens = "abc"
-    patterns = [[], [("a", "b")], [("a", "b"), ("b", "c")],
-                [("a", "b"), ("b", "c"), ("a", "c")]]
-    return [CoxeterSystem(gens, p) for p in patterns]
-
-
 @pytest.fixture
 def free3():
     """Free product of three involutions: no commuting pairs."""
-    return CoxeterSystem("stu")
+    return verify.named_systems()["free3"]
 
 
 @pytest.fixture
 def z2sq_z2():
     """Z2^2 * Z2: s is the free factor, t and u commute."""
-    return CoxeterSystem(["s", "t", "u"], [("t", "u")])
+    return verify.named_systems()["z2sq-z2"]
 
 
 @pytest.fixture
 def pentagon():
     """Five generators whose commutation graph is a 5-cycle."""
-    return CoxeterSystem("pqrst", [("p", "q"), ("q", "r"), ("r", "s"),
-                                   ("s", "t"), ("t", "p")])
+    return verify.named_systems()["pentagon"]
 
 
 @pytest.fixture

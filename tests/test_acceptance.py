@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from coxhecke import (CoxeterSystem, FreeFactorSpec, InfinitePair, LaurentPoly,
+from coxhecke import (FreeFactorSpec, InfinitePair, LaurentPoly,
                       P_SYMBOL, check_symbol_commutation, classify,
                       closed_form_condition, double_coset_symbol_check,
                       dykema_decompose, growth_series, hvn_z2_idempotents,
@@ -21,18 +21,9 @@ from coxhecke import (CoxeterSystem, FreeFactorSpec, InfinitePair, LaurentPoly,
                       verify_central_projection, verify_component_structure,
                       zeta_symbol)
 from coxhecke.hecke import HeckeElement
+from coxhecke.verify import named_systems, three_generator_patterns
 
-from conftest import oracle_unnormalized_mul, three_generator_patterns
-
-
-def named_systems():
-    return {
-        "free3": CoxeterSystem("stu"),
-        "z2sq-z2": CoxeterSystem(["s", "t", "u"], [("t", "u")]),
-        "pentagon": CoxeterSystem("pqrst", [("p", "q"), ("q", "r"),
-                                            ("r", "s"), ("s", "t"),
-                                            ("t", "p")]),
-    }
+from conftest import oracle_unnormalized_mul
 
 
 def report(number, name, elapsed, limit=None):

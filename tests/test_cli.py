@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from coxhecke.cli import main, parse_q
+from coxhecke.groupfile import load_system
+from coxhecke.verify import named_systems
 from fractions import Fraction
 
 
@@ -95,6 +97,21 @@ def test_ball(capsys, group_file):
     assert code == 0
     assert "10 elements" in out
     assert "s.t" in out
+
+
+def test_group_files_match_named_systems():
+    """groups/*.json describe the named systems of coxhecke.verify: the same
+    generators in the same order and the same commuting pairs."""
+    groups = Path(__file__).resolve().parent.parent / "groups"
+    table = named_systems()
+    assert sorted(p.stem for p in groups.glob("*.json")) == sorted(table)
+    for name, want in table.items():
+        got = load_system(groups / f"{name}.json")
+        assert got.names == want.names, name
+        for i in range(want.n):
+            for j in range(want.n):
+                assert got.commutes(i, j) == want.commutes(i, j), name
+    assert named_systems()["free3"] is not table["free3"]
 
 
 def test_growth_json(capsys, group_file):

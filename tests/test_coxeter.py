@@ -14,9 +14,7 @@ import pytest
 
 from coxhecke import (CapacityError, CoxeterSystem, InputError, LEFT, RIGHT)
 from coxhecke import coxeter
-from coxhecke.verify import random_system
-
-from conftest import three_generator_patterns
+from coxhecke.verify import random_system, three_generator_patterns
 
 
 def rewriting_closure_min(sys, word):

@@ -12,7 +12,7 @@ from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
-from coxhecke.verify import suite_growth
+from coxhecke.verify import random_system, suite_growth
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -29,6 +29,15 @@ def test_growth_series_closed_forms(free3, z2sq_z2, pentagon):
     assert (g.numerator, g.denominator) == ((1, 2, 1), (1, -3, 1))
     g = growth_series(CoxeterSystem("st", [("s", "t")]))
     assert (g.numerator, g.denominator) == ((1, 2, 1), (1,))
+    # a free product of n involutions: (1+t)/(1-(n-1)t); Z2^n: (1+t)^n
+    for n in range(2, 9):
+        names = [f"g{i}" for i in range(n)]
+        g = growth_series(CoxeterSystem(names))
+        assert (g.numerator, g.denominator) == ((1, 1), (1, -(n - 1)))
+        every_pair = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        g = growth_series(CoxeterSystem(names, every_pair))
+        binomial = tuple(math.comb(n, i) for i in range(n + 1))
+        assert (g.numerator, g.denominator) == (binomial, (1,))
 
 
 def test_growth_series_taylor_matches_enumeration(named_systems):
@@ -62,8 +71,24 @@ def test_verify_growth_suite_covers_random_graphs():
         assert result.passed and "20 random graphs" in result.detail
 
 
-def test_growth_series_str(free3):
+def test_growth_series_str(free3, pentagon):
     assert str(growth_series(free3)) == "(1 + t) / (1 - 2*t)"
+    assert str(growth_series(pentagon)) == "(1 + 2*t + t^2) / (1 - 3*t + t^2)"
+
+
+def test_growth_series_lowest_terms_on_random_graphs():
+    """The reduced series is (1+t)^m / P with P(0) = 1, and P(-1) = 0 only
+    when the whole numerator has cancelled (m = 0)."""
+    rng = random.Random(11)
+    for _ in range(60):
+        sys = random_system(rng, 9)
+        series = growth_series(sys)
+        m = len(series.numerator) - 1
+        assert series.numerator == tuple(math.comb(m, i) for i in range(m + 1))
+        assert series.denominator[0] == 1
+        at_minus_one = sum(c * (-1) ** i
+                           for i, c in enumerate(series.denominator))
+        assert at_minus_one != 0 or m == 0, sys
 
 
 def test_taylor_recurrence_against_direct_division():
