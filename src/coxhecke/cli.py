@@ -21,7 +21,7 @@ from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho, dykema_decompose
 from .groupfile import load_system
-from .growth import (classify, growth_series, rho_info,
+from .growth import (classify, growth_series, rho, rho_info,
                      verify_central_projection)
 from .hecke import parse_expression
 from .verify import run_suites
@@ -133,14 +133,11 @@ def cmd_growth(args) -> int:
 def cmd_rho(args) -> int:
     sys_ = _load(args)
     values = {}
-    overall = math.inf
     for comp in sys_.components:
-        sub, _ = sys_.subsystem(comp)
-        info = rho_info(sub)
-        key = ",".join(sys_.names[i] for i in comp)
-        values[key] = None if info.is_finite_group else info.value
-        if not info.is_finite_group:
-            overall = min(overall, info.value)
+        info = rho_info(sys_.subsystem(comp)[0])
+        values[",".join(sys_.names[i] for i in comp)] = \
+            None if info.is_finite_group else info.value
+    overall = rho(sys_)
     payload = {
         "command": "rho",
         "rho": None if math.isinf(overall) else overall,

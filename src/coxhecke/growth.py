@@ -14,9 +14,12 @@ result rests on the formula alone.
 
 The convergence radius rho is the smallest positive root of the reduced
 denominator: the series has nonnegative coefficients, hence a singularity
-on the positive axis.  For an irreducible system with at least three
-generators, the completed algebra at parameter q has trivial center
-exactly for q in [rho, 1/rho]; below rho the radial vector
+on the positive axis.  Sturm's theorem, on the integer Sturm chain of
+the denominator, decides exactly whether a root lies in (0, x] for
+rational x; that picks a cell of width 1e-4, then halves it to 1e-12.
+For an irreducible system with at least three generators, the
+completed algebra at parameter q has trivial center exactly for q in
+[rho, 1/rho]; below rho the radial vector
 
     zeta(w) = q^{|w|/2}
 
@@ -35,7 +38,8 @@ import numpy as np
 from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
-from .laurent import LaurentPoly, _poly_add, _poly_eval, _poly_mul, poly_str
+from .laurent import (LaurentPoly, _has_root_up_to, _poly_add, _poly_eval,
+                      _poly_mul, _sturm_chain, poly_str)
 
 # -- the rational growth series -------------------------------------------------
 
@@ -143,10 +147,11 @@ def growth_series(system: CoxeterSystem) -> RationalSeries:
 class RhoInfo:
     """Convergence radius of a growth series with an exact decision bracket.
 
-    ``value`` is the bisected root of the reduced denominator in (0, 1],
-    or inf for a finite group.  For rational arguments falling inside the
-    float bracket, exact sign evaluation of the integer denominator
-    settles comparisons against rho.
+    ``value`` is the midpoint of the bracket (bracket_low, bracket_high],
+    of width at most ``BISECT_TOL``, that holds the smallest positive root
+    of the reduced denominator, or inf for a finite group (no root in
+    (0, 1]).  The denominator has no root in (0, bracket_low] and one in
+    (0, bracket_high]; both ends are fractions a / (10^4 2^j).
     """
     value: float
     bracket_low: Fraction | None
@@ -158,85 +163,67 @@ class RhoInfo:
         return math.isinf(self.value)
 
     def q_below_rho(self, q: Fraction) -> bool:
-        """Exact decision of q < rho for rational q in (0, 1]."""
-        if self.is_finite_group:
-            return True
-        if q < self.bracket_low:
-            return True
-        if q > self.bracket_high:
-            return False
-        sign = _poly_eval(self.denominator, Fraction(q))
-        return sign > 0
+        """Exact decision of q < rho for rational q > 0: the denominator
+        has no root in (0, q], counted with its Sturm chain."""
+        q = Fraction(q)
+        return not _has_root_up_to(_sturm_chain(self.denominator),
+                                   q.numerator, q.denominator)
 
 
-GRID_STEP = Fraction(1, 10**4)
+#: rho is first placed in a cell ((k-1)/GRID_CELLS, k/GRID_CELLS] of (0, 1].
+GRID_CELLS = 10**4
 BISECT_TOL = 1e-12
 
 
 def rho_info(system: CoxeterSystem) -> RhoInfo:
-    """Locate the smallest denominator root in (0, 1] by grid bracketing
-    plus bisection.
+    """Locate the smallest denominator root in (0, 1] by exact root
+    counting on its integer Sturm chain.
 
-    The denominator is positive at 0; a grid scan at step 1e-4 finds the
-    first sign change (so no smaller positive root can hide between grid
-    points that both evaluate positive), then bisection narrows the
-    bracket below 1e-12.  The result is cached on the system.
+    One predicate, "a root lies in (0, x]", first binary-searches the
+    10^4 cells of width 1e-4, then halves the cell found until its width
+    is at most 1e-12.  Every decision is an integer sign count, so a root
+    of even multiplicity, or two roots in one cell, cannot be missed.
+    The result is cached on the system.
     """
     cached = getattr(system, "_rho_info", None)
     if cached is not None:
         return cached
-    info = _locate_root(system, growth_series(system).denominator)
+    info = _locate_root(growth_series(system).denominator)
     system._rho_info = info
     return info
 
 
-def _locate_root(system: CoxeterSystem, den: tuple[int, ...]) -> RhoInfo:
-    if len(den) == 1:
-        return RhoInfo(math.inf, None, None, den)
-
-    def f(x: Fraction) -> Fraction:
-        return _poly_eval(den, x)
-
-    prev = Fraction(0)
-    if f(prev) <= 0:
+def _locate_root(den: tuple[int, ...]) -> RhoInfo:
+    if den[0] <= 0:
         raise ConsistencyError("denominator not positive at zero")
-    lo = None
-    x = GRID_STEP
-    while x <= 1:
-        val = f(x)
-        if val <= 0:
-            lo, hi = prev, x
-            break
-        prev = x
-        x += GRID_STEP
-    else:
+    chain = _sturm_chain(den)
+    if not _has_root_up_to(chain, 1, 1):
         return RhoInfo(math.inf, None, None, den)
-
-    while float(hi - lo) > BISECT_TOL:
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
+    lo, hi = 0, GRID_CELLS            # roots up to hi/GRID_CELLS, none to lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _has_root_up_to(chain, mid, GRID_CELLS):
             hi = mid
-    value = float((lo + hi) / 2)
-    if not system.is_finite() and value > 1.0 + 1e-9:
-        raise ConsistencyError("infinite group with radius above one")
-    return RhoInfo(value, lo, hi, den)
+        else:
+            lo = mid
+    a, scale = lo, GRID_CELLS         # the bracket is (a/scale, (a+1)/scale]
+    while 1 / scale > BISECT_TOL:
+        a, scale = 2 * a, 2 * scale
+        if not _has_root_up_to(chain, a + 1, scale):
+            a += 1
+    return RhoInfo((2 * a + 1) / (2 * scale), Fraction(a, scale),
+                   Fraction(a + 1, scale), den)
 
 
 def rho(system: CoxeterSystem) -> float:
     """Convergence radius of the growth series; inf for a finite group.
 
     For reducible systems the growth series multiplies over components,
-    so the radius is the minimum over the irreducible components.
+    so the radius is the minimum over the irreducible components (inf for
+    a finite one).
     """
-    best = math.inf
-    for comp in system.components:
-        if system.component_is_finite(comp):
-            continue
-        sub, _ = system.subsystem(comp)
-        best = min(best, rho_info(sub).value)
-    return best
+    return min(rho_info(system.subsystem(comp)[0]).value
+               for comp in system.components)
 
 
 # -- factoriality classification ----------------------------------------------------

@@ -48,6 +48,47 @@ def _poly_eval(p: Sequence, x):
     return out
 
 
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """Sturm sequence of a nonzero integer polynomial: p, p', then negated
+    pseudo-remainders (scaled by |lc|^k), each over its positive content."""
+    chain = [list(p)]
+    r = [i * c for i, c in enumerate(p)][1:]
+    while r:
+        g = math.gcd(*r)
+        b = [x // g for x in r]
+        r, lc = chain[-1], b[-1]
+        chain.append(b)
+        while len(r) >= len(b):
+            c = r[-1] if lc > 0 else -r[-1]
+            r = [abs(lc) * x for x in r]
+            for i, y in enumerate(b, len(r) - len(b)):
+                r[i] -= c * y
+            _poly_trim(r)
+        r = [-x for x in r]
+    return chain
+
+
+def _has_root_up_to(chain: Sequence[Sequence[int]], k: int, n: int) -> bool:
+    """Whether the first member of a Sturm chain has a root in (0, k/n].
+
+    Sign changes along the chain (zeros skipped) drop from 0 to x by the
+    number of distinct roots in (0, x]; at a multiple root all members
+    vanish, leaving none, which still answers yes.  Members are evaluated
+    in integers, as sum c_i k^i n^(d-i) for degree d, with the same sign.
+    """
+    def changes(values) -> int:
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_x = []
+    for p in chain:
+        value, weight = 0, 1
+        for c in reversed(p):
+            value, weight = value * k + c * weight, weight * n
+        at_x.append(value)
+    return changes(at_x) < changes(p[0] for p in chain)
+
+
 def _terms_str(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
     """Sum of nonzero c*var^k in the given order; "0" when there is none."""
     parts = []

@@ -21,7 +21,7 @@ from .growth import (VALIDATION_DEPTH, check_symbol_commutation,
                      growth_series, rho_info, verify_central_projection,
                      zeta_symbol)
 from .hecke import j_iso, mul, t_basis, unit
-from .laurent import P_SYMBOL
+from .laurent import P_SYMBOL, _poly_eval
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,8 @@ def suite_hecke(seed: int) -> SuiteResult:
 def suite_growth(seed: int) -> SuiteResult:
     """Closed-form growth coefficients against the automaton's sphere
     counts on the named systems and seeded random graphs, and the
-    bracketed convergence radius."""
+    convergence radius: its value on the named systems, and a sign change
+    across its bracket on each infinite component of the random graphs."""
     expected_rho = {"free3": 0.5, "z2sq-z2": (5 ** 0.5 - 1) / 2,
                     "pentagon": (3 - 5 ** 0.5) / 2}
     for name, sys in named_systems().items():
@@ -219,10 +220,21 @@ def suite_growth(seed: int) -> SuiteResult:
         if abs(info.value - expected_rho[name]) > 1e-9:
             return SuiteResult("growth-rho", False, f"{name}: rho off")
     rng = random.Random(seed)
+    brackets = 0
     for _ in range(20):
-        growth_series(random_system(rng))
+        sys = random_system(rng)
+        growth_series(sys)
+        for comp in sys.components:     # repeated ones give a double root
+            info = rho_info(sys.subsystem(comp)[0])
+            if info.is_finite_group:
+                continue
+            den, brackets = info.denominator, brackets + 1
+            if not (_poly_eval(den, info.bracket_low) > 0
+                    >= _poly_eval(den, info.bracket_high)):
+                return SuiteResult("growth-rho", False, f"{sys}: rho bracket")
     return SuiteResult("growth-rho", True, "3 systems and 20 random graphs, "
-                       f"coefficients to {VALIDATION_DEPTH}")
+                       f"coefficients to {VALIDATION_DEPTH}, sign change "
+                       f"across {brackets} rho brackets")
 
 
 def suite_cosets(seed: int) -> SuiteResult:

@@ -12,10 +12,10 @@ from coxhecke.verify import named_systems
 from fractions import Fraction
 
 
-FREE3 = '{"generators": ["s", "t", "u"]}'
-Z2SQ_Z2 = '{"generators": ["s", "t", "u"], "commuting_pairs": [["t", "u"]]}'
-PENTAGON = ('{"generators": ["p", "q", "r", "s", "t"], "commuting_pairs": '
-            '[["p","q"],["q","r"],["r","s"],["s","t"],["t","p"]]}')
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
+FREE3 = str(GROUPS / "free3.json")
+Z2SQ_Z2 = str(GROUPS / "z2sq-z2.json")
+PENTAGON = str(GROUPS / "pentagon.json")
 
 
 @pytest.fixture
@@ -44,15 +44,15 @@ def test_parse_q():
         parse_q("-1/4")
 
 
-def test_info_text(capsys, group_file):
-    code, out, _ = run(capsys, ["info", "--group", group_file(PENTAGON)])
+def test_info_text(capsys):
+    code, out, _ = run(capsys, ["info", "--group", PENTAGON])
     assert code == 0
     assert "irreducible: True" in out
     assert "p q r s t" in out
 
 
-def test_info_detects_free_factor_shape(capsys, group_file):
-    code, out, _ = run(capsys, ["info", "--group", group_file(Z2SQ_Z2)])
+def test_info_detects_free_factor_shape(capsys):
+    code, out, _ = run(capsys, ["info", "--group", Z2SQ_Z2])
     assert code == 0
     assert "free factor generator s" in out
 
@@ -91,8 +91,8 @@ def test_missing_group_file(capsys):
     assert code == 2
 
 
-def test_ball(capsys, group_file):
-    code, out, _ = run(capsys, ["ball", "--group", group_file(FREE3),
+def test_ball(capsys):
+    code, out, _ = run(capsys, ["ball", "--group", FREE3,
                                 "--radius", "2"])
     assert code == 0
     assert "10 elements" in out
@@ -102,11 +102,10 @@ def test_ball(capsys, group_file):
 def test_group_files_match_named_systems():
     """groups/*.json describe the named systems of coxhecke.verify: the same
     generators in the same order and the same commuting pairs."""
-    groups = Path(__file__).resolve().parent.parent / "groups"
     table = named_systems()
-    assert sorted(p.stem for p in groups.glob("*.json")) == sorted(table)
+    assert sorted(p.stem for p in GROUPS.glob("*.json")) == sorted(table)
     for name, want in table.items():
-        got = load_system(groups / f"{name}.json")
+        got = load_system(GROUPS / f"{name}.json")
         assert got.names == want.names, name
         for i in range(want.n):
             for j in range(want.n):
@@ -114,8 +113,8 @@ def test_group_files_match_named_systems():
     assert named_systems()["free3"] is not table["free3"]
 
 
-def test_growth_json(capsys, group_file):
-    code, out, _ = run(capsys, ["growth", "--group", group_file(Z2SQ_Z2),
+def test_growth_json(capsys):
+    code, out, _ = run(capsys, ["growth", "--group", Z2SQ_Z2,
                                 "--format", "json"])
     assert code == 0
     doc = json.loads(out)
@@ -125,14 +124,14 @@ def test_growth_json(capsys, group_file):
     assert doc["coefficients"][:5] == [1, 3, 5, 8, 13]
 
 
-def test_rho(capsys, group_file):
-    code, out, _ = run(capsys, ["rho", "--group", group_file(PENTAGON)])
+def test_rho(capsys):
+    code, out, _ = run(capsys, ["rho", "--group", PENTAGON])
     assert code == 0
     assert out.startswith("rho = 0.381966011250")
 
 
-def test_classify_text_and_json(capsys, group_file):
-    path = group_file(FREE3)
+def test_classify_text_and_json(capsys):
+    path = FREE3
     code, out, _ = run(capsys, ["classify", "--group", path, "--q", "1/4"])
     assert code == 0
     assert "factor_plus_C" in out and "center_dimension = 2" in out
@@ -143,15 +142,15 @@ def test_classify_text_and_json(capsys, group_file):
     assert doc["center_dimension"] == 2
 
 
-def test_classify_bad_q(capsys, group_file):
-    code, _, err = run(capsys, ["classify", "--group", group_file(FREE3),
+def test_classify_bad_q(capsys):
+    code, _, err = run(capsys, ["classify", "--group", FREE3,
                                 "--q", "-1"])
     assert code == 2 and "positive" in err
 
 
-def test_gamma(capsys, group_file, tmp_path):
+def test_gamma(capsys, tmp_path):
     edges = tmp_path / "edges.txt"
-    code, out, _ = run(capsys, ["gamma", "--group", group_file(Z2SQ_Z2),
+    code, out, _ = run(capsys, ["gamma", "--group", Z2SQ_Z2,
                                 "--radius", "5", "--edges-out", str(edges)])
     assert code == 0
     assert "pass" in out
@@ -166,12 +165,12 @@ def test_gamma_rejects_dihedral(capsys, group_file):
     assert code == 2 and "3 generators" in err
 
 
-def test_zeta_check(capsys, group_file):
-    code, out, _ = run(capsys, ["zeta-check", "--group", group_file(FREE3),
+def test_zeta_check(capsys):
+    code, out, _ = run(capsys, ["zeta-check", "--group", FREE3,
                                 "--q", "1/4", "--radius", "8"])
     assert code == 0
     assert "projection residual" in out
-    code, _, err = run(capsys, ["zeta-check", "--group", group_file(FREE3),
+    code, _, err = run(capsys, ["zeta-check", "--group", FREE3,
                                 "--q", "3/4", "--radius", "6"])
     assert code == 2 and "rho" in err
 
@@ -190,18 +189,18 @@ def test_dykema(capsys):
     assert code == 2
 
 
-def test_hecke_expression(capsys, group_file):
-    code, out, _ = run(capsys, ["hecke", "--group", group_file(FREE3),
+def test_hecke_expression(capsys):
+    code, out, _ = run(capsys, ["hecke", "--group", FREE3,
                                 "--expr", "T(s)*T(s)"])
     assert code == 0
     assert out.strip() == "(1)*T(e) + (-u^-1 + u)*T(s)"
-    code, _, err = run(capsys, ["hecke", "--group", group_file(FREE3),
+    code, _, err = run(capsys, ["hecke", "--group", FREE3,
                                 "--expr", "T(s) +"])
     assert code == 2
 
 
-def test_reports_byte_identical(capsys, group_file):
-    path = group_file(PENTAGON)
+def test_reports_byte_identical(capsys):
+    path = PENTAGON
     argv = ["classify", "--group", path, "--q", "385/1000",
             "--format", "json"]
     _, out1, _ = run(capsys, argv)
@@ -213,8 +212,6 @@ def test_reports_byte_identical(capsys, group_file):
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
 
-
-GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
 # zeta-check stdout, byte for byte (floats included)
 ZETA_CHECK_PINS = {
@@ -395,8 +392,8 @@ def test_hecke_pinned(capsys, name, fmt):
     assert out == HECKE_PINS[name, fmt]
 
 
-def test_growth_rejects_negative_radius(capsys, group_file):
-    path = group_file(FREE3)
+def test_growth_rejects_negative_radius(capsys):
+    path = FREE3
     for command in ("growth", "ball"):
         code, out, err = run(capsys, [command, "--group", path,
                                       "--radius", "-5"])

@@ -12,6 +12,8 @@ from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
+from coxhecke.growth import _locate_root
+from coxhecke.laurent import _poly_mul
 from coxhecke.verify import random_system, suite_growth
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -130,6 +132,89 @@ def test_rho_bracket_sign_change(named_systems):
         assert sum(c * info.bracket_low ** k for k, c in enumerate(den)) > 0
         assert sum(c * info.bracket_high ** k for k, c in enumerate(den)) <= 0
         assert float(info.bracket_high - info.bracket_low) < 1e-11
+
+
+def grid_scan_root(den):
+    """The grid scan plus bisection that located rho before Sturm
+    counting, kept as an oracle: the first grid point k/10^4 where the
+    denominator is <= 0, then bisection down to width 1e-12."""
+    if len(den) == 1:
+        return math.inf, None, None
+
+    def f(x):
+        out = Fraction(0)
+        for c in reversed(den):
+            out = out * x + c
+        return out
+
+    step = Fraction(1, 10**4)
+    prev, x = Fraction(0), step
+    while x <= 1:
+        if f(x) <= 0:
+            lo, hi = prev, x
+            break
+        prev = x
+        x += step
+    else:
+        return math.inf, None, None
+    while float(hi - lo) > 1e-12:
+        mid = (lo + hi) / 2
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2), lo, hi
+
+
+def test_rho_matches_grid_scan_oracle(named_systems):
+    """Identical triples wherever the smallest root is simple: on the
+    named systems and on every component of 60 seeded random graphs,
+    each distinct denominator once."""
+    infos = {}
+    systems = list(named_systems.values())
+    rng = random.Random(23)
+    for _ in range(60):
+        sys = random_system(rng, 9)
+        systems += [sys.subsystem(comp)[0] for comp in sys.components]
+    for sys in systems:
+        info = rho_info(sys)
+        infos[info.denominator] = info
+    assert len(infos) > 25
+    for den, info in infos.items():
+        assert (info.value, info.bracket_low, info.bracket_high) == \
+            grid_scan_root(den), den
+
+
+def test_rho_root_of_even_multiplicity():
+    """Two commuting copies of z2sq-z2: the denominator (1 - t - t^2)^2
+    does not change sign at its smallest root, which is still found."""
+    copy = ["s2", "t2", "u2"]
+    sys = CoxeterSystem(["s", "t", "u"] + copy,
+                        [("t", "u"), ("t2", "u2")]
+                        + [(a, b) for a in "stu" for b in copy])
+    info = rho_info(sys)
+    assert info.denominator == (1, -2, -1, 2, 1)
+    assert info.value == rho(sys) == pytest.approx(1 / GOLDEN, abs=1e-9)
+    assert info.q_below_rho(Fraction(618, 1000))
+    assert info.q_below_rho(info.bracket_low)
+    assert not info.q_below_rho(info.bracket_high)
+    assert not info.q_below_rho(Fraction(619, 1000))
+    # (1 - 2t)^2: every member of the chain vanishes at the grid point 1/2
+    info = _locate_root((1, -4, 4))
+    assert info.bracket_high == Fraction(1, 2)
+    assert info.q_below_rho(info.bracket_low)
+    assert not info.q_below_rho(Fraction(1, 2))
+
+
+def test_rho_two_roots_in_one_grid_cell():
+    """(50002 - 100000 t)(50007 - 100000 t) is positive at both ends of
+    the cell (0.5, 0.5001] that holds both of its roots."""
+    den = tuple(_poly_mul([50002, -100000], [50007, -100000]))
+    info = _locate_root(den)
+    assert info.value == pytest.approx(0.50002, abs=1e-9)
+    assert info.bracket_low < Fraction(50002, 100000) <= info.bracket_high
+    assert info.q_below_rho(Fraction(50001, 100000))
+    assert not info.q_below_rho(Fraction(50003, 100000))
 
 
 def test_rho_reducible_is_min_over_components():

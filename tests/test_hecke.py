@@ -17,8 +17,8 @@ import pytest
 from coxhecke import (InputError, LEFT, RIGHT, LaurentPoly,
                       P_SYMBOL, action_matrix, inner, j_iso, l2_norm, mul,
                       parse_expression, state_phi, t_basis, t_tilde, unit)
-from coxhecke import CoxeterSystem
 from coxhecke.hecke import HeckeElement
+from coxhecke import verify
 from coxhecke.verify import random_system, suite_hecke
 
 from conftest import oracle_unnormalized_mul
@@ -353,8 +353,7 @@ def test_left_right_actions_commute_on_exact_columns(named_systems):
 
 def action_cases():
     """Inputs of the pinned action matrices, on the pentagon at q = 0.37."""
-    sys = CoxeterSystem("pqrst", [("p", "q"), ("q", "r"), ("r", "s"),
-                                  ("s", "t"), ("t", "p")])
+    sys = verify.named_systems()["pentagon"]
     q = 0.37
 
     def elem(terms):
