@@ -10,6 +10,7 @@ byte-identical reports.  Exit codes: 0 success, 1 computational failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho, dykema_decompose
 from .groupfile import load_system
-from .growth import (classify, growth_series, rho, rho_info,
+from .growth import (classify, growth_series, rho_info,
                      verify_central_projection)
 from .hecke import parse_expression
 from .verify import run_suites
@@ -97,7 +98,9 @@ def cmd_info(args) -> int:
 def cmd_ball(args) -> int:
     sys_ = _load(args)
     ball = sys_.ball(args.radius, args.max_ball)
-    counts = sys_.sphere_counts(args.radius, max_total=args.max_ball)
+    counts = [0] * (args.radius + 1)
+    for w in ball:
+        counts[len(w)] += 1
     payload = {
         "command": "ball", "radius": args.radius,
         "size": len(ball), "sphere_counts": counts,
@@ -132,23 +135,22 @@ def cmd_growth(args) -> int:
 
 def cmd_rho(args) -> int:
     sys_ = _load(args)
-    values = {}
-    for comp in sys_.components:
-        info = rho_info(sys_.subsystem(comp)[0])
-        values[",".join(sys_.names[i] for i in comp)] = \
-            None if info.is_finite_group else info.value
-    overall = rho(sys_)
+    values = {",".join(sys_.names[i] for i in comp):
+              rho_info(sys_.subsystem(comp)[0]).value
+              for comp in sys_.components}
+    overall = min(values.values())
     payload = {
         "command": "rho",
         "rho": None if math.isinf(overall) else overall,
-        "components": values,
+        "components": {key: None if math.isinf(v) else v
+                       for key, v in values.items()},
     }
     lines = ["rho = " + ("inf (finite group)" if math.isinf(overall)
                          else f"{overall:.12f}")]
     if len(values) > 1:
         for key, v in values.items():
             lines.append(f"  component {{{key}}}: "
-                         + ("inf" if v is None else f"{v:.12f}"))
+                         + ("inf" if math.isinf(v) else f"{v:.12f}"))
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -278,6 +280,7 @@ def cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxhecke",
@@ -351,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InputError, PreconditionError, DomainError) as exc:

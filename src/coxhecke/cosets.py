@@ -125,20 +125,22 @@ def brute_force_min_rep(system: CoxeterSystem, pair: InfinitePair, w: Element,
 
 def coset_elements(system: CoxeterSystem, info: DoubleCosetInfo,
                    radius: int) -> set[Element]:
-    """All elements of the double coset with length at most radius."""
-    out: set[Element] = set()
-    w0 = info.w0
-    room = radius - len(w0)
-    if room < 0:
-        return out
-    for d in dihedral_words(info.pair, room):
-        dw = system.multiply(system.normalize(d), w0)
-        if len(dw) > radius:
-            continue
-        for d2 in dihedral_words(info.pair, room):
-            cand = system.multiply(dw, system.normalize(d2))
-            if len(cand) <= radius:
-                out.add(cand)
+    """All elements of the double coset with length at most radius.
+
+    Every element factors as d w0 d' with d, d' in D and the lengths
+    adding (Bjorner-Brenti), so it is reached from w0 by lengthening steps
+    with s or t on either side; the walk takes them one level at a time.
+    """
+    if radius < len(info.w0):
+        return set()
+    level = {info.w0}
+    out = set(level)
+    gens = (info.pair.s, info.pair.t)
+    for _ in range(radius - len(info.w0)):
+        steps = (system.mult_gen(v, g, side) for v in level for g in gens
+                 for side in (LEFT, RIGHT))
+        level = {x for x, delta in steps if delta > 0}
+        out |= level
     return out
 
 

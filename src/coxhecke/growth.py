@@ -395,22 +395,16 @@ def zeta_symbol(system: CoxeterSystem, q, radius: int,
     return ZetaVector(system, q, radius, tuple(ball), values, tuple(partials))
 
 
-def check_symbol_commutation(system: CoxeterSystem, s, xi: dict, p,
-                             tol: float = 0.0) -> list[Element]:
+def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
+                             p) -> list[Element]:
     """Check the two-sided constraints a generator imposes on a symbol.
 
     For every w with |sws| = |w| + 2 whose whole quadruple lies in the
     domain of xi, the symbol must satisfy xi(sw) = xi(ws) and
-    xi(sws) = xi(w) + p xi(sw).  Returns the violating w (empty = pass);
-    exact values are compared exactly, floats to within tol.
+    xi(sws) = xi(w) + p xi(sw), compared exactly.  Returns the violating
+    w (empty = pass).
     """
     s = system.generator_index(s)
-
-    def eq(a, b):
-        if isinstance(a, LaurentPoly) or isinstance(b, LaurentPoly):
-            return a == b
-        return abs(a - b) <= tol
-
     witnesses = []
     for w in xi:
         sw, d1 = system.mult_gen(w, s, LEFT)
@@ -422,19 +416,18 @@ def check_symbol_commutation(system: CoxeterSystem, s, xi: dict, p,
             continue
         if sw not in xi or ws not in xi:
             continue
-        if not eq(xi[sw], xi[ws]) or not eq(xi[sws], xi[w] + p * xi[sw]):
+        if xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]:
             witnesses.append(w)
     return sorted(witnesses, key=Element.sort_key)
 
 
 def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
-                              w: Element, xi: dict, p=None,
-                              tol: float = 0.0) -> list[Element]:
+                              w: Element, xi: dict) -> list[Element]:
     """Check that a symbol is radial along one non-degenerate double coset.
 
     Every coset element dwd' in the domain of xi must carry the value
-    xi(w0) q^{(|dwd'| - |w0|)/2}, where w0 is the shortest representative.
-    Exact symbols (Laurent values) are compared exactly using powers of u.
+    xi(w0) u^{|dwd'| - |w0|}, where w0 is the shortest representative;
+    values are Laurent polynomials in u and are compared exactly.
     """
     info = shortest_rep(system, pair, w)
     if not info.nondegenerate:
@@ -446,22 +439,9 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
         raise InputError("the coset's shortest element is outside the symbol")
     radius = max(len(v) for v in xi)
     base = xi[w0]
-    exact = isinstance(base, LaurentPoly)
-    if not exact and p is None:
-        raise InputError("numeric symbols need the evaluation parameter")
-    witnesses = []
-    for v in coset_elements(system, info, radius):
-        if v not in xi:
-            continue
-        gap = len(v) - len(w0)
-        if exact:
-            expected = base * LaurentPoly.u_power(gap)
-            ok = xi[v] == expected
-        else:
-            expected = base * p ** gap        # here p is sqrt(q)
-            ok = abs(xi[v] - expected) <= tol
-        if not ok:
-            witnesses.append(v)
+    witnesses = [v for v in coset_elements(system, info, radius)
+                 if v in xi
+                 and xi[v] != base * LaurentPoly.u_power(len(v) - len(w0))]
     return sorted(witnesses, key=Element.sort_key)
 
 

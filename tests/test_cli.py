@@ -99,6 +99,44 @@ def test_ball(capsys):
     assert "s.t" in out
 
 
+# Recorded before the sphere counts were read off the ball: a finite
+# group's counts end in zeros up to the radius.
+BALL_Z2XZ2_PIN = (
+    '{"command": "ball", "elements": ["e", "s", "t", "s.t"], "radius": 4, '
+    '"schema": 1, "size": 4, "sphere_counts": [1, 2, 1, 0, 0]}\n')
+
+
+def test_ball_pinned_finite_group(capsys, group_file):
+    doc = '{"generators": ["s", "t"], "commuting_pairs": [["s", "t"]]}'
+    code, out, _ = run(capsys, ["ball", "--group", group_file(doc),
+                                "--radius", "4", "--format", "json"])
+    assert code == 0 and out == BALL_Z2XZ2_PIN
+
+
+def test_ball_counts_match_automaton(capsys):
+    for name, sys in named_systems().items():
+        code, out, _ = run(capsys, ["ball", "--group",
+                                    str(GROUPS / f"{name}.json"),
+                                    "--radius", "5", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["sphere_counts"] == sys.sphere_counts(5), name
+
+
+def test_main_repeatable_in_process(capsys):
+    """The parser is built once per process: a repeated call, a call with
+    other option values and one that argparse ends with SystemExit leave
+    the next call's output unchanged."""
+    argv = ["growth", "--group", Z2SQ_Z2, "--format", "json"]
+    first = run(capsys, argv)
+    assert first[0] == 0
+    assert run(capsys, argv) == first
+    run(capsys, argv + ["--radius", "3"])
+    with pytest.raises(SystemExit):
+        main(argv + ["--no-such-flag"])
+    capsys.readouterr()
+    assert run(capsys, argv) == first
+
+
 def test_group_files_match_named_systems():
     """groups/*.json describe the named systems of coxhecke.verify: the same
     generators in the same order and the same commuting pairs."""

@@ -82,6 +82,59 @@ def test_nondegeneracy_is_coset_invariant(free3, z2sq_z2):
                 assert shortest_rep(sys, pair, v).w0 == info.w0
 
 
+def enumerated_coset_elements(sys, info, radius):
+    """The dihedral-product enumeration that coset_elements used before
+    the generator walk, kept as its oracle: every d w0 d' with |d|, |d'|
+    up to the room the radius leaves beyond w0."""
+    out = set()
+    w0 = info.w0
+    room = radius - len(w0)
+    if room < 0:
+        return out
+    for d in dihedral_words(info.pair, room):
+        dw = sys.multiply(sys.normalize(d), w0)
+        if len(dw) > radius:
+            continue
+        for d2 in dihedral_words(info.pair, room):
+            cand = sys.multiply(dw, sys.normalize(d2))
+            if len(cand) <= radius:
+                out.add(cand)
+    return out
+
+
+def infinite_pairs(sys):
+    return [InfinitePair(sys, s, t) for s in range(sys.n)
+            for t in range(sys.n) if s != t and not sys.commutes(s, t)]
+
+
+def assert_walk_matches_enumeration(sys, pair, elements):
+    """Radii below |w0|, equal to it and up to |w0| + 4."""
+    for w in elements:
+        info = shortest_rep(sys, pair, w)
+        for radius in range(len(info.w0) - 1, len(info.w0) + 5):
+            assert coset_elements(sys, info, radius) == \
+                enumerated_coset_elements(sys, info, radius), \
+                (w, pair.s, pair.t, radius)
+
+
+def test_coset_walk_matches_enumeration(named_systems):
+    for sys in named_systems.values():
+        for pair in infinite_pairs(sys):
+            assert_walk_matches_enumeration(sys, pair, sys.ball(2))
+    rng = random.Random(2019)
+    drawn = 0
+    while drawn < 60:
+        sys = random_system(rng)
+        pairs = infinite_pairs(sys)
+        if not pairs:
+            continue
+        ball = sys.ball(3)
+        for pair in rng.sample(pairs, min(2, len(pairs))):
+            assert_walk_matches_enumeration(
+                sys, pair, rng.sample(ball, min(4, len(ball))))
+        drawn += 1
+
+
 def test_gamma_neighbors(free3, z2sq_z2):
     assert gamma_neighbors(free3, free3.identity) == set()
     nb = {str(x) for x in gamma_neighbors(free3, free3.element("u"))}
@@ -167,8 +220,7 @@ def test_edge_list_export(free3):
 
 
 def assert_support_rule_matches_shortest_rep(sys, radius):
-    pairs = [InfinitePair(sys, s, t) for s in range(sys.n)
-             for t in range(sys.n) if s != t and not sys.commutes(s, t)]
+    pairs = infinite_pairs(sys)
     for w in sys.ball(radius):
         for pair in pairs:
             assert coset_nondegenerate(pair, w) == \

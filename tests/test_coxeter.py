@@ -354,12 +354,8 @@ def test_ball_table_matches_mult_gen(named_systems, name, radius):
 def test_ball_table_matches_mult_gen_random_graphs():
     rng = random.Random(2015)
     for _ in range(60):
-        n = rng.randint(1, 8)
-        density = rng.random()
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < density]
-        sys = CoxeterSystem([f"g{i}" for i in range(n)], pairs)
-        assert_table_matches_mult_gen(sys, 6 if n <= 4 else 4)
+        sys = random_system(rng)
+        assert_table_matches_mult_gen(sys, 6 if sys.n <= 4 else 4)
 
 
 

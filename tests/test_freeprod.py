@@ -2,6 +2,7 @@
 iterated decomposition, and agreement with the growth-radius criterion."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from coxhecke import (CoxeterSystem, FreeFactorSpec, InputError,
                       PreconditionError, closed_form_condition,
                       cross_validate_with_rho, dykema_decompose,
-                      freeness_test, hvn_z2_idempotents, mu_k, mul,
+                      freeness_test, hvn_z2_idempotents, mu_k, mul, rho,
                       state_phi)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -180,6 +181,28 @@ def test_cross_validation_q_one_always_factor():
         cv = cross_validate_with_rho(FreeFactorSpec(ranks), 1)
         assert cv.agrees
         assert cv.classification.classification == "factor"
+
+
+def test_cross_validation_random_specs():
+    """Seeded random ranks (2-4 factors of rank 1-4, at least three
+    generators), each at two rational q drawn at random and two within 2%
+    of the flip point 1/rho and its dual rho."""
+    rng = random.Random(2020)
+    specs = 0
+    while specs < 60:
+        ranks = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4)))
+        if sum(ranks) < 3:
+            continue
+        spec = FreeFactorSpec(ranks)
+        r = rho(spec.system())
+        qs = [Fraction(rng.randint(1, 40), rng.randint(1, 40))
+              for _ in range(2)]
+        for flip in (1 / r, r):
+            near = flip * (1 + rng.choice((-1, 1)) * rng.uniform(1e-3, 0.02))
+            qs.append(Fraction(near).limit_denominator(10**6))
+        for q in qs:
+            assert cross_validate_with_rho(spec, q).agrees, (ranks, q)
+        specs += 1
 
 
 # -- freeness ------------------------------------------------------------------------
