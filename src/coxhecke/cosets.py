@@ -8,6 +8,15 @@ graph on the group joins w to ws and sw whenever some t makes the coset
 of w non-degenerate; restricted to a metric ball it decomposes into one
 large component plus isolated vertices, which this module verifies
 empirically.
+
+Degeneracy is decided by support.  Write K for the generators that
+commute with both s and t; DwD is degenerate iff supp(w) lies in
+{s, t} + K.  If it does, w = d k with d in D and supp(k) in K (letters
+of K commute past s and t), so w0 = k, which has no descent in {s, t},
+and k commutes with s and t.  Conversely, if w0 commutes with s and t,
+then supp(w0) lies in C(s) & C(t) = K (the centralizer of a generator s
+of a right-angled group is generated by C(s)), and w = d w0 d' with
+d, d' in D gives supp(w) within {s, t} + supp(w0).
 """
 
 from __future__ import annotations

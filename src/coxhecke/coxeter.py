@@ -43,6 +43,19 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _component(adj: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of the connected component of vertex ``start`` in the
+    subgraph that the bitmask ``within`` induces on adjacency ``adj``."""
+    comp = frontier = 1 << start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & within & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 class CoxeterSystem:
     """A right-angled Coxeter system on an ordered finite generating set.
 
@@ -137,14 +150,7 @@ class CoxeterSystem:
         for start in range(self.n):
             if (seen >> start) & 1:
                 continue
-            comp = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                if (comp >> v) & 1:
-                    continue
-                comp |= 1 << v
-                stack.extend(_bits(self._noncomm[v] & ~comp))
+            comp = _component(self._noncomm, start, self._full)
             seen |= comp
             comps.append(tuple(_bits(comp)))
         return tuple(comps)

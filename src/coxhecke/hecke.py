@@ -314,10 +314,7 @@ def j_iso(a: HeckeElement) -> HeckeElement:
 
         j(a b) = mul(j(a), j(b), p_override=-p)
 
-    holds exactly, and j composed with itself is the identity.  (Rewriting
-    the image in the target's own formal coordinates would substitute
-    u -> 1/u in every coefficient and restore the standard p; that
-    coordinate change is available as LaurentPoly.substitute_u_inverse.)
+    holds exactly, and j composed with itself is the identity.
     Exact mode only; numeric elements should be specialized afterwards.
     """
     if a.q is not None:
@@ -370,10 +367,6 @@ class ActionMatrix:
     matrix: np.ndarray
     exact_columns: np.ndarray
     side: str
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
 
 
 def _action_by_products(a: HeckeElement, ball: list[Element],

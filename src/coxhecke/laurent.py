@@ -214,29 +214,14 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def substitute_u_inverse(self) -> "LaurentPoly":
-        """The image under u -> 1/u (negates every exponent)."""
-        return LaurentPoly({-k: c for k, c in self.terms.items()})
-
     def conjugate(self) -> "LaurentPoly":
         """Complex conjugation; the identity on rational coefficients."""
         return self
-
-    def is_constant(self) -> bool:
-        return all(k == 0 for k in self.terms)
-
-    def constant_value(self) -> Fraction | int:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get(0, 0)
 
     def evaluate(self, u_value: float) -> float:
         """Numeric value at a concrete u (callers pass sqrt(q)); ``fsum``
         makes it independent of the order of the terms."""
         return math.fsum(float(c) * u_value ** k for k, c in self.terms.items())
-
-    def evaluate_at_q(self, q: float) -> float:
-        return self.evaluate(math.sqrt(q))
 
     def __str__(self):
         return _terms_str(sorted(self.terms.items()), "u")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,22 @@ def test_growth_json(capsys):
     assert doc["numerator"] == [1, 2, 1]
     assert doc["denominator"] == [1, -1, -1]
     assert doc["coefficients"][:5] == [1, 3, 5, 8, 13]
+
+
+def test_growth_rho_classify_on_62_commuting_generators(capsys, group_file):
+    """Z2^62, the largest group the constructor accepts, has 2^62 cliques:
+    the series is counted without visiting them."""
+    names = [f"g{i}" for i in range(62)]
+    pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1:]]
+    path = group_file(json.dumps({"generators": names,
+                                  "commuting_pairs": pairs}))
+    code, out, _ = run(capsys, ["growth", "--group", path, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["numerator"] == [math.comb(62, k)
+                                            for k in range(63)]
+    for argv in (["rho"], ["classify", "--q", "1/2"]):
+        code, _, _ = run(capsys, argv + ["--group", path])
+        assert code == 0
 
 
 def test_rho(capsys):

@@ -12,8 +12,8 @@ from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
-from coxhecke.growth import _locate_root
-from coxhecke.laurent import _poly_mul
+from coxhecke.growth import _clique_polynomial, _locate_root
+from coxhecke.laurent import _poly_mul, _poly_trim
 from coxhecke.verify import random_system, suite_growth
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -31,8 +31,9 @@ def test_growth_series_closed_forms(free3, z2sq_z2, pentagon):
     assert (g.numerator, g.denominator) == ((1, 2, 1), (1, -3, 1))
     g = growth_series(CoxeterSystem("st", [("s", "t")]))
     assert (g.numerator, g.denominator) == ((1, 2, 1), (1,))
-    # a free product of n involutions: (1+t)/(1-(n-1)t); Z2^n: (1+t)^n
-    for n in range(2, 9):
+    # a free product of n involutions: (1+t)/(1-(n-1)t); Z2^n: (1+t)^n,
+    # up to the constructor's 62 generators (Z2^62 has 2^62 cliques)
+    for n in (*range(2, 9), 62):
         names = [f"g{i}" for i in range(n)]
         g = growth_series(CoxeterSystem(names))
         assert (g.numerator, g.denominator) == ((1, 1), (1, -(n - 1)))
@@ -91,6 +92,71 @@ def test_growth_series_lowest_terms_on_random_graphs():
         at_minus_one = sum(c * (-1) ** i
                            for i, c in enumerate(series.denominator))
         assert at_minus_one != 0 or m == 0, sys
+        assert m == len(_poly_trim(enumerated_clique_counts(sys))) - 1, sys
+
+
+def enumerated_clique_counts(system):
+    """Clique counts by visiting every clique of the commutation graph
+    (the empty one included), as the growth series was built before the
+    independence-polynomial recursion; kept as an oracle.  Entries past
+    the clique number are zero."""
+    n = system.n
+    counts = [0] * (n + 1)
+
+    def rec(size: int, allowed: int, start: int):
+        counts[size] += 1
+        m = allowed & ~((1 << start) - 1) if start else allowed
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            rec(size + 1, allowed & system._comm[v], v + 1)
+
+    rec(0, (1 << n) - 1, 0)
+    return counts
+
+
+def dense_system(rng, n, tree_size=6):
+    """Every pair commutes except along a random tree on ``tree_size``
+    generators: one irreducible component plus n - tree_size Z2 factors."""
+    tree = rng.sample(range(n), tree_size)
+    apart = set()
+    for k in range(1, tree_size):
+        a, b = tree[k], tree[rng.randrange(k)]
+        apart.add((min(a, b), max(a, b)))
+    names = [f"g{i}" for i in range(n)]
+    return CoxeterSystem(names, [(names[i], names[j]) for i in range(n)
+                                 for j in range(i + 1, n)
+                                 if (i, j) not in apart])
+
+
+def test_clique_polynomial_matches_enumeration():
+    rng = random.Random(29)
+    systems = [random_system(rng, 12) for _ in range(60)]
+    systems += [dense_system(rng, n) for n in (18, 18, 20, 20)]
+    for sys in systems:
+        assert _clique_polynomial(sys) == \
+            _poly_trim(enumerated_clique_counts(sys)), sys.names
+
+
+def test_growth_series_multiplies_over_components():
+    """A reducible 60-generator graph at commuting density 0.97: the series
+    is the product of its components' series, already in lowest terms."""
+    rng = random.Random(7)
+    names = [f"g{i}" for i in range(60)]
+    while True:
+        sys = CoxeterSystem(names, [(a, b) for i, a in enumerate(names)
+                                    for b in names[i + 1:]
+                                    if rng.random() < 0.97])
+        if len(sys.components) > 1:
+            break
+    num, den = [1], [1]
+    for comp in sys.components:
+        part = growth_series(sys.subsystem(comp)[0])
+        num = _poly_mul(num, part.numerator)
+        den = _poly_mul(den, part.denominator)
+    series = growth_series(sys)
+    assert (series.numerator, series.denominator) == (tuple(num), tuple(den))
 
 
 def test_taylor_recurrence_against_direct_division():
