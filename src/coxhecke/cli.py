@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the center structure of the completed algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, radius=None, q=False):
+    def common(p, group=True, radius=None, q=False, max_ball=False):
         if group:
             p.add_argument("--group", help="path to a JSON group file")
         if radius is not None:
@@ -298,17 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", required=True,
                            help="parameter, a rational like 1/4 or a decimal")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-ball", type=int, default=DEFAULT_MAX_BALL,
-                       help="cap on enumerated elements")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suites")
+        if max_ball:
+            p.add_argument("--max-ball", type=int, default=DEFAULT_MAX_BALL,
+                           help="cap on enumerated elements")
 
     p = sub.add_parser("info", help="summarize a group file")
     common(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("ball", help="enumerate a metric ball")
-    common(p, radius=3)
+    common(p, radius=3, max_ball=True)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("growth", help="rational growth series")
@@ -324,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gamma", help="interaction graph on a ball")
-    common(p, radius=5)
+    common(p, radius=5, max_ball=True)
     p.add_argument("--slack", type=int, default=2)
     p.add_argument("--edges-out", help="write the edge list to a file")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("zeta-check",
                        help="certify the radial central projection at q < rho")
-    common(p, radius=8, q=True)
+    common(p, radius=8, q=True, max_ball=True)
     p.set_defaults(func=cmd_zeta_check)
 
     p = sub.add_parser("dykema",
@@ -348,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     common(p, group=False)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized suites")
     p.set_defaults(func=cmd_verify)
 
     return parser

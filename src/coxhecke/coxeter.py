@@ -112,11 +112,10 @@ class CoxeterSystem:
         self.components = self._connected_components()
         self.irreducible = len(self.components) == 1
 
-        # Transition tables of the canonical-word automaton: after emitting
-        # letter t, letter s may follow iff s != t and either s, t do not
-        # commute, or they commute with t < s and s was allowed before t.
+        # Canonical-word automaton, with _noncomm: after emitting letter t,
+        # letter s may follow iff s != t and either s, t do not commute, or
+        # they commute with t < s and s was allowed before t.
         gt = [full & ~((1 << (i + 1)) - 1) for i in range(self.n)]
-        self._ext_nc = self._noncomm
         self._ext_cgt = tuple(comm[i] & gt[i] for i in range(self.n))
 
         self._identity = Element(self, ())
@@ -393,39 +392,42 @@ class CoxeterSystem:
     # -- enumeration ---------------------------------------------------------
 
     def _ball_levels(self, radius: int, max_elements: int):
-        """Canonical words with their automaton masks, level by level.
+        """Canonical words in ball order, with (parent index, last letter)
+        arrays for levels 1, 2, ... of their prefix tree.
 
         Canonical words are closed under prefixes, so each element is
         produced exactly once by extending its parent with its last letter;
-        no deduplication is needed.
+        no deduplication is needed.  A level is one automaton step on the
+        array of its states: children by parent, then letter (ShortLex).
         """
         if radius < 0:
             raise InputError("radius must be nonnegative")
-        levels = [[((), self._full)]]
-        total = 1
-        nc, cgt = self._ext_nc, self._ext_cgt
+        words: list[Word] = [()]
+        tree = []
+        masks = np.array([self._full], dtype=np.int64)
+        bits = np.left_shift(1, np.arange(self.n, dtype=np.int64))
+        nc, cgt = np.array([self._noncomm, self._ext_cgt], dtype=np.int64)
+        start = 0
         for _ in range(radius):
-            cur = levels[-1]
-            nxt = []
-            for word, mask in cur:
-                for s in _bits(mask):
-                    nxt.append((word + (s,), nc[s] | (cgt[s] & mask)))
-            total += len(nxt)
-            if total > max_elements:
+            parent, last = np.nonzero(masks[:, None] & bits)
+            if len(words) + len(parent) > max_elements:
                 raise CapacityError(
                     f"ball would exceed {max_elements} elements; raise the cap "
                     "to enumerate further")
-            if not nxt:
+            if not len(parent):
                 break
-            levels.append(nxt)
-        return levels
+            masks = nc[last] | (cgt[last] & masks[parent])
+            parent += start               # level-local to ball indices
+            start = len(words)
+            words += [words[p] + (s,)
+                      for p, s in zip(parent.tolist(), last.tolist())]
+            tree.append((parent, last))
+        return words, tree
 
     def ball(self, radius: int, max_elements: int = DEFAULT_MAX_BALL) -> list["Element"]:
         """All elements of length at most radius, sorted by (length, ShortLex)."""
-        out = []
-        for level in self._ball_levels(radius, max_elements):
-            out.extend(Element(self, word) for word, _ in level)
-        return out
+        return [Element(self, word)
+                for word in self._ball_levels(radius, max_elements)[0]]
 
     def ball_table(self, radius: int, max_elements: int = DEFAULT_MAX_BALL
                    ) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
@@ -442,25 +444,21 @@ class CoxeterSystem:
         lengthening entry is the reverse of a descent entry of the level
         above, so a level's row is complete once the next level is built.
         """
-        levels = self._ball_levels(radius, max_elements)
-        words = [word for level in levels for word, _ in level]
-        lengths = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+        words, tree = self._ball_levels(radius, max_elements)
+        lengths = np.repeat(np.arange(len(tree) + 1),
+                            [1] + [len(parent) for parent, _ in tree])
         right = np.full((self.n, len(words)), -1, dtype=np.int64)
         descent = np.zeros((self.n, len(words)), dtype=bool)
-        comm = np.array(self._comm, dtype=np.int64)
-        bits = np.left_shift(1, np.arange(self.n, dtype=np.int64))
-        start = 0
-        for level, nxt in zip(levels, levels[1:]):
-            masks = np.array([mask for _, mask in level], dtype=np.int64)
-            # children in enumeration order: by parent, then by last letter
-            parent, last = np.nonzero(masks[:, None] & bits)
-            parent += start
-            start += len(level)
-            child = np.arange(start, start + len(nxt))
+        commutes = ((np.array(self._comm, dtype=np.int64)[:, None]
+                     >> np.arange(self.n)) & 1).astype(bool)
+        end = 1
+        for parent, last in tree:
+            child = np.arange(end, end + len(parent))
+            end += len(parent)
             for s in range(self.n):
                 own = last == s
                 right[s, child[own]] = parent[own]
-                other = (comm[last] & bits[s] != 0) & descent[s, parent]
+                other = commutes[s][last] & descent[s, parent]
                 right[s, child[other]] = right[last[other],
                                                right[s, parent[other]]]
                 descent[s, child] = own | other
@@ -528,8 +526,10 @@ class CoxeterSystem:
     def _sphere_sizes(self, depth: int) -> Iterator[int]:
         """Sphere sizes a_0..a_depth by the canonical-word automaton (the
         ShortLex automatic structure of Brink-Howlett): each level maps a
-        state, the mask of :meth:`_ball_levels`, to the words reaching it."""
-        nc, cgt = self._ext_nc, self._ext_cgt
+        state, the mask of :meth:`_ball_levels`, to the words reaching it.
+        The state cap is checked after each parent state, so a level never
+        holds more than cap + n states."""
+        nc, cgt = self._noncomm, self._ext_cgt
         level = {self._full: 1}
         yield 1
         for k in range(1, depth + 1):
@@ -538,10 +538,10 @@ class CoxeterSystem:
                 for s in _bits(mask):
                     state = nc[s] | (cgt[s] & mask)
                     nxt[state] = nxt.get(state, 0) + count
-            if len(nxt) > DEFAULT_MAX_BALL:
-                raise CapacityError(
-                    f"sphere automaton level {k} has {len(nxt)} states, "
-                    f"more than the cap of {DEFAULT_MAX_BALL}")
+                if len(nxt) > DEFAULT_MAX_BALL:
+                    raise CapacityError(
+                        f"sphere automaton level {k} has at least {len(nxt)} "
+                        f"states, more than the cap of {DEFAULT_MAX_BALL}")
             level = nxt
             yield sum(level.values())
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .coxeter import CoxeterSystem, Element
 from .errors import InputError, PreconditionError
 from .hecke import HeckeElement, mul, state_phi, t_basis, unit
-from .growth import (FACTOR, FACTOR_PLUS_C, CenterReport, classify, rho)
+from .growth import FACTOR, FACTOR_PLUS_C, CenterReport, classify
 from .laurent import LaurentPoly
 
 
@@ -282,7 +282,7 @@ def cross_validate_with_rho(spec: FreeFactorSpec, q) -> CrossValidation:
         agrees = agrees and (atom_count == (1 if condition else 0))
     return CrossValidation(spec=spec, q=q, condition=condition,
                            atom_count=-1 if atom_count is None else atom_count,
-                           classification=report, rho=rho(system),
+                           classification=report, rho=report.rho,
                            agrees=agrees)
 
 

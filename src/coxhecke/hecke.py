@@ -141,12 +141,11 @@ class HeckeElement:
     # -- involution and state ------------------------------------------------------
 
     def star(self) -> "HeckeElement":
-        """The adjoint: conjugate coefficients on inverted basis words."""
+        """The adjoint: the same coefficients on inverted basis words
+        (coefficients are real, so conjugation fixes them)."""
         sys = self.system
-        out = {}
-        for w, c in self.terms.items():
-            out[sys.inverse(w)] = c.conjugate() if self.q is None else c
-        return HeckeElement(sys, out, self.q)
+        return HeckeElement(sys, {sys.inverse(w): c
+                                  for w, c in self.terms.items()}, self.q)
 
     def phi(self):
         """The vacuum state: the coefficient of the identity basis term."""
@@ -332,14 +331,15 @@ def state_phi(a: HeckeElement):
 
 
 def inner(a: HeckeElement, b: HeckeElement):
-    """l2 pairing of symbols: sum over w of coeff_a(w) * conj(coeff_b(w))."""
+    """l2 pairing of symbols: sum over w of coeff_a(w) * coeff_b(w); the
+    coefficients are real, so no conjugation is needed."""
     a._check_compat(b)
     if a.q is None:
         total = LaurentPoly.zero()
         for w, c in a.terms.items():
             d = b.terms.get(w)
             if d is not None:
-                total = total + c * d.conjugate()
+                total = total + c * d
         return total
     return float(sum(c * b.terms.get(w, 0.0) for w, c in a.terms.items()))
 

@@ -214,10 +214,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def conjugate(self) -> "LaurentPoly":
-        """Complex conjugation; the identity on rational coefficients."""
-        return self
-
     def evaluate(self, u_value: float) -> float:
         """Numeric value at a concrete u (callers pass sqrt(q)); ``fsum``
         makes it independent of the order of the terms."""

@@ -107,6 +107,21 @@ BALL_Z2XZ2_PIN = (
     '"schema": 1, "size": 4, "sphere_counts": [1, 2, 1, 0, 0]}\n')
 
 
+def test_options_only_where_read(capsys):
+    """--max-ball is read by ball, gamma and zeta-check only, and --seed by
+    verify only; elsewhere argparse rejects them."""
+    for argv in (["growth", "--group", FREE3, "--max-ball", "5"],
+                 ["classify", "--group", FREE3, "--q", "1/4", "--seed", "3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, ["ball", "--group", FREE3, "--radius", "6",
+                                  "--max-ball", "100"])
+    assert code == 1 and out == ""
+    assert "exceed 100 elements" in err
+
+
 def test_ball_pinned_finite_group(capsys, group_file):
     doc = '{"generators": ["s", "t"], "commuting_pairs": [["s", "t"]]}'
     code, out, _ = run(capsys, ["ball", "--group", group_file(doc),

@@ -9,6 +9,7 @@ and the canonical form must be the ShortLex-least member.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -331,6 +332,75 @@ def test_ball_capacity_guard(free3):
         free3.sphere_counts(30, max_total=1000)
 
 
+def test_ball_exact_capacity_boundary(free3):
+    size = len(free3.ball(6))
+    assert len(free3.ball(6, max_elements=size)) == size
+    with pytest.raises(CapacityError,
+                       match=rf"ball would exceed {size - 1} elements"):
+        free3.ball(6, max_elements=size - 1)
+
+
+def enumerated_ball_words(system, radius, max_elements):
+    """Canonical words of the ball, extending one (word, mask) pair at a
+    time as the ball was enumerated before the level walk on arrays; kept
+    as an oracle."""
+    levels = [[((), system._full)]]
+    total = 1
+    nc, cgt = system._noncomm, system._ext_cgt
+    for _ in range(radius):
+        nxt = []
+        for word, mask in levels[-1]:
+            for s in coxeter._bits(mask):
+                nxt.append((word + (s,), nc[s] | (cgt[s] & mask)))
+        total += len(nxt)
+        if total > max_elements:
+            raise CapacityError(
+                f"ball would exceed {max_elements} elements; raise the cap "
+                "to enumerate further")
+        if not nxt:
+            break
+        levels.append(nxt)
+    return [word for level in levels for word, _ in level]
+
+
+def assert_walk_matches_enumeration(sys, radius, max_elements=10**6):
+    """Words of ball() and ball_table() against the oracle, or the same
+    capacity message when the cap is hit."""
+    try:
+        expected = enumerated_ball_words(sys, radius, max_elements)
+    except CapacityError as exc:
+        for call in (sys.ball, sys.ball_table):
+            with pytest.raises(CapacityError) as info:
+                call(radius, max_elements)
+            assert str(info.value) == str(exc)
+        return
+    assert [w.word for w in sys.ball(radius, max_elements)] == expected
+    assert sys.ball_table(radius, max_elements)[0] == expected
+
+
+@pytest.mark.parametrize("name,radius",
+                         [("free3", 10), ("z2sq-z2", 10), ("pentagon", 8)])
+def test_ball_walk_matches_enumeration(named_systems, name, radius):
+    assert_walk_matches_enumeration(named_systems[name], radius)
+
+
+def test_ball_walk_matches_enumeration_random_graphs():
+    rng = random.Random(2018)
+    for _ in range(60):
+        sys = random_system(rng, 9)
+        assert_walk_matches_enumeration(sys, 5)
+        assert_walk_matches_enumeration(sys, 5, max_elements=50)
+
+
+def test_ball_walk_matches_enumeration_62_generators():
+    """The free product of 62 involutions and Z2^62 use mask bit 61."""
+    names = [f"g{i}" for i in range(62)]
+    for sys in (CoxeterSystem(names),
+                CoxeterSystem(names, itertools.combinations(range(62), 2))):
+        assert_walk_matches_enumeration(sys, 2)
+        assert_walk_matches_enumeration(sys, 3, max_elements=5000)
+
+
 def assert_table_matches_mult_gen(sys, radius):
     """Every entry of the recurrence-built table against mult_gen."""
     words, lengths, right, descent = sys.ball_table(radius)
@@ -446,6 +516,21 @@ def test_sphere_automaton_state_cap(free3, monkeypatch):
     assert free3.sphere_counts(0) == [1]
     with pytest.raises(CapacityError, match=r"3 states, more than the cap of 2"):
         free3.sphere_counts(1)
+
+
+def test_sphere_automaton_state_cap_fails_fast(monkeypatch):
+    """The cap is checked after each parent state: a level of 49 states
+    stops at no more than cap + n of them."""
+    rng = random.Random(14)
+    pairs = [p for p in itertools.combinations(range(14), 2)
+             if rng.random() < 0.7]
+    sys = CoxeterSystem([f"g{i}" for i in range(14)], pairs)
+    assert len(list(sys._sphere_sizes(5))) == 6
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_BALL", 30)
+    with pytest.raises(CapacityError, match="level 3 has at least") as info:
+        sys.sphere_counts(5)
+    states = int(re.search(r"at least (\d+) states", str(info.value))[1])
+    assert 30 < states <= 30 + 14
 
 
 def test_ball_matches_sphere_partial_sums(named_systems):
