@@ -22,7 +22,7 @@ from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho, dykema_decompose
 from .groupfile import load_system
-from .growth import (classify, growth_series, rho_info,
+from .growth import (classify, component_rhos, growth_series, rho,
                      verify_central_projection)
 from .hecke import parse_expression
 from .verify import run_suites
@@ -135,10 +135,9 @@ def cmd_growth(args) -> int:
 
 def cmd_rho(args) -> int:
     sys_ = _load(args)
-    values = {",".join(sys_.names[i] for i in comp):
-              rho_info(sys_.subsystem(comp)[0]).value
-              for comp in sys_.components}
-    overall = min(values.values())
+    values = {",".join(sys_.names[i] for i in comp): v
+              for comp, v in component_rhos(sys_).items()}
+    overall = rho(sys_)
     payload = {
         "command": "rho",
         "rho": None if math.isinf(overall) else overall,

@@ -316,41 +316,44 @@ class CoxeterSystem:
         letters that commute with s.  On the left, the leading letters
         smaller than s and commuting with it stay in front; s goes next
         unless a smaller letter that does not commute with s follows, and
-        only then is the rest re-sorted.
+        only then is the rest re-sorted.  Deleting s re-sorts only on the left.
         """
         self._check_own(a)
         s = self.generator_index(s)
+        if side not in (LEFT, RIGHT):
+            raise InputError(f"side must be {LEFT!r} or {RIGHT!r}")
+        word, delta = self._step(a.word, s, side)
+        return Element(self, word), delta
+
+    def _step(self, word: Word, s: int, side: str) -> tuple[Word, int]:
+        """:meth:`mult_gen` on a canonical word and a generator index."""
         comm = self._comm[s]
-        word = list(a.word)
         if side == RIGHT:
             i = len(word) - 1
             while i >= 0:
                 t = word[i]
                 if t == s:
-                    del word[i]
-                    return Element(self, self._lex_least(word)), -1
+                    # the rest stays canonical (see the README)
+                    return word[:i] + word[i + 1:], -1
                 if not ((comm >> t) & 1):
                     break
                 i -= 1
             i += 1
             while i < len(word) and word[i] < s:
                 i += 1
-            return Element(self, tuple(word[:i]) + (s,) + tuple(word[i:])), +1
-        if side != LEFT:
-            raise InputError(f"side must be {LEFT!r} or {RIGHT!r}")
+            return word[:i] + (s,) + word[i:], +1
         for i, t in enumerate(word):
             if t == s:
-                del word[i]
-                return Element(self, self._lex_least(word)), -1
+                return self._lex_least(word[:i] + word[i + 1:]), -1
             if not ((comm >> t) & 1):
                 break
         i = 0
         while i < len(word) and word[i] < s and (comm >> word[i]) & 1:
             i += 1
-        tail = [s] + word[i:]
+        tail = (s,) + word[i:]
         if i < len(word) and word[i] < s:
             tail = self._lex_least(tail)
-        return Element(self, tuple(word[:i]) + tuple(tail)), +1
+        return word[:i] + tail, +1
 
     def descent_sets(self, a: "Element") -> tuple[frozenset[int], frozenset[int]]:
         """(D_L, D_R): generators shortening a on the left / right."""

@@ -219,15 +219,19 @@ def _locate_root(den: tuple[int, ...]) -> RhoInfo:
                    Fraction(a + 1, scale), den)
 
 
+def component_rhos(system: CoxeterSystem) -> dict[tuple[int, ...], float]:
+    """The convergence radius of each irreducible component, by indices."""
+    return {comp: rho_info(system.subsystem(comp)[0]).value
+            for comp in system.components}
+
+
 def rho(system: CoxeterSystem) -> float:
     """Convergence radius of the growth series; inf for a finite group.
 
     For reducible systems the growth series multiplies over components,
-    so the radius is the minimum over the irreducible components (inf for
-    a finite one).
+    so the radius is the minimum of :func:`component_rhos`.
     """
-    return min(rho_info(system.subsystem(comp)[0]).value
-               for comp in system.components)
+    return min(component_rhos(system).values())
 
 
 # -- factoriality classification ----------------------------------------------------

@@ -13,8 +13,10 @@ mode fixes a concrete q > 0 and keeps float coefficients.
 By the recursion, a product of basis terms is T_v T_w = sum_x n_x(p) T_x
 with integer structure constants: each n_x is a polynomial in p with
 nonnegative integer coefficients.  Exact products compute these as dense
-``int`` lists and expand each target's Laurent coefficient once, with
-rational coefficients cleared to integers first.  Numeric products run the
+``int`` lists on canonical words by peeling the shorter factor: w on the
+right when |w| <= |v| (ties go right, where a step never re-sorts), else
+v on the left.  Each target's coefficient is built once, with rational
+coefficients cleared to integers first.  Numeric products run the
 recursion on the float coefficients themselves, term by term, which fixes
 the order of every float sum (:func:`action_matrix` follows the same order).
 """
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
+from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element, Word
 from .errors import InputError, ParseError
 from .laurent import LaurentPoly, P_SYMBOL, _coerce, _poly_add
 
@@ -206,19 +208,23 @@ def _gen_mul(system: CoxeterSystem, s: int, terms: dict, p, side: str, zero):
     return {w: c for w, c in out.items() if c}
 
 
-def _structure_constants(system: CoxeterSystem, v: Element,
-                         w: Element) -> dict[Element, list[int]]:
-    """T_v T_w as {x: n_x}, each n_x a dense int list in powers of p.
-
-    Peels v's canonical word over {w: [1]}: T_s sends the term n T_x to
-    n T_sx, plus (p n) T_x on a descent.  The coefficients stay
-    nonnegative, so no term cancels.
+def _structure_constants(system: CoxeterSystem, v: Word,
+                         w: Word) -> dict[Word, list[int]]:
+    """T_v T_w as {x: n_x} on canonical words, n_x a dense int list in
+    powers of p.  Peels the shorter word (w in order on the right of
+    {v: [1]} when |w| <= |v|, else v from its end on the left of {w: [1]}):
+    T_s sends n T_x to n T_xs (or n T_sx), plus (p n) T_x on a descent.
+    The coefficients stay nonnegative, so no term cancels.
     """
-    cur = {w: [1]}
-    for s in reversed(v.word):
-        nxt: dict[Element, list[int]] = {}
+    if len(w) <= len(v):
+        cur, letters, side = {v: [1]}, w, RIGHT
+    else:
+        cur, letters, side = {w: [1]}, v[::-1], LEFT
+    step = system._step
+    for s in letters:
+        nxt: dict[Word, list[int]] = {}
         for x, n in cur.items():
-            sx, delta = system.mult_gen(x, s, LEFT)
+            sx, delta = step(x, s, side)
             old = nxt.get(sx)
             nxt[sx] = n if old is None else _poly_add(old, n)
             if delta < 0:
@@ -228,28 +234,38 @@ def _structure_constants(system: CoxeterSystem, v: Element,
     return cur
 
 
-def _numerators(a: HeckeElement) -> tuple[int, dict[Element, dict[int, int]]]:
+def _numerators(a: HeckeElement) -> tuple[int, dict[Word, dict[int, int]]]:
     """A common denominator d of a's coefficients, and the coefficients of
-    d a as {w: {exponent: int}}."""
+    d a as {canonical word: {exponent: int}}."""
     d = 1
     for c in a.terms.values():
         for x in c.terms.values():
             if type(x) is not int:
                 d = math.lcm(d, x.denominator)
-    return d, {w: {e: x * d if type(x) is int
-                   else x.numerator * (d // x.denominator)
-                   for e, x in c.terms.items()}
+    return d, {w.word: {e: x * d if type(x) is int
+                        else x.numerator * (d // x.denominator)
+                        for e, x in c.terms.items()}
                for w, c in a.terms.items()}
+
+
+def _clean(cls, **slots):
+    """The private constructor of an immutable class, for slot values that
+    are clean by construction."""
+    out = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
     """The exact product on the integer numerators of a and b: c_a c_b
     n_x(p) is summed into one exponent dict per target x, with the powers
-    of p computed once, and divided by the common denominator at the end."""
+    of p computed once, and divided by the common denominator d at the end
+    (an int where d divides it); the output is built without re-validation."""
     da, num_a = _numerators(a)
     db, num_b = _numerators(b)
     powers = [LaurentPoly.one()]
-    result: dict[Element, dict[int, int]] = {}
+    result: dict[Word, dict[int, int]] = {}
     for v, ca in num_a.items():
         for w, cb in num_b.items():
             cab: dict[int, int] = {}
@@ -268,23 +284,29 @@ def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement
                         for e2, c2 in pk.terms.items():
                             acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
     d = da * db
-    return HeckeElement(a.system, {
-        x: LaurentPoly({e: Fraction(c, d) for e, c in acc.items()}
-                       if d > 1 else acc)
-        for x, acc in result.items()})
+    terms = {}
+    for x, acc in result.items():
+        c = {e: n // d if n % d == 0 else Fraction(n, d)
+             for e, n in acc.items() if n}
+        if c:
+            terms[Element(a.system, x)] = _clean(LaurentPoly, terms=c)
+    return _clean(HeckeElement, system=a.system, q=None, terms=terms)
 
 
 def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     """The Hecke product ab.
 
-    The left factor is peeled one generator at a time along its canonical
-    word, applying the defining recursion; ``p_override`` substitutes a
-    different structure constant (used for the sign-twisted target algebra
-    of the duality isomorphism).  In exact mode each pair of basis terms
-    goes through its integer structure constants, and ``p_override`` must
-    be exact (a LaurentPoly or a rational).  In numeric mode the recursion
-    runs on the float coefficients themselves, term by term, so the order
-    of the float sums is that of the recursion.
+    In exact mode each pair of basis terms T_v T_w goes through its
+    integer structure constants, computed by peeling the shorter word one
+    generator at a time with the defining recursion: w from its start on
+    the right of T_v when |w| <= |v| (ties go right, where a step never
+    re-sorts the canonical word), else v from its end on the left of T_w.
+    ``p_override`` substitutes a different structure constant (used for
+    the sign-twisted target algebra of the duality isomorphism); in exact
+    mode it must be exact (a LaurentPoly or a rational).  In numeric mode
+    the left factor is peeled on the left, and the recursion runs on the
+    float coefficients themselves, term by term, so the order of the float
+    sums is that of the recursion.
     """
     a._check_compat(b)
     if a.q is None:

@@ -200,6 +200,30 @@ def test_rho(capsys):
     assert out.startswith("rho = 0.381966011250")
 
 
+def test_rho_reducible_pinned(capsys, group_file):
+    """Overall and per-component radii of a reducible system: free3, a
+    Z2^2 * Z2 and two central Z2 factors.  Stdout recorded before the
+    overall rho and the CLI report shared one per-component helper."""
+    path = group_file(json.dumps({
+        "generators": ["a", "b", "c", "d", "e1", "f", "g", "h"],
+        "commuting_pairs": [[x, y] for x in "abc" for y in ("d", "e1", "f",
+                                                            "g", "h")]
+        + [["d", y] for y in ("e1", "f", "g", "h")]
+        + [["e1", "h"], ["f", "h"], ["g", "h"], ["f", "g"]]}))
+    code, out, _ = run(capsys, ["rho", "--group", path])
+    assert code == 0 and out == (
+        "rho = 0.500000000000\n"
+        "  component {a,b,c}: 0.500000000000\n"
+        "  component {d}: inf\n"
+        "  component {e1,f,g}: 0.618033988750\n"
+        "  component {h}: inf\n")
+    code, out, _ = run(capsys, ["rho", "--group", path, "--format", "json"])
+    assert code == 0 and out == (
+        '{"command": "rho", "components": {"a,b,c": 0.49999999999962746, '
+        '"d": null, "e1,f,g": 0.6180339887496084, "h": null}, '
+        '"rho": 0.49999999999962746, "schema": 1}\n')
+
+
 def test_classify_text_and_json(capsys):
     path = FREE3
     code, out, _ = run(capsys, ["classify", "--group", path, "--q", "1/4"])

@@ -215,6 +215,22 @@ def test_mult_gen_matches_normal_forms_random_graphs():
                     assert delta == len(want) - len(w)
 
 
+def test_right_deletion_keeps_canonical_word():
+    """Deleting a right descent s from a canonical word leaves a canonical
+    word (every letter after s commutes with it), so the step returns it
+    without a re-sort: _lex_least fixes it, and it is the product ws."""
+    rng = random.Random(89)
+    for _ in range(30):
+        sys = random_system(rng, 6)
+        for w in sys.ball(6):
+            for s in sys.right_descents(w):
+                word, delta = sys._step(w.word, s, RIGHT)
+                assert delta == -1 and sys._lex_least(word) == word
+                ws, delta = sys.mult_gen(w, s, RIGHT)
+                assert ws.word == word and delta == -1
+                assert ws == sys.multiply(w, sys.element([s]))
+
+
 # -- descent sets -----------------------------------------------------------------
 
 def test_descent_examples(free3, z2xz2):

@@ -75,6 +75,18 @@ def test_mode_and_system_mismatch(dihedral, free3):
             t_basis(dihedral.element("s"), q=0.5))
 
 
+def assert_basis_product_matches_oracle(sys, v, w):
+    """T_v T_w against the unnormalized recursion, through the rescaling
+    T~_x = u^{|x|} T_x."""
+    got = mul(t_basis(v), t_basis(w))
+    expected = oracle_unnormalized_mul(sys, v, w)
+    scale = len(v) + len(w)
+    for x in set(got.terms) | set(expected):
+        lhs = expected.get(x, LaurentPoly.zero())
+        rhs = got.coefficient(x) * LaurentPoly.u_power(scale - len(x))
+        assert lhs == rhs, (v, w, x)
+
+
 def test_oracle_equivalence_all_short_pairs(named_systems):
     """Normalized against unnormalized recursion on every basis pair with
     lengths at most 4, over the three named systems."""
@@ -82,14 +94,36 @@ def test_oracle_equivalence_all_short_pairs(named_systems):
         ball = sys.ball(4)
         for v in ball:
             for w in ball:
-                got = mul(t_basis(v), t_basis(w))
-                expected = oracle_unnormalized_mul(sys, v, w)
-                scale = len(v) + len(w)
-                for x in set(got.terms) | set(expected):
-                    lhs = expected.get(x, LaurentPoly.zero())
-                    rhs = got.coefficient(x) * LaurentPoly.u_power(
-                        scale - len(x))
-                    assert lhs == rhs, (v, w, x)
+                assert_basis_product_matches_oracle(sys, v, w)
+
+
+def random_element_of_length(rng, sys, length):
+    """A random group element of the given length, or shorter when the
+    group has no longer ones: random lengthening right steps."""
+    w = sys.identity
+    for _ in range(length):
+        up = [s for s in range(sys.n) if s not in sys.right_descents(w)]
+        if not up:
+            break
+        w, _ = sys.mult_gen(w, rng.choice(up), RIGHT)
+    return w
+
+
+def test_oracle_equivalence_unequal_lengths():
+    """Basis pairs of a long and a short factor, in both orders, and of
+    equal lengths, on seeded random graphs: the product peels whichever
+    factor is shorter, so both peeling sides meet the oracle."""
+    rng = random.Random(79)
+    for _ in range(20):
+        sys = random_system(rng)
+        for _ in range(6):
+            long = random_element_of_length(rng, sys, rng.randint(4, 8))
+            short = random_element_of_length(rng, sys, rng.randint(0, 3))
+            k = rng.randint(0, 5)
+            equal = (random_element_of_length(rng, sys, k),
+                     random_element_of_length(rng, sys, k))
+            for v, w in ((long, short), (short, long), equal):
+                assert_basis_product_matches_oracle(sys, v, w)
 
 
 def expected_product(a, b):
@@ -141,6 +175,38 @@ def test_rational_p_override_matches_numeric():
             for w in set(exact.terms) | set(numeric.terms):
                 lhs, rhs = exact.coefficient(w), numeric.coefficient(w)
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+#: SHA-256 over the ``str`` of the products of :func:`exact_pin_products`,
+#: recorded by running that function on the parent of the change that peels
+#: the shorter factor (commit 2cb6f02, where the left factor was always
+#: peeled from the left).
+EXACT_PRODUCTS_PIN = ("f2d46e962482dda351f49c226078921e"
+                      "3e97017e8d931b75a4074c115d32c969")
+
+
+def exact_pin_products():
+    """Exact products ab on the named systems and 10 seeded random graphs,
+    with every structure constant in use.  a has 1-3 rational terms on a
+    ball of random radius up to 5, and b adds to a's adjoint 1-3 such
+    terms on another ball, so that lengths differ and descents occur."""
+    rng = random.Random(83)
+    systems = list(verify.named_systems().values())
+    systems += [random_system(rng) for _ in range(10)]
+    for sys in systems:
+        balls = [sys.ball(r) for r in range(6)]
+        for _ in range(8):
+            a, b = (random_exact_element(rng, sys, rng.choice(balls))
+                    for _ in range(2))
+            for p in (None, -P_SYMBOL, Fraction(2, 3), 3):
+                yield mul(a, b + a.star(), p_override=p)
+
+
+def test_exact_products_pinned():
+    digest = hashlib.sha256()
+    for product in exact_pin_products():
+        digest.update(str(product).encode() + b"\n")
+    assert digest.hexdigest() == EXACT_PRODUCTS_PIN
 
 
 def test_verify_suite_covers_random_graphs():
