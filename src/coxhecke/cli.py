@@ -22,8 +22,8 @@ from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho, dykema_decompose
 from .groupfile import load_system
-from .growth import (classify, component_rhos, growth_series, rho,
-                     verify_central_projection)
+from .growth import (_positive_q, classify, component_rhos, growth_series,
+                     rho, verify_central_projection)
 from .hecke import parse_expression
 from .verify import run_suites
 
@@ -36,9 +36,7 @@ def parse_q(text: str) -> Fraction:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse q value {text!r}") from None
-    if q <= 0:
-        raise InputError("q must be positive")
-    return q
+    return _positive_q(q)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -65,20 +65,19 @@ class DoubleCosetInfo:
         return not (self.commutes_s and self.commutes_t)
 
 
-def shortest_rep(system: CoxeterSystem, pair: InfinitePair, w: Element,
-                 strip_order: str = "left-first") -> DoubleCosetInfo:
+def shortest_rep(system: CoxeterSystem, pair: InfinitePair,
+                 w: Element) -> DoubleCosetInfo:
     """Greedy descent stripping to the minimal element of DwD.
 
     Left descents in {s, t} are removed before right ones, smaller index
-    first; uniqueness of the minimal representative makes the outcome
-    independent of this order (tested with the reversed order).
+    first; the minimal representative is unique, so any order would reach
+    it (tested against a brute-force search).
     """
     system._check_own(w)
     gens = sorted((pair.s, pair.t))
-    sides = (LEFT, RIGHT) if strip_order == "left-first" else (RIGHT, LEFT)
     cur = w
     while True:
-        for side in sides:
+        for side in (LEFT, RIGHT):
             descents = (system.left_descents(cur) if side == LEFT
                         else system.right_descents(cur))
             hit = next((g for g in gens if g in descents), None)

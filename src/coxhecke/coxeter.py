@@ -6,7 +6,10 @@ otherwise).  Group elements are represented by their canonical reduced
 word: the ShortLex-least word among all reduced expressions, under the
 input generator order.  In the right-angled case all reduced expressions
 of an element differ by swaps of adjacent commuting letters, so the
-canonical word is the lexicographic normal form of a trace monoid.
+canonical word is the lexicographic normal form of a trace monoid: the
+order in which a greedy emits the letters, each time the smallest one
+that commutes with every letter before it.  Every word operation builds
+it by one rule, the right step of :meth:`CoxeterSystem.mult_gen`.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -229,60 +232,9 @@ class CoxeterSystem:
             return tuple(self.generator_index(p) for p in parts)
         return tuple(self.generator_index(x) for x in word)
 
-    def _reduce(self, letters: Iterable[int],
-                start: Sequence[int] = ()) -> list[int]:
-        """Delete-to-reduced: fold letters in from the right onto the
-        reduced word ``start``.
-
-        Appending s to a reduced word is non-reduced iff some occurrence of
-        s is followed only by letters commuting with s; the matched
-        occurrence is deleted, otherwise s is appended.
-        """
-        comm = self._comm
-        word = list(start)
-        for s in letters:
-            i = len(word) - 1
-            while i >= 0:
-                t = word[i]
-                if t == s:
-                    del word[i]
-                    break
-                if not ((comm[s] >> t) & 1):
-                    word.append(s)
-                    break
-                i -= 1
-            else:
-                word.append(s)
-        return word
-
-    def _lex_least(self, letters: Sequence[int]) -> tuple[int, ...]:
-        """Lexicographic normal form of a reduced word.
-
-        Greedy selection: repeatedly emit the smallest letter having an
-        occurrence whose whole left context commutes with it.  A local
-        fixpoint of adjacent swaps is not sufficient here; see the test
-        suite for a three-letter witness.
-        """
-        comm = self._comm
-        rest = list(letters)
-        out: list[int] = []
-        while rest:
-            movable = self._full
-            best = -1
-            for x in rest:
-                if (movable >> x) & 1 and (best < 0 or x < best):
-                    best = x
-                movable &= comm[x]
-                if not movable:
-                    break
-            out.append(best)
-            rest.remove(best)
-        return tuple(out)
-
     def normalize(self, word) -> "Element":
         """Canonical form of the group element spelled by an arbitrary word."""
-        letters = self.parse_word(word)
-        return Element(self, self._lex_least(self._reduce(letters)))
+        return Element(self, self._fold((), self.parse_word(word)))
 
     def element(self, word) -> "Element":
         """Shorthand for :meth:`normalize`."""
@@ -298,11 +250,11 @@ class CoxeterSystem:
     def multiply(self, a: "Element", b: "Element") -> "Element":
         """Product ab in canonical form."""
         self._check_own(a, b)
-        return Element(self, self._lex_least(self._reduce(b.word, a.word)))
+        return Element(self, self._fold(a.word, b.word))
 
     def inverse(self, a: "Element") -> "Element":
         self._check_own(a)
-        return Element(self, self._lex_least(tuple(reversed(a.word))))
+        return Element(self, self._fold((), reversed(a.word)))
 
     def mult_gen(self, a: "Element", s, side: str = RIGHT) -> tuple["Element", int]:
         """Multiply by a generator on the given side; return (result, delta).
@@ -310,13 +262,13 @@ class CoxeterSystem:
         delta is the exact length change, -1 iff s is a descent of a on
         that side.
 
-        A lengthening product inserts s into the canonical word of a where
-        the greedy of :meth:`_lex_least` would emit it.  On the right, that
-        is before the first letter greater than s among the trailing
-        letters that commute with s.  On the left, the leading letters
-        smaller than s and commuting with it stay in front; s goes next
-        unless a smaller letter that does not commute with s follows, and
-        only then is the rest re-sorted.  Deleting s re-sorts only on the left.
+        A right step is the one rule that places a letter in a canonical
+        word: a lengthening product inserts s before the first letter
+        greater than s among the trailing letters that commute with s, and
+        a shortening one deletes s.  On the left, the leading letters
+        smaller than s and commuting with it stay in front and s goes next;
+        when a smaller letter that does not commute with s follows, or when
+        s is deleted, the letters after it are re-inserted by right steps.
         """
         self._check_own(a)
         s = self.generator_index(s)
@@ -344,16 +296,23 @@ class CoxeterSystem:
             return word[:i] + (s,) + word[i:], +1
         for i, t in enumerate(word):
             if t == s:
-                return self._lex_least(word[:i] + word[i + 1:]), -1
+                return self._fold(word[:i], word[i + 1:]), -1
             if not ((comm >> t) & 1):
                 break
         i = 0
         while i < len(word) and word[i] < s and (comm >> word[i]) & 1:
             i += 1
-        tail = (s,) + word[i:]
         if i < len(word) and word[i] < s:
-            tail = self._lex_least(tail)
-        return word[:i] + tail, +1
+            # word[:i] + (s,) is canonical: word[:i] is smaller and commutes with s
+            return self._fold(word[:i] + (s,), word[i:]), +1
+        return word[:i] + (s,) + word[i:], +1
+
+    def _fold(self, word: Word, letters: Iterable[int]) -> Word:
+        """The canonical word of ``word`` times ``letters``, by right steps
+        from the canonical word ``word``."""
+        for s in letters:
+            word = self._step(word, s, RIGHT)[0]
+        return word
 
     def descent_sets(self, a: "Element") -> tuple[frozenset[int], frozenset[int]]:
         """(D_L, D_R): generators shortening a on the left / right."""
@@ -470,16 +429,22 @@ class CoxeterSystem:
         return words, lengths, right, descent
 
     @staticmethod
-    def _tree_levels(words: list[Word], lengths: np.ndarray, right: np.ndarray,
-                     end: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def _tree_levels(lengths: np.ndarray, right: np.ndarray, end: int
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Levels 1, 2, ... of the first ``end`` words of a :meth:`ball_table`,
-        each as (indices, last letters, parent indices)."""
+        each as (indices, last letters, parent indices).
+
+        A canonical word minus its last letter is the ShortLex-least of its
+        right-descent neighbours, and these are exactly the neighbours with
+        a smaller index: the parent is the least neighbour, the last letter
+        the generator reaching it."""
         starts = np.searchsorted(lengths[:end],
                                  np.arange(1, int(lengths[end - 1]) + 2))
         for lo, hi in zip(starts, starts[1:]):
-            child = np.arange(lo, hi)
-            last = np.array([words[i][-1] for i in range(lo, hi)], dtype=np.int64)
-            yield child, last, right[last, child]
+            down = right[:, lo:hi]
+            down = np.where((down >= 0) & (down < lo), down, lo)
+            last = down.argmin(axis=0)
+            yield np.arange(lo, hi), last, down[last, np.arange(hi - lo)]
 
     def ball_left_table(self, words: list[Word], lengths: np.ndarray,
                         right: np.ndarray, end: int | None = None
@@ -496,7 +461,7 @@ class CoxeterSystem:
         end = len(words) if end is None else end
         left = np.full((self.n, end), -1, dtype=np.int64)
         left[:, 0] = right[:, 0]
-        for child, last, parent in self._tree_levels(words, lengths, right, end):
+        for child, last, parent in self._tree_levels(lengths, right, end):
             left[:, child] = right[last, left[:, parent]]
         descent = (left >= 0) & (lengths[left] < lengths[:end])
         return left, descent
@@ -506,8 +471,7 @@ class CoxeterSystem:
         """Support bitmasks of the words of a :meth:`ball_table`, built per
         level as supp(z't) = supp(z') | bit(t)."""
         supp = np.zeros(len(words), dtype=np.int64)
-        for child, last, parent in self._tree_levels(words, lengths, right,
-                                                     len(words)):
+        for child, last, parent in self._tree_levels(lengths, right, len(words)):
             supp[child] = supp[parent] | (1 << last)
         return supp
 
@@ -613,9 +577,9 @@ class CoxeterSystem:
 
         # Exchange: if the word is reduced and s shortens it on the left,
         # then sw equals the word with one letter removed.
-        w_reduced = len(elem) == n
+        reduced = len(elem) == n
         sw = self.multiply(self.normalize((s,)), elem)
-        exchange_applies = w_reduced and len(sw) < n + 1
+        exchange_applies = reduced and len(sw) < n + 1
         exchange_holds = not exchange_applies
         exchange_witness = None
         if exchange_applies:
@@ -628,7 +592,7 @@ class CoxeterSystem:
         # Folding: if sw and wt are reduced, then swt = w or swt is reduced.
         wt = self.multiply(elem, self.normalize((t,)))
         swt = self.multiply(sw, self.normalize((t,)))
-        folding_applies = (w_reduced and len(sw) == len(elem) + 1
+        folding_applies = (reduced and len(sw) == len(elem) + 1
                            and len(wt) == len(elem) + 1)
         folding_holds = True
         folding_branch = None

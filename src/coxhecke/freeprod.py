@@ -17,10 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import CoxeterSystem, Element
-from .errors import InputError, PreconditionError
+from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem, Element
+from .errors import CapacityError, InputError, PreconditionError
 from .hecke import HeckeElement, mul, state_phi, t_basis, unit
-from .growth import FACTOR, FACTOR_PLUS_C, CenterReport, classify
+from .growth import FACTOR, FACTOR_PLUS_C, CenterReport, _positive_q, classify
 from .laurent import LaurentPoly
 
 
@@ -78,6 +78,12 @@ class AtomicMeasure:
         return len(self.masses)
 
 
+def _check_atoms(count: int) -> None:
+    if count > DEFAULT_MAX_BALL:
+        raise CapacityError(f"the decomposition would need {count} atoms, more "
+                            f"than the cap DEFAULT_MAX_BALL = {DEFAULT_MAX_BALL}")
+
+
 def mu_k(k: int, q) -> AtomicMeasure:
     """The state measure of Z2^k: mass q^{|w|} / (q+1)^k on each subset word.
 
@@ -86,9 +92,8 @@ def mu_k(k: int, q) -> AtomicMeasure:
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    q = Fraction(q)
-    if q <= 0:
-        raise InputError("q must be positive")
+    q = _positive_q(q)
+    _check_atoms(2 ** k)
     denom = (q + 1) ** k
     masses = {}
     for r in range(k + 1):
@@ -130,9 +135,7 @@ class IdempotentPair:
 
 def hvn_z2_idempotents(q) -> IdempotentPair:
     """Construct and exactly verify the rank-one projections over Z2."""
-    q = Fraction(q)
-    if q <= 0:
-        raise InputError("q must be positive")
+    q = _positive_q(q)
     system = CoxeterSystem(["s"])
     s = system.element("s")
     u = LaurentPoly.u_power(1)
@@ -199,20 +202,21 @@ def dykema_decompose(spec: FreeFactorSpec, q) -> DecompositionReport:
     are the tuples with sum of masses above n - 1.  Exact rationals
     throughout.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise InputError("q must be positive")
+    q = _positive_q(q)
     if max(spec.ranks) < 2:
         raise PreconditionError(
             "the iterated two-factor rule needs some rank at least 2; with "
             "all ranks 1 its first step has too few atoms (the closed-form "
             "condition still evaluates)")
     order = sorted(range(len(spec.ranks)), key=lambda i: -spec.ranks[i])
+    # the first step's pair count is known before any measure is built
+    _check_atoms(2 ** (spec.ranks[order[0]] + spec.ranks[order[1]]))
     measures = [mu_k(spec.ranks[i], q) for i in range(len(spec.ranks))]
 
     # fold in descending-rank order, recording labels in that order
     acc = {(x,): m for x, m in measures[order[0]].masses.items()}
     for fi in order[1:]:
+        _check_atoms(len(acc) * len(measures[fi].masses))
         nxt = {}
         for label, m1 in acc.items():
             for y, m2 in measures[fi].masses.items():
@@ -235,9 +239,7 @@ def closed_form_condition(spec: FreeFactorSpec, q) -> bool:
     routed through the duality q -> 1/q, under which the left side is
     unchanged term by term.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise InputError("q must be positive")
+    q = _positive_q(q)
     if q < 1:
         q = 1 / q
     lhs = sum((q / (q + 1)) ** k for k in spec.ranks)

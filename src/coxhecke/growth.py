@@ -285,6 +285,13 @@ class CenterReport:
         return "\n".join(lines)
 
 
+def _positive_q(q) -> Fraction:
+    """The parameter q as an exact rational; it must be positive and finite."""
+    if isinstance(q, float) and not math.isfinite(q) or Fraction(q) <= 0:
+        raise InputError("q must be positive")
+    return Fraction(q)
+
+
 def classify(system: CoxeterSystem, q) -> CenterReport:
     """Classify the center of the completed Hecke algebra at parameter q.
 
@@ -296,9 +303,7 @@ def classify(system: CoxeterSystem, q) -> CenterReport:
     components are left unclassified (their center is large and outside
     the scope of the interval criterion).
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise InputError("q must be positive")
+    q = _positive_q(q)
     comps = []
     total_dim: int | None = 1
     overall_rho = math.inf
@@ -381,9 +386,7 @@ def zeta_symbol(system: CoxeterSystem, q, radius: int,
     Requires q <= 1: for larger parameters classify at 1/q instead (the
     duality isomorphism exchanges the two algebras).
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise InputError("q must be positive")
+    q = _positive_q(q)
     if q > 1:
         raise PreconditionError(
             "zeta needs q <= 1; apply the duality isomorphism and classify "
@@ -476,7 +479,7 @@ def coset_recurrence(q, f0: float, f1: float, n: int,
                      tol: float = 1e-12) -> RecurrenceReport:
     """Iterate the recurrence and solve for the mode coefficients."""
     q = float(q)
-    if q <= 0:
+    if not 0 < q < math.inf:
         raise InputError("q must be positive")
     sq = math.sqrt(q)
     p = (q - 1.0) / sq
@@ -559,7 +562,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     read from the left table of the half-radius ball; (d) the certified
     Rayleigh quotient converging to W(q).
     """
-    q = Fraction(q)
+    q = _positive_q(q)
     if not system.irreducible or system.is_finite() or system.n < 3:
         raise DomainError("projection certification needs an irreducible "
                           "infinite system with at least 3 generators")

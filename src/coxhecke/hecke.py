@@ -14,11 +14,12 @@ By the recursion, a product of basis terms is T_v T_w = sum_x n_x(p) T_x
 with integer structure constants: each n_x is a polynomial in p with
 nonnegative integer coefficients.  Exact products compute these as dense
 ``int`` lists on canonical words by peeling the shorter factor: w on the
-right when |w| <= |v| (ties go right, where a step never re-sorts), else
-v on the left.  Each target's coefficient is built once, with rational
-coefficients cleared to integers first.  Numeric products run the
-recursion on the float coefficients themselves, term by term, which fixes
-the order of every float sum (:func:`action_matrix` follows the same order).
+right when |w| <= |v| (ties go right, where a step inserts or deletes one
+letter and never re-inserts the rest), else v on the left.  Each
+target's coefficient is built once, with rational coefficients cleared to
+integers first.  Numeric products run the recursion on the float
+coefficients themselves, term by term, which fixes the order of every
+float sum (:func:`action_matrix` follows the same order).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class HeckeElement:
     def __init__(self, system: CoxeterSystem, terms=None, q: float | None = None):
         if q is not None:
             q = float(q)
-            if q <= 0:
+            if not 0 < q < math.inf:
                 raise InputError("q must be positive")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "q", q)
@@ -299,8 +300,9 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     In exact mode each pair of basis terms T_v T_w goes through its
     integer structure constants, computed by peeling the shorter word one
     generator at a time with the defining recursion: w from its start on
-    the right of T_v when |w| <= |v| (ties go right, where a step never
-    re-sorts the canonical word), else v from its end on the left of T_w.
+    the right of T_v when |w| <= |v| (ties go right, where a step inserts
+    or deletes one letter and never re-inserts the rest of the word), else
+    v from its end on the left of T_w.
     ``p_override`` substitutes a different structure constant (used for
     the sign-twisted target algebra of the duality isomorphism); in exact
     mode it must be exact (a LaurentPoly or a rational).  In numeric mode

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,16 @@ def test_dykema(capsys):
     assert "atoms" not in doc
     code, _, err = run(capsys, ["dykema", "--ranks", "2,x", "--q", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("ranks", ["40,1", "19,1"])
+def test_dykema_rank_cap(capsys, ranks):
+    """Ranks whose atoms or atom pairs exceed the cap fail fast with exit 1."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["dykema", "--ranks", ranks, "--q", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "DEFAULT_MAX_BALL = 1000000" in err
 
 
 def test_hecke_expression(capsys):

@@ -61,9 +61,6 @@ def test_shortest_rep_matches_brute_force(named_systems):
             greedy = shortest_rep(sys, pair, w).w0
             oracle = brute_force_min_rep(sys, pair, w, bound=len(w) + 2)
             assert greedy == oracle
-            reversed_order = shortest_rep(sys, pair, w,
-                                          strip_order="right-first").w0
-            assert greedy == reversed_order
 
 
 def test_brute_force_bound_validation(free3):

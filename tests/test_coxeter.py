@@ -39,6 +39,37 @@ def rewriting_closure_min(sys, word):
     return frozenset(w for w in seen if len(w) == min_len)
 
 
+def greedy_normal_form(sys, letters):
+    """Canonical word of any word, by an algorithm independent of the
+    package's right steps.  First delete to a reduced word: fold letters
+    in from the right, deleting the last occurrence of s that is followed
+    only by letters commuting with s, else appending s.  Then emit the
+    lexicographic normal form greedily: repeatedly take the smallest
+    letter that commutes with every letter before it.  A local fixpoint
+    of adjacent swaps would not do; see
+    test_local_swap_fixpoint_is_not_canonical."""
+    reduced = []
+    for s in letters:
+        for i in range(len(reduced) - 1, -1, -1):
+            if reduced[i] == s:
+                del reduced[i]
+                break
+            if not sys.commutes(s, reduced[i]):
+                reduced.append(s)
+                break
+        else:
+            reduced.append(s)
+    out = []
+    while reduced:
+        best = None
+        for i, x in enumerate(reduced):
+            if all(sys.commutes(x, y) for y in reduced[:i]) and \
+                    (best is None or x < reduced[best]):
+                best = i
+        out.append(reduced.pop(best))
+    return tuple(out)
+
+
 def four_generator_patterns():
     gens = "abcd"
     patterns = [
@@ -218,17 +249,38 @@ def test_mult_gen_matches_normal_forms_random_graphs():
 def test_right_deletion_keeps_canonical_word():
     """Deleting a right descent s from a canonical word leaves a canonical
     word (every letter after s commutes with it), so the step returns it
-    without a re-sort: _lex_least fixes it, and it is the product ws."""
+    without a re-sort: the greedy normal form fixes it, and it is the
+    product ws."""
     rng = random.Random(89)
     for _ in range(30):
         sys = random_system(rng, 6)
         for w in sys.ball(6):
             for s in sys.right_descents(w):
                 word, delta = sys._step(w.word, s, RIGHT)
-                assert delta == -1 and sys._lex_least(word) == word
+                assert delta == -1 and greedy_normal_form(sys, word) == word
                 ws, delta = sys.mult_gen(w, s, RIGHT)
                 assert ws.word == word and delta == -1
                 assert ws == sys.multiply(w, sys.element([s]))
+
+
+def test_word_operations_match_greedy_normal_form():
+    """normalize, multiply, inverse and steps on both sides agree with the
+    greedy oracle on long words, where the rewriting closure is too big."""
+    rng = random.Random(1201)
+    for _ in range(60):
+        sys = random_system(rng, 10)
+        for _ in range(10):
+            a, b = ([rng.randrange(sys.n) for _ in range(rng.randint(0, 30))]
+                    for _ in range(2))
+            x, y = sys.normalize(a), sys.normalize(b)
+            assert x.word == greedy_normal_form(sys, a)
+            assert sys.multiply(x, y).word == greedy_normal_form(sys, a + b)
+            assert sys.inverse(x).word == greedy_normal_form(sys, a[::-1])
+            for s in range(sys.n):
+                assert sys._step(x.word, s, RIGHT)[0] == \
+                    greedy_normal_form(sys, x.word + (s,))
+                assert sys._step(x.word, s, LEFT)[0] == \
+                    greedy_normal_form(sys, (s,) + x.word)
 
 
 # -- descent sets -----------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxhecke import (CoxeterSystem, FreeFactorSpec, InputError,
+from coxhecke import (CapacityError, CoxeterSystem, FreeFactorSpec, InputError,
                       PreconditionError, closed_form_condition,
                       cross_validate_with_rho, dykema_decompose,
                       freeness_test, hvn_z2_idempotents, mu_k, mul, rho,
@@ -124,6 +124,15 @@ def test_dykema_rejects_all_rank_one():
         dykema_decompose(FreeFactorSpec((1, 1, 1)), 3)
     # the closed form still evaluates for such specs
     assert closed_form_condition(FreeFactorSpec((1, 1, 1)), 3) is True
+
+
+def test_dykema_atom_cap():
+    """Atoms past DEFAULT_MAX_BALL are refused before they are built: the
+    2^40 atoms of mu_40, and the 2^20 pairs of the fold over ranks 10, 10."""
+    with pytest.raises(CapacityError, match="DEFAULT_MAX_BALL"):
+        mu_k(40, 3)
+    with pytest.raises(CapacityError, match="1048576 atoms"):
+        dykema_decompose(FreeFactorSpec((10, 10)), 3)
 
 
 def test_dykema_atom_count_never_exceeds_one():

@@ -468,6 +468,12 @@ def test_recurrence_rejects_bad_q():
         coset_recurrence(-1, 1.0, 1.0, 3)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_recurrence_rejects_non_finite_q(q):
+    with pytest.raises(InputError, match="q must be positive"):
+        coset_recurrence(q, 1.0, 1.0, 3)
+
+
 # -- central projection certification -----------------------------------------------------
 
 def test_projection_preconditions(free3, dihedral, z2xz2):
@@ -477,6 +483,12 @@ def test_projection_preconditions(free3, dihedral, z2xz2):
         verify_central_projection(dihedral, Fraction(1, 4), 6)
     with pytest.raises(DomainError):
         verify_central_projection(z2xz2, Fraction(1, 4), 6)
+
+
+@pytest.mark.parametrize("q", [-1, 0, math.nan, math.inf])
+def test_projection_rejects_bad_q(pentagon, q):
+    with pytest.raises(InputError, match="q must be positive"):
+        verify_central_projection(pentagon, q, 6)
 
 
 def test_projection_report_small_radius(free3):

@@ -75,6 +75,12 @@ def test_mode_and_system_mismatch(dihedral, free3):
             t_basis(dihedral.element("s"), q=0.5))
 
 
+@pytest.mark.parametrize("q", [-1.0, 0.0, float("nan"), float("inf")])
+def test_numeric_element_rejects_bad_q(dihedral, q):
+    with pytest.raises(InputError, match="q must be positive"):
+        HeckeElement(dihedral, {dihedral.identity: 1.0}, q=q)
+
+
 def assert_basis_product_matches_oracle(sys, v, w):
     """T_v T_w against the unnormalized recursion, through the rescaling
     T~_x = u^{|x|} T_x."""
