@@ -20,7 +20,7 @@ from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem
 from .cosets import _component_report, build_gamma_ball
 from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
-from .freeprod import FreeFactorSpec, cross_validate_with_rho, dykema_decompose
+from .freeprod import FreeFactorSpec, cross_validate_with_rho
 from .groupfile import load_system
 from .growth import (_positive_q, classify, component_rhos, growth_series,
                      rho, verify_central_projection)
@@ -234,8 +234,8 @@ def cmd_dykema(args) -> int:
         "agrees": cv.agrees,
     }
     lines = [cv.summary()]
-    if max(ranks) >= 2:
-        dec = dykema_decompose(spec, q)
+    dec = cv.decomposition
+    if dec is not None:
         payload["atoms"] = [
             {"label": [list(x) for x in label],
              "weight": str(dec.atoms.masses[label])}

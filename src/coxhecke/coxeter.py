@@ -9,7 +9,8 @@ of an element differ by swaps of adjacent commuting letters, so the
 canonical word is the lexicographic normal form of a trace monoid: the
 order in which a greedy emits the letters, each time the smallest one
 that commutes with every letter before it.  Every word operation builds
-it by one rule, the right step of :meth:`CoxeterSystem.mult_gen`.
+it by one rule, the right step of :meth:`CoxeterSystem.mult_gen`; even a
+left step sw takes the right steps of the letters of w, starting from s.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -265,10 +266,8 @@ class CoxeterSystem:
         A right step is the one rule that places a letter in a canonical
         word: a lengthening product inserts s before the first letter
         greater than s among the trailing letters that commute with s, and
-        a shortening one deletes s.  On the left, the leading letters
-        smaller than s and commuting with it stay in front and s goes next;
-        when a smaller letter that does not commute with s follows, or when
-        s is deleted, the letters after it are re-inserted by right steps.
+        a shortening one deletes s.  A left step folds the word onto (s,):
+        it takes the right steps of the letters of a in order, from s.
         """
         self._check_own(a)
         s = self.generator_index(s)
@@ -279,32 +278,23 @@ class CoxeterSystem:
 
     def _step(self, word: Word, s: int, side: str) -> tuple[Word, int]:
         """:meth:`mult_gen` on a canonical word and a generator index."""
+        if side == LEFT:
+            # sw is s followed by the letters of w: right steps from (s,)
+            out = self._fold((s,), word)
+            return out, len(out) - len(word)
         comm = self._comm[s]
-        if side == RIGHT:
-            i = len(word) - 1
-            while i >= 0:
-                t = word[i]
-                if t == s:
-                    # the rest stays canonical (see the README)
-                    return word[:i] + word[i + 1:], -1
-                if not ((comm >> t) & 1):
-                    break
-                i -= 1
-            i += 1
-            while i < len(word) and word[i] < s:
-                i += 1
-            return word[:i] + (s,) + word[i:], +1
-        for i, t in enumerate(word):
+        i = len(word) - 1
+        while i >= 0:
+            t = word[i]
             if t == s:
-                return self._fold(word[:i], word[i + 1:]), -1
+                # the rest stays canonical (see the README)
+                return word[:i] + word[i + 1:], -1
             if not ((comm >> t) & 1):
                 break
-        i = 0
-        while i < len(word) and word[i] < s and (comm >> word[i]) & 1:
+            i -= 1
+        i += 1
+        while i < len(word) and word[i] < s:
             i += 1
-        if i < len(word) and word[i] < s:
-            # word[:i] + (s,) is canonical: word[:i] is smaller and commutes with s
-            return self._fold(word[:i] + (s,), word[i:]), +1
         return word[:i] + (s,) + word[i:], +1
 
     def _fold(self, word: Word, letters: Iterable[int]) -> Word:

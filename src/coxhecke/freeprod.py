@@ -46,15 +46,6 @@ class FreeFactorSpec:
             names.extend(block)
         return CoxeterSystem(names, pairs)
 
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Generator index blocks of the factors, in input order."""
-        out = []
-        start = 0
-        for k in self.ranks:
-            out.append(tuple(range(start, start + k)))
-            start += k
-        return out
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -256,6 +247,7 @@ class CrossValidation:
     classification: CenterReport
     rho: float
     agrees: bool
+    decomposition: DecompositionReport | None   # None when all ranks are 1
 
     def summary(self) -> str:
         return (f"ranks {self.spec.ranks}, q = {self.q}: closed-form "
@@ -275,17 +267,19 @@ def cross_validate_with_rho(spec: FreeFactorSpec, q) -> CrossValidation:
     system = spec.system()
     condition = closed_form_condition(spec, q)
     report = classify(system, q)
-    atom_count = None
+    decomposition = None
+    atom_count = -1
     if max(spec.ranks) >= 2:
-        atom_count = len(dykema_decompose(spec, q).atoms)
+        decomposition = dykema_decompose(spec, q)
+        atom_count = len(decomposition.atoms)
     expected = FACTOR_PLUS_C if condition else FACTOR
     agrees = report.classification == expected
-    if atom_count is not None:
+    if decomposition is not None:
         agrees = agrees and (atom_count == (1 if condition else 0))
     return CrossValidation(spec=spec, q=q, condition=condition,
-                           atom_count=-1 if atom_count is None else atom_count,
-                           classification=report, rho=report.rho,
-                           agrees=agrees)
+                           atom_count=atom_count, classification=report,
+                           rho=report.rho, agrees=agrees,
+                           decomposition=decomposition)
 
 
 def freeness_test(system: CoxeterSystem, partition, max_len: int) -> list[tuple]:

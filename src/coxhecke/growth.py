@@ -17,7 +17,8 @@ The convergence radius rho is the smallest positive root of the reduced
 denominator: the series has nonnegative coefficients, hence a singularity
 on the positive axis.  Sturm's theorem, on the integer Sturm chain of
 the denominator, decides exactly whether a root lies in (0, x] for
-rational x; that picks a cell of width 1e-4, then halves it to 1e-12.
+rational x, and one binary search on that predicate picks a cell of
+width at most 1e-12.
 For an irreducible system with at least three generators, the
 completed algebra at parameter q has trivial center exactly for q in
 [rho, 1/rho]; below rho the radial vector
@@ -174,7 +175,8 @@ class RhoInfo:
                                    q.numerator, q.denominator)
 
 
-#: rho is first placed in a cell ((k-1)/GRID_CELLS, k/GRID_CELLS] of (0, 1].
+#: rho is placed in a cell of the grid of (0, 1] with GRID_CELLS 2^j equal
+#: cells, j the least for which a cell is at most BISECT_TOL wide.
 GRID_CELLS = 10**4
 BISECT_TOL = 1e-12
 
@@ -183,10 +185,11 @@ def rho_info(system: CoxeterSystem) -> RhoInfo:
     """Locate the smallest denominator root in (0, 1] by exact root
     counting on its integer Sturm chain.
 
-    One predicate, "a root lies in (0, x]", first binary-searches the
-    10^4 cells of width 1e-4, then halves the cell found until its width
-    is at most 1e-12.  Every decision is an integer sign count, so a root
-    of even multiplicity, or two roots in one cell, cannot be missed.
+    The predicate "a root lies in (0, x]" is monotone in x, so one binary
+    search over the grid of 10^4 2^27 cells, the coarsest of the form
+    10^4 2^j with width at most 1e-12, finds the cell that holds the
+    root.  Every decision is an integer sign count, so a root of even
+    multiplicity, or two roots in one cell, cannot be missed.
     The result is cached on the system.
     """
     cached = getattr(system, "_rho_info", None)
@@ -203,20 +206,18 @@ def _locate_root(den: tuple[int, ...]) -> RhoInfo:
     chain = _sturm_chain(den)
     if not _has_root_up_to(chain, 1, 1):
         return RhoInfo(math.inf, None, None, den)
-    lo, hi = 0, GRID_CELLS            # roots up to hi/GRID_CELLS, none to lo
+    scale = GRID_CELLS
+    while 1 / scale > BISECT_TOL:
+        scale *= 2
+    lo, hi = 0, scale                 # roots up to hi/scale, none up to lo/scale
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _has_root_up_to(chain, mid, GRID_CELLS):
+        if _has_root_up_to(chain, mid, scale):
             hi = mid
         else:
             lo = mid
-    a, scale = lo, GRID_CELLS         # the bracket is (a/scale, (a+1)/scale]
-    while 1 / scale > BISECT_TOL:
-        a, scale = 2 * a, 2 * scale
-        if not _has_root_up_to(chain, a + 1, scale):
-            a += 1
-    return RhoInfo((2 * a + 1) / (2 * scale), Fraction(a, scale),
-                   Fraction(a + 1, scale), den)
+    return RhoInfo((2 * lo + 1) / (2 * scale), Fraction(lo, scale),
+                   Fraction(hi, scale), den)
 
 
 def component_rhos(system: CoxeterSystem) -> dict[tuple[int, ...], float]:
@@ -418,9 +419,11 @@ def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
     s = system.generator_index(s)
     witnesses = []
     for w in xi:
-        sw, d1 = system.mult_gen(w, s, LEFT)
         ws, d2 = system.mult_gen(w, s, RIGHT)
-        if d1 < 0 or d2 < 0:
+        if d2 < 0:
+            continue
+        sw, d1 = system.mult_gen(w, s, LEFT)
+        if d1 < 0:
             continue
         sws, d3 = system.mult_gen(sw, s, RIGHT)
         if d3 < 0 or sws not in xi:
@@ -464,9 +467,9 @@ class RecurrenceReport:
     """Mode decomposition of the distance recurrence f(n+2) = p f(n+1) + f(n).
 
     The general solution combines q^{n/2} and (-1)^n q^{-n/2}; along an
-    infinite coset only the first is square-summable, so admissibility
-    demands beta = 0 (and for q = 1, where both modes have constant
-    magnitude, alpha = 0 as well).
+    infinite coset only the decaying mode is square-summable, so
+    admissibility demands beta = 0 for q <= 1 and alpha = 0 for q >= 1
+    (both at q = 1, where the two modes have constant magnitude).
     """
     q: float
     values: tuple[float, ...]
@@ -494,13 +497,9 @@ def coset_recurrence(q, f0: float, f1: float, n: int,
         if abs(model - v) > 1e-9 * max(1.0, abs(v)):
             raise ConsistencyError("mode decomposition failed to reproduce "
                                    "the iterated values")
-    scale = max(abs(f0), abs(f1), 1.0)
-    if q < 1.0:
-        admissible = abs(beta) <= tol * scale
-    elif q == 1.0:
-        admissible = abs(alpha) <= tol * scale and abs(beta) <= tol * scale
-    else:
-        admissible = abs(beta) <= tol * scale
+    bound = tol * max(abs(f0), abs(f1), 1.0)
+    admissible = ((q > 1.0 or abs(beta) <= bound)
+                  and (q < 1.0 or abs(alpha) <= bound))
     return RecurrenceReport(q=q, values=tuple(values[: n + 1]),
                             alpha=alpha, beta=beta, admissible=admissible)
 

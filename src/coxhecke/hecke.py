@@ -13,10 +13,10 @@ mode fixes a concrete q > 0 and keeps float coefficients.
 By the recursion, a product of basis terms is T_v T_w = sum_x n_x(p) T_x
 with integer structure constants: each n_x is a polynomial in p with
 nonnegative integer coefficients.  Exact products compute these as dense
-``int`` lists on canonical words by peeling the shorter factor: w on the
-right when |w| <= |v| (ties go right, where a step inserts or deletes one
-letter and never re-inserts the rest), else v on the left.  Each
-target's coefficient is built once, with rational coefficients cleared to
+``int`` lists on canonical words by peeling the shorter factor with right
+steps: w on the right of v when |w| <= |v|, else v^-1 on the right of
+w^-1, by the adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*.  Each target's
+coefficient is built once, with rational coefficients cleared to
 integers first.  Numeric products run the recursion on the float
 coefficients themselves, term by term, which fixes the order of every
 float sum (:func:`action_matrix` follows the same order).
@@ -212,26 +212,30 @@ def _gen_mul(system: CoxeterSystem, s: int, terms: dict, p, side: str, zero):
 def _structure_constants(system: CoxeterSystem, v: Word,
                          w: Word) -> dict[Word, list[int]]:
     """T_v T_w as {x: n_x} on canonical words, n_x a dense int list in
-    powers of p.  Peels the shorter word (w in order on the right of
-    {v: [1]} when |w| <= |v|, else v from its end on the left of {w: [1]}):
-    T_s sends n T_x to n T_xs (or n T_sx), plus (p n) T_x on a descent.
-    The coefficients stay nonnegative, so no term cancels.
+    powers of p.  Peels the shorter word by right steps: w in order on the
+    right of {v: [1]} when |w| <= |v|, else, through the adjoint
+    T_v T_w = (T_{w^-1} T_{v^-1})^*, v from its end on the right of
+    {w^-1: [1]}, with each output word inverted once.  T_s sends n T_x to
+    n T_xs, plus (p n) T_x on a descent.  The coefficients stay
+    nonnegative, so no term cancels.
     """
-    if len(w) <= len(v):
-        cur, letters, side = {v: [1]}, w, RIGHT
-    else:
-        cur, letters, side = {w: [1]}, v[::-1], LEFT
-    step = system._step
-    for s in letters:
+    fold, step = system._fold, system._step
+    adjoint = len(w) > len(v)
+    if adjoint:
+        v, w = fold((), reversed(w)), v[::-1]
+    cur = {v: [1]}
+    for s in w:
         nxt: dict[Word, list[int]] = {}
         for x, n in cur.items():
-            sx, delta = step(x, s, side)
-            old = nxt.get(sx)
-            nxt[sx] = n if old is None else _poly_add(old, n)
+            xs, delta = step(x, s, RIGHT)
+            old = nxt.get(xs)
+            nxt[xs] = n if old is None else _poly_add(old, n)
             if delta < 0:
                 old = nxt.get(x)
                 nxt[x] = [0] + n if old is None else _poly_add(old, [0] + n)
         cur = nxt
+    if adjoint:
+        return {fold((), reversed(x)): n for x, n in cur.items()}
     return cur
 
 
@@ -299,10 +303,10 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
 
     In exact mode each pair of basis terms T_v T_w goes through its
     integer structure constants, computed by peeling the shorter word one
-    generator at a time with the defining recursion: w from its start on
-    the right of T_v when |w| <= |v| (ties go right, where a step inserts
-    or deletes one letter and never re-inserts the rest of the word), else
-    v from its end on the left of T_w.
+    generator at a time with the defining recursion, always on the right:
+    w from its start on the right of T_v when |w| <= |v|, else v from its
+    end on the right of T_{w^-1}, read back through the adjoint
+    T_v T_w = (T_{w^-1} T_{v^-1})^*.
     ``p_override`` substitutes a different structure constant (used for
     the sign-twisted target algebra of the duality isomorphism); in exact
     mode it must be exact (a LaurentPoly or a rational).  In numeric mode

@@ -284,6 +284,23 @@ def test_dykema(capsys):
     assert code == 2
 
 
+def test_dykema_decomposes_once(capsys, monkeypatch):
+    """The atoms printed are those of the cross-validation's decomposition,
+    which builds the measure of each factor once."""
+    from coxhecke import freeprod
+    calls = []
+    measure = freeprod.mu_k
+
+    def counted(k, q):
+        calls.append(k)
+        return measure(k, q)
+
+    monkeypatch.setattr(freeprod, "mu_k", counted)
+    code, out, _ = run(capsys, ["dykema", "--ranks", "2,1", "--q", "3"])
+    assert code == 0 and "weight 5/16" in out
+    assert calls == [2, 1]
+
+
 @pytest.mark.parametrize("ranks", ["40,1", "19,1"])
 def test_dykema_rank_cap(capsys, ranks):
     """Ranks whose atoms or atom pairs exceed the cap fail fast with exit 1."""
@@ -495,6 +512,29 @@ def test_hecke_pinned(capsys, name, fmt):
                                 "--expr", expr, "--format", fmt])
     assert code == 0
     assert out == HECKE_PINS[name, fmt]
+
+
+VERIFY_SEED_0_PIN = (
+    "PASS  word-conditions      4836 checks\n"
+    "PASS  normal-forms         1456 words\n"
+    "PASS  length-additivity    33212 checks\n"
+    "PASS  hecke                60 random triples on z2sq-z2, 12 on each "
+    "of 5 random graphs\n"
+    "PASS  growth-rho           3 systems and 20 random graphs, coefficients "
+    "to 12, sign change across 19 rho brackets\n"
+    "PASS  cosets-graph         3 systems at radius 5, support rule on 20 "
+    "random graphs at radius 3\n"
+    "PASS  radial-symbol        3 systems at radius 6\n"
+    "PASS  free-products        3 specs x 5 parameters, freeness to length 5\n"
+    "all suites passed\n"
+)
+
+
+def test_verify_pinned(capsys):
+    """All eight suites at seed 0, byte for byte."""
+    code, out, _ = run(capsys, ["verify", "--seed", "0"])
+    assert code == 0
+    assert out == VERIFY_SEED_0_PIN
 
 
 def test_growth_rejects_negative_radius(capsys):

@@ -328,6 +328,35 @@ def test_classify_reducible_mixed():
     assert rep.center_dimension == 4
 
 
+def _commuting_product(left, right):
+    """The direct product of two systems given by (names, commuting pairs)."""
+    names = left[0] + right[0]
+    pairs = left[1] + right[1] + [(a, b) for a in left[0] for b in right[0]]
+    return CoxeterSystem(names, pairs)
+
+
+def test_classify_reducible_all_factors():
+    sys = _commuting_product((["a", "b", "c"], []), (["x", "y", "z"], []))
+    rep = classify(sys, 1)
+    assert rep.classification == "factor"
+    assert rep.reason == "all components are factors"
+    assert rep.center_dimension == 1
+    assert [c.classification for c in rep.components] == ["factor"] * 2
+    rep = classify(sys, Fraction(1, 4))
+    assert rep.classification == "not_applicable"
+    assert rep.center_dimension == 4
+
+
+def test_classify_reducible_with_dihedral_component():
+    sys = _commuting_product((["a", "b", "c"], []), (["s", "t"], []))
+    rep = classify(sys, 1)
+    assert rep.classification == "not_applicable"
+    assert rep.reason == "a two-generator infinite component is unclassified"
+    assert rep.center_dimension is None
+    assert [c.kind for c in rep.components] == ["classified", "dihedral"]
+    assert rep.components[0].classification == "factor"
+
+
 def test_classify_j_duality(named_systems):
     rng = random.Random(19)
     for _ in range(20):
@@ -447,6 +476,20 @@ def test_recurrence_pure_modes():
     rep = coset_recurrence(q, 1.0, -1 / math.sqrt(q), 6)
     assert rep.alpha == pytest.approx(0.0) and rep.beta == pytest.approx(1.0)
     assert not rep.admissible
+
+
+def test_recurrence_pure_modes_above_one():
+    """For q > 1 the square-summable mode is (-1)^n q^{-n/2}."""
+    rep = coset_recurrence(4, 1.0, -0.5, 8)
+    assert rep.alpha == pytest.approx(0.0) and rep.beta == pytest.approx(1.0)
+    assert rep.admissible
+    for k, v in enumerate(rep.values):
+        assert v == pytest.approx((-0.5) ** k)
+    rep = coset_recurrence(4, 1.0, 2.0, 8)
+    assert rep.alpha == pytest.approx(1.0) and rep.beta == pytest.approx(0.0)
+    assert not rep.admissible
+    for k, v in enumerate(rep.values):
+        assert v == pytest.approx(2.0 ** k)
 
 
 def test_recurrence_direct_arithmetic():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coxhecke import (InputError, LEFT, RIGHT, LaurentPoly,
+from coxhecke import (CoxeterSystem, InputError, LEFT, RIGHT, LaurentPoly,
                       P_SYMBOL, action_matrix, inner, j_iso, l2_norm, mul,
                       parse_expression, state_phi, t_basis, t_tilde, unit)
 from coxhecke.hecke import HeckeElement
@@ -118,7 +118,8 @@ def random_element_of_length(rng, sys, length):
 def test_oracle_equivalence_unequal_lengths():
     """Basis pairs of a long and a short factor, in both orders, and of
     equal lengths, on seeded random graphs: the product peels whichever
-    factor is shorter, so both peeling sides meet the oracle."""
+    factor is shorter, directly or through the adjoint, so both ways
+    meet the oracle."""
     rng = random.Random(79)
     for _ in range(20):
         sys = random_system(rng)
@@ -130,6 +131,28 @@ def test_oracle_equivalence_unequal_lengths():
                      random_element_of_length(rng, sys, k))
             for v, w in ((long, short), (short, long), equal):
                 assert_basis_product_matches_oracle(sys, v, w)
+
+
+def test_exact_products_take_right_steps_only(monkeypatch):
+    """A shorter left factor is peeled through the adjoint, on the right:
+    exact products take no left step."""
+    rng = random.Random(83)
+    pairs = []
+    for _ in range(10):
+        sys = random_system(rng)
+        pairs.append((random_element_of_length(rng, sys, rng.randint(1, 3)),
+                      random_element_of_length(rng, sys, rng.randint(4, 8))))
+    sides = []
+    step = CoxeterSystem._step
+
+    def counted(self, word, s, side):
+        sides.append(side)
+        return step(self, word, s, side)
+
+    monkeypatch.setattr(CoxeterSystem, "_step", counted)
+    for v, w in pairs:
+        mul(t_basis(v), t_basis(w))
+    assert sides and LEFT not in sides
 
 
 def expected_product(a, b):
@@ -546,6 +569,14 @@ def test_parse_expression_basic(free3):
     expect = (t_basis(free3.element("s t")).scale(Fraction(2, 3))
               + t_basis(free3.element("s u")) - unit(free3))
     assert e == expect
+
+
+def test_parse_expression_leading_sign(free3):
+    s, t, u = (t_basis(free3.element(x)) for x in "stu")
+    assert parse_expression(free3, "-T(s) + T(t)") == t - s
+    assert parse_expression(free3, "+T(s)") == s
+    assert parse_expression(free3, "-T(s)*T(t) - T(u)") == -mul(s, t) - u
+    assert parse_expression(free3, "(-T(s))") == -s
 
 
 def test_parse_expression_j(dihedral):
