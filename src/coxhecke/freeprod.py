@@ -88,8 +88,9 @@ def mu_k(k: int, q) -> AtomicMeasure:
     denom = (q + 1) ** k
     masses = {}
     for r in range(k + 1):
+        mass = q ** r / denom
         for subset in itertools.combinations(range(k), r):
-            masses[subset] = q ** r / denom
+            masses[subset] = mass
     measure = AtomicMeasure(masses)
     assert measure.total() == 1
     return measure

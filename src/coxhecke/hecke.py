@@ -12,19 +12,21 @@ mode fixes a concrete q > 0 and keeps float coefficients.
 
 By the recursion, a product of basis terms is T_v T_w = sum_x n_x(p) T_x
 with integer structure constants: each n_x is a polynomial in p with
-nonnegative integer coefficients.  Exact products compute these as dense
-``int`` lists on canonical words by peeling the shorter factor with right
-steps: w on the right of v when |w| <= |v|, else v^-1 on the right of
-w^-1, by the adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*.  Each target's
-coefficient is built once, with rational coefficients cleared to
-integers first.  Numeric products run the recursion on the float
-coefficients themselves, term by term, which fixes the order of every
-float sum (:func:`action_matrix` follows the same order).
+nonnegative integer coefficients.  Both modes peel with right steps on
+canonical words, a left factor through the adjoint
+T_v T_w = (T_{w^-1} T_{v^-1})^*.  Exact products compute the n_x as dense
+``int`` lists by peeling the shorter factor, with rational coefficients
+cleared to integers first.  Numeric products peel each term's v^-1 on the
+right of b^*: the adjoint maps each intermediate sum onto that of peeling
+v on the left of b, and a step gives a target at most two contributions,
+so the float sums are those of the left recursion (:func:`action_matrix`
+follows the same order).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,45 +200,42 @@ def t_tilde(w: Element, q: float | None = None) -> HeckeElement:
 # -- multiplication ------------------------------------------------------------------
 
 
-def _gen_mul(system: CoxeterSystem, s: int, terms: dict, p, side: str, zero):
-    """Multiply a term dict by the generator basis term T_s on one side."""
-    out: dict[Element, object] = {}
-    for w, c in terms.items():
-        sw, delta = system.mult_gen(w, s, side)
-        out[sw] = out.get(sw, zero) + c
-        if delta < 0:
-            out[w] = out.get(w, zero) + p * c
-    return {w: c for w, c in out.items() if c}
+def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> dict:
+    """Multiply {canonical word: coefficient} on the right by T_s for each
+    s in ``letters``: T_x T_s = T_xs, plus times_p(c) T_x on a descent.  A
+    step gives a target at most two contributions, so with a commutative
+    ``add`` the result does not depend on the order of the terms."""
+    step = system._step
+    for s in letters:
+        nxt = {}
+        for x, c in terms.items():
+            xs, delta = step(x, s, RIGHT)
+            old = nxt.get(xs)
+            nxt[xs] = c if old is None else add(old, c)
+            if delta < 0:
+                c = times_p(c)
+                old = nxt.get(x)
+                nxt[x] = c if old is None else add(old, c)
+        terms = nxt
+    return terms
 
 
 def _structure_constants(system: CoxeterSystem, v: Word,
                          w: Word) -> dict[Word, list[int]]:
     """T_v T_w as {x: n_x} on canonical words, n_x a dense int list in
-    powers of p.  Peels the shorter word by right steps: w in order on the
-    right of {v: [1]} when |w| <= |v|, else, through the adjoint
-    T_v T_w = (T_{w^-1} T_{v^-1})^*, v from its end on the right of
-    {w^-1: [1]}, with each output word inverted once.  T_s sends n T_x to
-    n T_xs, plus (p n) T_x on a descent.  The coefficients stay
-    nonnegative, so no term cancels.
+    powers of p.  Peels the shorter word: w on the right of {v: [1]} when
+    |w| <= |v|, else v from its end on the right of {w^-1: [1]}, with each
+    output word inverted once.  The coefficients stay nonnegative, so no
+    term cancels.
     """
-    fold, step = system._fold, system._step
+    fold = system._fold
     adjoint = len(w) > len(v)
     if adjoint:
         v, w = fold((), reversed(w)), v[::-1]
-    cur = {v: [1]}
-    for s in w:
-        nxt: dict[Word, list[int]] = {}
-        for x, n in cur.items():
-            xs, delta = step(x, s, RIGHT)
-            old = nxt.get(xs)
-            nxt[xs] = n if old is None else _poly_add(old, n)
-            if delta < 0:
-                old = nxt.get(x)
-                nxt[x] = [0] + n if old is None else _poly_add(old, [0] + n)
-        cur = nxt
+    out = _right_peel(system, {v: [1]}, w, _poly_add, lambda n: [0] + n)
     if adjoint:
-        return {fold((), reversed(x)): n for x, n in cur.items()}
-    return cur
+        return {fold((), reversed(x)): n for x, n in out.items()}
+    return out
 
 
 def _numerators(a: HeckeElement) -> tuple[int, dict[Word, dict[int, int]]]:
@@ -303,33 +302,29 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
 
     In exact mode each pair of basis terms T_v T_w goes through its
     integer structure constants, computed by peeling the shorter word one
-    generator at a time with the defining recursion, always on the right:
-    w from its start on the right of T_v when |w| <= |v|, else v from its
-    end on the right of T_{w^-1}, read back through the adjoint
-    T_v T_w = (T_{w^-1} T_{v^-1})^*.
+    generator at a time on the right, v^-1 through the adjoint.
     ``p_override`` substitutes a different structure constant (used for
     the sign-twisted target algebra of the duality isomorphism); in exact
     mode it must be exact (a LaurentPoly or a rational).  In numeric mode
-    the left factor is peeled on the left, and the recursion runs on the
-    float coefficients themselves, term by term, so the order of the float
-    sums is that of the recursion.
+    each term c_a T_v of a in turn peels v^-1 on the right of b^*, on the
+    float coefficients themselves, and adds c_a times the inverted output;
+    the float sums are those of peeling v on the left of b (see above).
     """
     a._check_compat(b)
     if a.q is None:
         return _exact_mul(a, b, P_SYMBOL if p_override is None
                           else _coerce(p_override))
-    sys = a.system
+    sys, fold = a.system, a.system._fold
     p = a._p() if p_override is None else p_override
-    zero = a._zero_coeff()
-    result: dict[Element, object] = {}
-    for wa, ca in a.terms.items():
-        cur = dict(b.terms)
-        for s in reversed(wa.word):
-            cur = _gen_mul(sys, s, cur, p, LEFT, zero)
-        for w, c in cur.items():
-            acc = result.get(w, zero) + ca * c
-            result[w] = acc
-    return HeckeElement(sys, result, a.q)
+    adjoint = {fold((), reversed(w.word)): c for w, c in b.terms.items()}
+    result: dict[Word, float] = {}
+    for v, ca in a.terms.items():
+        for x, c in _right_peel(sys, adjoint, reversed(v.word), operator.add,
+                                lambda c: p * c).items():
+            x = fold((), reversed(x))
+            result[x] = result.get(x, 0.0) + ca * c
+    return HeckeElement(sys, {Element(sys, x): c for x, c in result.items()},
+                        a.q)
 
 
 def j_iso(a: HeckeElement) -> HeckeElement:
@@ -360,7 +355,8 @@ def state_phi(a: HeckeElement):
 
 def inner(a: HeckeElement, b: HeckeElement):
     """l2 pairing of symbols: sum over w of coeff_a(w) * coeff_b(w); the
-    coefficients are real, so no conjugation is needed."""
+    coefficients are real, so no conjugation is needed.  The numeric sum
+    is exactly rounded, so it does not depend on the order of the terms."""
     a._check_compat(b)
     if a.q is None:
         total = LaurentPoly.zero()
@@ -369,7 +365,7 @@ def inner(a: HeckeElement, b: HeckeElement):
             if d is not None:
                 total = total + c * d
         return total
-    return float(sum(c * b.terms.get(w, 0.0) for w, c in a.terms.items()))
+    return math.fsum(c * b.terms.get(w, 0.0) for w, c in a.terms.items())
 
 
 def l2_norm(a: HeckeElement) -> float:
@@ -460,16 +456,18 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
 
     ``ball`` may be any list of elements.  This enumerates ball(r + m), r
     and m the longest words in ``ball`` and in ``a``, and runs the
-    one-generator recursion of :func:`mul` on its left-multiplication table,
-    for all columns at once.  Every intermediate term lies in ball(r + m),
+    one-generator recursion T_s T_x on its left-multiplication table, for
+    all columns at once.  Every intermediate term lies in ball(r + m),
     so images leaving ``ball`` keep their identities.  Side "left" peels
-    each term of ``a`` and sums the terms in order; side "right" peels each
-    column's word from the end.  A recursion step gives a term at most two
-    contributions, so the entries are bit for bit those of per-column
-    products.  When ball(r + m) would exceed ``DEFAULT_MAX_BALL`` elements,
-    the columns are computed one product at a time instead.  The only
-    ``CapacityError`` comes from that count, when one level of the
-    canonical-word automaton has more than ``DEFAULT_MAX_BALL`` states.
+    each term of ``a`` from its end on the left of the columns and sums the
+    terms in order; side "right" peels each column's word from the end on
+    the left of ``a``.  :func:`mul` takes the same steps mirrored by the
+    adjoint, and a step gives a term at most two contributions, so the
+    entries are bit for bit those of per-column products.  When ball(r + m)
+    would exceed ``DEFAULT_MAX_BALL`` elements, the columns are computed
+    one product at a time instead.  The only ``CapacityError`` comes from
+    that count, when one level of the canonical-word automaton has more
+    than ``DEFAULT_MAX_BALL`` states.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")

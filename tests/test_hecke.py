@@ -135,7 +135,8 @@ def test_oracle_equivalence_unequal_lengths():
 
 def test_exact_products_take_right_steps_only(monkeypatch):
     """A shorter left factor is peeled through the adjoint, on the right:
-    exact products take no left step."""
+    exact products take no left step, and neither do numeric products,
+    which peel every left factor that way."""
     rng = random.Random(83)
     pairs = []
     for _ in range(10):
@@ -152,6 +153,8 @@ def test_exact_products_take_right_steps_only(monkeypatch):
     monkeypatch.setattr(CoxeterSystem, "_step", counted)
     for v, w in pairs:
         mul(t_basis(v), t_basis(w))
+        mul(t_basis(v, q=0.7), t_basis(w, q=0.7))
+        mul(t_basis(w, q=0.7), t_basis(v, q=0.7))
     assert sides and LEFT not in sides
 
 
@@ -236,6 +239,45 @@ def test_exact_products_pinned():
     for product in exact_pin_products():
         digest.update(str(product).encode() + b"\n")
     assert digest.hexdigest() == EXACT_PRODUCTS_PIN
+
+
+#: SHA-256 over the words and the ``float.hex`` of the coefficients of the
+#: products of :func:`numeric_pin_products`, recorded on the parent of the
+#: change that peels numeric products through the adjoint (commit a5b0f42,
+#: where the left factor was peeled with left steps).
+NUMERIC_PRODUCTS_PIN = ("f81c151f87861b3ba12f6e1e039c3fc1"
+                        "dfcc00f5895ee0dac8fa3c200806f00f")
+
+
+def numeric_pin_products():
+    """920 numeric products ab on the named systems and 20 seeded random
+    graphs, at random q in (0.05, 4) and with p_override None and a random
+    float.  a has 1-4 float terms on a ball of random radius up to 5, and
+    b adds to a's adjoint 1-4 such terms on another ball."""
+    rng = random.Random(89)
+    systems = list(verify.named_systems().values())
+    systems += [random_system(rng) for _ in range(20)]
+    for sys in systems:
+        balls = [sys.ball(r) for r in range(6)]
+        for _ in range(20):
+            q = rng.uniform(0.05, 4)
+            a, b = (HeckeElement(sys, {rng.choice(ball): rng.uniform(-3, 3)
+                                       for _ in range(rng.randint(1, 4))}, q)
+                    for ball in (rng.choice(balls), rng.choice(balls)))
+            for p in (None, rng.uniform(-2, 2)):
+                yield mul(a, b + a.star(), p_override=p)
+
+
+def test_numeric_products_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for product in numeric_pin_products():
+        for w in product.support():
+            digest.update(f"{w.word} {product.terms[w].hex()}\n".encode())
+        digest.update(b"\n")
+        count += 1
+    assert count == 920
+    assert digest.hexdigest() == NUMERIC_PRODUCTS_PIN
 
 
 def test_verify_suite_covers_random_graphs():
@@ -382,6 +424,21 @@ def test_inner_hermitian_numeric(z2sq_z2):
         a = random_exact_element(rng, z2sq_z2, ball).specialize(0.7)
         b = random_exact_element(rng, z2sq_z2, ball).specialize(0.7)
         assert inner(a, b) == pytest.approx(inner(b, a))
+
+
+def test_inner_independent_of_term_order():
+    """Equal numeric elements built in two insertion orders have equal
+    pairings and norms."""
+    rng = random.Random(101)
+    sys = verify.named_systems()["pentagon"]
+    ball = sys.ball(4)
+    for _ in range(300):
+        items = [(w, rng.uniform(-3, 3)) for w in rng.sample(ball, 6)]
+        a = HeckeElement(sys, dict(items), q=1.5)
+        b = HeckeElement(sys, dict(reversed(items)), q=1.5)
+        assert a == b and list(a.terms) != list(b.terms)
+        assert inner(a, a) == inner(b, b) == inner(a, b)
+        assert l2_norm(a) == l2_norm(b)
 
 
 def test_specialization_consistency(named_systems):
