@@ -124,6 +124,7 @@ class CoxeterSystem:
 
         self._identity = Element(self, ())
         self._subsystem_cache: dict = {}
+        self._ball_cache: tuple | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -464,6 +465,24 @@ class CoxeterSystem:
         for child, last, parent in self._tree_levels(lengths, right, len(words)):
             supp[child] = supp[parent] | (1 << last)
         return supp
+
+    def _action_table(self, radius: int) -> tuple:
+        """The ball table of :func:`hecke.action_matrix`, one per system and
+        rebuilt only at a larger radius: (radius, {word: row}, left, descent,
+        and per row the last letter and prefix row, -1 and 0 at the identity).
+        A ball is a prefix of any larger one, so it reads the same in it."""
+        entry = self._ball_cache
+        if entry is None or entry[0] < radius:
+            words, lengths, right, _ = self.ball_table(radius)
+            left, descent = self.ball_left_table(words, lengths, right)
+            last = np.full(len(words), -1, dtype=np.int64)
+            parent = np.zeros(len(words), dtype=np.int64)
+            for child, s, up in self._tree_levels(lengths, right, len(words)):
+                last[child], parent[child] = s, up
+            entry = self._ball_cache = (
+                radius, {w: i for i, w in enumerate(words)}, left, descent,
+                last, parent)
+        return entry
 
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
         """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k},

@@ -14,6 +14,7 @@ presence flag).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,24 +202,29 @@ def dykema_decompose(spec: FreeFactorSpec, q) -> DecompositionReport:
             "all ranks 1 its first step has too few atoms (the closed-form "
             "condition still evaluates)")
     order = sorted(range(len(spec.ranks)), key=lambda i: -spec.ranks[i])
+    ks = [spec.ranks[i] for i in order]
     # the first step's pair count is known before any measure is built
-    _check_atoms(2 ** (spec.ranks[order[0]] + spec.ranks[order[1]]))
+    _check_atoms(2 ** (ks[0] + ks[1]))
     measures = [mu_k(spec.ranks[i], q) for i in range(len(spec.ranks))]
 
-    # fold in descending-rank order, recording labels in that order
-    acc = {(x,): m for x, m in measures[order[0]].masses.items()}
-    for fi in order[1:]:
-        _check_atoms(len(acc) * len(measures[fi].masses))
-        nxt = {}
-        for label, m1 in acc.items():
-            for y, m2 in measures[fi].masses.items():
-                excess = m1 + m2 - 1
-                if excess > 0:
-                    nxt[label + (y,)] = excess
-        acc = nxt
-    # restore input factor order in the labels
+    # a mass depends only on the subset size, so fold in descending-rank
+    # order on tuples of sizes; a tuple stands for prod C(k_i, r_i) atoms
+    acc = {(r,): measures[order[0]].masses[tuple(range(r))]
+           for r in range(ks[0] + 1)}
+    for fi, k in zip(order[1:], ks[1:]):
+        _check_atoms(2 ** k * sum(math.prod(map(math.comb, ks, sizes))
+                                  for sizes in acc))
+        acc = {sizes + (r,): excess for sizes, m1 in acc.items()
+               for r in range(k + 1)
+               if (excess := m1 + measures[fi].masses[tuple(range(r))] - 1) > 0}
+    # expand the survivors in the order of a fold over atoms (per factor by
+    # size, then subset) and restore input factor order in the labels
+    atoms = {label: m for sizes, m in acc.items()
+             for label in itertools.product(*(itertools.combinations(range(k), r)
+                                              for k, r in zip(ks, sizes)))}
     restore = sorted(range(len(order)), key=lambda pos: order[pos])
-    atoms = {tuple(label[pos] for pos in restore): m for label, m in acc.items()}
+    atoms = {tuple(label[pos] for pos in restore): atoms[label]
+             for label in sorted(atoms, key=lambda a: [(len(x), x) for x in a])}
     return DecompositionReport(spec=spec, q=q, atoms=AtomicMeasure(atoms),
                                diffuse_present=True)
 

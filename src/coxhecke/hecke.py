@@ -412,23 +412,6 @@ def _action_by_products(a: HeckeElement, ball: list[Element],
     return ActionMatrix(tuple(ball), mat, exact, side)
 
 
-def _peel(words: list[tuple[int, ...]], depth: int) -> np.ndarray:
-    """``peel[k, j]``: the k-th letter of ``words[j]`` from the end, or -1."""
-    out = np.full((depth, len(words)), -1, dtype=np.int64)
-    for j, word in enumerate(words):
-        out[:len(word), j] = word[::-1]
-    return out
-
-
-def _locate(peel: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Table indices of the peeled words, built up by left multiplication."""
-    where = np.zeros(peel.shape[1], dtype=np.int64)
-    for s in peel:
-        go = s >= 0
-        where[go] = left[s[go], where[go]]
-    return where
-
-
 def _merge(col, at, val, size):
     """Sum the coefficients of equal (column, element) terms in array order
     and drop zeros."""
@@ -454,20 +437,23 @@ def _left_step(terms, s, left, descent, p):
 def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> ActionMatrix:
     """Truncation of the multiplication operator of ``a`` to a metric ball.
 
-    ``ball`` may be any list of elements.  This enumerates ball(r + m), r
-    and m the longest words in ``ball`` and in ``a``, and runs the
-    one-generator recursion T_s T_x on its left-multiplication table, for
-    all columns at once.  Every intermediate term lies in ball(r + m),
-    so images leaving ``ball`` keep their identities.  Side "left" peels
-    each term of ``a`` from its end on the left of the columns and sums the
-    terms in order; side "right" peels each column's word from the end on
-    the left of ``a``.  :func:`mul` takes the same steps mirrored by the
-    adjoint, and a step gives a term at most two contributions, so the
-    entries are bit for bit those of per-column products.  When ball(r + m)
-    would exceed ``DEFAULT_MAX_BALL`` elements, the columns are computed
-    one product at a time instead.  The only ``CapacityError`` comes from
-    that count, when one level of the canonical-word automaton has more
-    than ``DEFAULT_MAX_BALL`` states.
+    ``ball`` may be any list of elements.  This runs the one-generator
+    recursion T_s T_x on the left-multiplication table of ball(r + m), r
+    and m the longest words in ``ball`` and in ``a``, for all columns at
+    once.  Every intermediate term lies in ball(r + m), so images leaving
+    ``ball`` keep their identities.  Side "left" peels each term of ``a``
+    from its end on the left of the columns and sums the terms in order;
+    side "right" peels each column's word from the end on the left of
+    ``a``.  :func:`mul` takes the same steps mirrored by the adjoint, and a
+    step gives a term at most two contributions, so the entries are bit for
+    bit those of per-column products.  The system holds one table, grown on
+    demand and never shrunk: a smaller ball is a prefix of it, with the
+    same rows and the same sums.  Before a table is built at a new radius,
+    the canonical-word automaton counts ball(r + m); past
+    ``DEFAULT_MAX_BALL`` elements the columns are computed one product at
+    a time instead and nothing is cached.  The only ``CapacityError`` comes
+    from that count, when one level of the automaton has more than
+    ``DEFAULT_MAX_BALL`` states.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")
@@ -478,17 +464,18 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
         raise InputError("elements live over different Coxeter systems")
     r = max((len(w) for w in ball), default=0)
     m = max((len(v) for v in a.terms), default=0)
-    # counted by the automaton, before any enumeration
-    if sum(sys._sphere_sizes(r + m)) > DEFAULT_MAX_BALL:
+    # counted by the automaton before a build at a new radius; a cached
+    # table at radius >= r + m already fit under the cap
+    cached = sys._ball_cache
+    if ((cached is None or cached[0] < r + m)
+            and sum(sys._sphere_sizes(r + m)) > DEFAULT_MAX_BALL):
         return _action_by_products(a, ball, side)
-    words, lengths, right, _ = sys.ball_table(r + m)
-    left, descent = sys.ball_left_table(words, lengths, right)
+    _, index, left, descent, last, parent = sys._action_table(r + m)
     p = a._p()
 
     n = len(ball)
     cols = np.arange(n)
-    peel = _peel([w.word for w in ball], r)
-    where = _locate(peel, left)
+    where = np.array([index[w.word] for w in ball], dtype=np.int64)
     if side == LEFT:
         parts = [(cols[:0], cols[:0], np.zeros(0))]     # for the zero element
         for v, c in a.terms.items():
@@ -497,18 +484,21 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
                 terms = _left_step(terms, np.full(len(terms[0]), s),
                                    left, descent, p)
             parts.append((terms[0], terms[1], c * terms[2]))
-        col, at, val = _merge(*map(np.concatenate, zip(*parts)), len(words))
+        col, at, val = _merge(*map(np.concatenate, zip(*parts)), len(index))
     else:
         support = list(a.terms)
-        start = _locate(_peel([v.word for v in support], m), left)
+        start = np.array([index[v.word] for v in support], dtype=np.int64)
         col, at, val = (np.repeat(cols, len(support)), np.tile(start, n),
                         np.tile([a.terms[v] for v in support], n))
-        for s in peel:
-            col, at, val = _left_step((col, at, val), s[col], left, descent, p)
+        peel = where
+        for _ in range(r):              # each column's letters from the end
+            col, at, val = _left_step((col, at, val), last[peel][col],
+                                      left, descent, p)
+            peel = parent[peel]
 
-    row = np.full(len(words), -1, dtype=np.int64)
-    last, first = np.unique(where[::-1], return_index=True)
-    row[last] = n - 1 - first           # a repeated element takes its last row
+    row = np.full(len(index), -1, dtype=np.int64)
+    kept, first = np.unique(where[::-1], return_index=True)
+    row[kept] = n - 1 - first           # a repeated element takes its last row
     i = row[at]
     inside = i >= 0
     mat = np.zeros((n, n))

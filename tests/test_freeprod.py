@@ -147,6 +147,26 @@ def test_dykema_atom_count_never_exceeds_one():
                 assert label == tuple(tuple(range(k)) for k in ranks)
 
 
+
+def test_dykema_matches_a_fold_over_atoms():
+    """Folding on subset-size classes gives the atoms, masses and order of
+    the pairwise fold over every atom of every factor."""
+    qs = [Fraction(1, 1000), Fraction(1, 3), Fraction(9, 10), Fraction(1),
+          Fraction(3, 2), Fraction(3), Fraction(1000)]
+    for ranks in ((2, 1), (3, 3), (1, 4), (3, 2, 2), (2, 1, 3, 1)):
+        spec = FreeFactorSpec(ranks)
+        order = sorted(range(len(ranks)), key=lambda i: -ranks[i])
+        for q in qs:
+            acc = {(): 1}
+            for fi in order:
+                acc = {label + (x,): m1 + m2 - 1 for label, m1 in acc.items()
+                       for x, m2 in mu_k(ranks[fi], q).masses.items()
+                       if m1 + m2 > 1}
+            expected = [(tuple(label[order.index(i)] for i in range(len(ranks))),
+                         m) for label, m in acc.items()]
+            got = dykema_decompose(spec, q).atoms.masses
+            assert list(got.items()) == expected
+
 # -- closed form and cross-validation ----------------------------------------------------
 
 def test_closed_form_examples():

@@ -18,7 +18,7 @@ from coxhecke import (CoxeterSystem, InputError, LEFT, RIGHT, LaurentPoly,
                       P_SYMBOL, action_matrix, inner, j_iso, l2_norm, mul,
                       parse_expression, state_phi, t_basis, t_tilde, unit)
 from coxhecke.hecke import HeckeElement
-from coxhecke import verify
+from coxhecke import hecke, verify
 from coxhecke.verify import random_system, suite_hecke
 
 from conftest import oracle_unnormalized_mul
@@ -616,6 +616,81 @@ def test_action_matrix_beyond_table_cap(free3):
         assert np.array_equal(am.exact_columns, exact)
         assert am.exact_columns.tolist() == [False, True, True]
 
+
+
+def fresh_copy(sys):
+    """The same Coxeter system as a new object, with nothing cached."""
+    return CoxeterSystem(sys.names, [(i, j) for i in range(sys.n)
+                                     for j in range(i + 1, sys.n)
+                                     if sys.commutes(i, j)])
+
+
+def test_action_matrix_reuses_cached_table_exactly():
+    """Matrices read from the one table a system holds, at radii that grow
+    and shrink, are bit for bit those of a system that builds afresh."""
+    rng = random.Random(1523)
+    for _ in range(20):
+        sys = random_system(rng, 6)
+        q = rng.uniform(0.05, 4.0)
+        short = sys.ball(2)
+        for radius in (1, 3, 0, 4, 2):
+            ball = sys.ball(radius)
+            a = HeckeElement(sys, {rng.choice(short): rng.uniform(-2.0, 2.0)
+                                   for _ in range(rng.randint(0, 3))}, q=q)
+            copy = fresh_copy(sys)
+            a_copy = HeckeElement(copy, {copy.element(w.word): c
+                                         for w, c in a.terms.items()}, q=q)
+            ball_copy = [copy.element(w.word) for w in ball]
+            for side in (LEFT, RIGHT):
+                am = action_matrix(a, ball, side)
+                ref = action_matrix(a_copy, ball_copy, side)
+                assert am.matrix.tobytes() == ref.matrix.tobytes()
+                assert am.exact_columns.tobytes() == ref.exact_columns.tobytes()
+
+
+def test_action_matrix_builds_one_table_per_growth(monkeypatch):
+    builds = []
+    ball_table = CoxeterSystem.ball_table
+
+    def counted(self, radius, *args):
+        builds.append(radius)
+        return ball_table(self, radius, *args)
+
+    monkeypatch.setattr(CoxeterSystem, "ball_table", counted)
+    sys = verify.named_systems()["pentagon"]
+    a = HeckeElement(sys, {sys.element("p r"): 1.25,
+                           sys.element("q s"): -0.8}, q=0.37)
+    for k in range(10):
+        action_matrix(a, sys.ball(3), LEFT if k % 2 else RIGHT)
+    assert builds == [5]
+    action_matrix(a, sys.ball(4), RIGHT)
+    assert builds == [5, 6]
+    action_matrix(a, sys.ball(1), LEFT)
+    action_matrix(unit(sys, q=0.37), sys.ball(5), LEFT)
+    assert builds == [5, 6]
+
+
+def test_action_matrix_past_cap_caches_nothing(monkeypatch, free3):
+    """Past the cap the columns come from single products, as before, and
+    the system keeps no table."""
+    monkeypatch.setattr(hecke, "DEFAULT_MAX_BALL", 20)
+    fallback = []
+    by_products = hecke._action_by_products
+
+    def counted(*args):
+        fallback.append(args[2])
+        return by_products(*args)
+
+    monkeypatch.setattr(hecke, "_action_by_products", counted)
+    ball = free3.ball(2)                  # ball(3) has 22 elements
+    a = t_basis(free3.element("s"), q=0.5)
+    for side in (LEFT, RIGHT):
+        am = action_matrix(a, ball, side)
+        mat, exact = action_by_products(a, ball, side)
+        assert np.array_equal(am.matrix, mat)
+        assert np.array_equal(am.exact_columns, exact)
+    assert fallback == [LEFT, RIGHT]
+    assert free3._ball_cache is None
 
 # -- expression language ---------------------------------------------------------------
 
