@@ -93,7 +93,9 @@ def mu_k(k: int, q) -> AtomicMeasure:
         for subset in itertools.combinations(range(k), r):
             masses[subset] = mass
     measure = AtomicMeasure(masses)
-    assert measure.total() == 1
+    # the total per size class: sum_r C(k, r) q^r == (q + 1)^k
+    assert sum(math.comb(k, r) * masses[tuple(range(r))]
+               for r in range(k + 1)) == 1
     return measure
 
 

@@ -24,9 +24,9 @@ from coxhecke.verify import random_system, suite_hecke
 from conftest import oracle_unnormalized_mul
 
 
-def random_exact_element(rng, sys, ball, n_terms=3):
+def random_exact_element(rng, sys, ball, n_terms=3, min_terms=1):
     acc = HeckeElement(sys)
-    for _ in range(rng.randint(1, n_terms)):
+    for _ in range(rng.randint(min_terms, n_terms)):
         c = LaurentPoly({rng.randint(-1, 1): Fraction(rng.randint(-3, 3),
                                                       rng.randint(1, 3))})
         acc = acc + t_basis(rng.choice(ball)).scale(c)
@@ -117,9 +117,9 @@ def random_element_of_length(rng, sys, length):
 
 def test_oracle_equivalence_unequal_lengths():
     """Basis pairs of a long and a short factor, in both orders, and of
-    equal lengths, on seeded random graphs: the product peels whichever
-    factor is shorter, directly or through the adjoint, so both ways
-    meet the oracle."""
+    equal lengths, on seeded random graphs: exact products peel the
+    letters of the right factor on the right of the left factor, whatever
+    the lengths, so every shape must meet the oracle."""
     rng = random.Random(79)
     for _ in range(20):
         sys = random_system(rng)
@@ -134,9 +134,9 @@ def test_oracle_equivalence_unequal_lengths():
 
 
 def test_exact_products_take_right_steps_only(monkeypatch):
-    """A shorter left factor is peeled through the adjoint, on the right:
-    exact products take no left step, and neither do numeric products,
-    which peel every left factor that way."""
+    """Exact products peel the right factor on the right of the left one
+    and take no left step; neither do numeric products, which peel every
+    left factor through the adjoint, on the right."""
     rng = random.Random(83)
     pairs = []
     for _ in range(10):
@@ -156,6 +156,34 @@ def test_exact_products_take_right_steps_only(monkeypatch):
         mul(t_basis(v, q=0.7), t_basis(w, q=0.7))
         mul(t_basis(w, q=0.7), t_basis(v, q=0.7))
     assert sides and LEFT not in sides
+
+
+def test_exact_products_take_no_adjoint(monkeypatch):
+    """Exact products invert no word: no ``_fold`` call, for a long left
+    factor, a long right factor, or many terms on each side."""
+    rng = random.Random(89)
+    pairs = []
+    for _ in range(10):
+        sys = random_system(rng)
+        short = random_element_of_length(rng, sys, rng.randint(1, 3))
+        long = random_element_of_length(rng, sys, rng.randint(4, 8))
+        ball = sys.ball(4)
+        pairs += [(t_basis(long), t_basis(short)),
+                  (t_basis(short), t_basis(long)),
+                  tuple(random_exact_element(rng, sys, ball, 8, 4)
+                        for _ in range(2))]
+    folds = []
+    fold = CoxeterSystem._fold
+
+    def counted(self, word, letters):
+        folds.append(word)
+        return fold(self, word, letters)
+
+    monkeypatch.setattr(CoxeterSystem, "_fold", counted)
+    for a, b in pairs:
+        for p in (None, -P_SYMBOL, Fraction(2, 3)):
+            mul(a, b, p_override=p)
+    assert folds == []
 
 
 def expected_product(a, b):
@@ -239,6 +267,45 @@ def test_exact_products_pinned():
     for product in exact_pin_products():
         digest.update(str(product).encode() + b"\n")
     assert digest.hexdigest() == EXACT_PRODUCTS_PIN
+
+
+#: SHA-256 over the ``str`` of the products of :func:`generic_p_cases`,
+#: recorded on the parent of the change that peels exact products in one
+#: right pass per word of the right factor (commit a6dac9c, where they
+#: went through the adjoint).
+GENERIC_P_PIN = ("452d5a9d9ec52b96524cd6ceb52a8164"
+                 "ecc229a973322f4f879288a6819f98d7")
+
+#: Structure constants beyond P_SYMBOL: T_s^2 = 1 + p T_s gives an
+#: associative algebra for every p.
+GENERIC_PS = (-P_SYMBOL, Fraction(2, 3), 3,
+              LaurentPoly({1: Fraction(1, 2), -1: -3}))
+
+
+def generic_p_cases():
+    """Triples of 3-8-term rational elements on ball(4) of 40 seeded
+    random graphs."""
+    rng = random.Random(101)
+    for _ in range(40):
+        sys = random_system(rng)
+        ball = sys.ball(4)
+        yield tuple(random_exact_element(rng, sys, ball, 8, 3)
+                    for _ in range(3))
+
+
+def test_generic_p_override_associative_and_dual():
+    """(ab)c == a(bc) for every structure constant in GENERIC_PS, and the
+    duality isomorphism on ab, with the products pinned."""
+    digest = hashlib.sha256()
+    for a, b, c in generic_p_cases():
+        for p in GENERIC_PS:
+            ab = mul(a, b, p_override=p)
+            abc = mul(ab, c, p_override=p)
+            assert abc == mul(a, mul(b, c, p_override=p), p_override=p)
+            digest.update(f"{ab}\n{abc}\n".encode())
+        assert j_iso(mul(a, b)) == mul(j_iso(a), j_iso(b),
+                                       p_override=-P_SYMBOL)
+    assert digest.hexdigest() == GENERIC_P_PIN
 
 
 #: SHA-256 over the words and the ``float.hex`` of the coefficients of the
