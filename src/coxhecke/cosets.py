@@ -281,15 +281,15 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
     multiplication tables; edges leaving the ball are dropped.  Edges are
     stored as sorted index pairs, so the set is symmetric by construction.
     """
-    words, lengths, right, _ = system.ball_table(radius, max_elements)
-    left, _ = system.ball_left_table(words, lengths, right)
-    flags = _edge_flags(system, system.ball_supports(words, lengths, right))
-    size = len(words)
+    table = system.ball_table(radius, max_elements)
+    left, _ = table.left()
+    flags = _edge_flags(system, table.supports())
+    size = len(table.lengths)
     keys = []
     for s in range(system.n):
         i = np.flatnonzero(flags[s])
-        for table in (left, right):
-            j = table[s, i]
+        for mult in (left, table.right):
+            j = mult[s, i]
             inside = j >= 0
             keys.append(np.minimum(i, j)[inside] * size
                         + np.maximum(i, j)[inside])
@@ -297,7 +297,7 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
     lo, hi = keys // size, keys % size
     labels = _component_labels(size, lo, hi)
     return GammaBallGraph(system, radius,
-                          tuple(Element(system, w) for w in words),
+                          tuple(Element(system, w) for w in table.words()),
                           frozenset(zip(lo.tolist(), hi.tolist())),
                           tuple(labels.tolist()))
 

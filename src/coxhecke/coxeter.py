@@ -19,7 +19,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -345,8 +345,9 @@ class CoxeterSystem:
     # -- enumeration ---------------------------------------------------------
 
     def _ball_levels(self, radius: int, max_elements: int):
-        """Canonical words in ball order, with (parent index, last letter)
-        arrays for levels 1, 2, ... of their prefix tree.
+        """The ball's prefix tree, ``(lengths, parent, last)`` in ball order:
+        the row of each canonical word minus its last letter, and that
+        letter (0 and -1 at the identity).
 
         Canonical words are closed under prefixes, so each element is
         produced exactly once by extending its parent with its last letter;
@@ -355,41 +356,37 @@ class CoxeterSystem:
         """
         if radius < 0:
             raise InputError("radius must be nonnegative")
-        words: list[Word] = [()]
-        tree = []
+        parents, lasts = [np.zeros(1, np.int64)], [np.full(1, -1, np.int64)]
         masks = np.array([self._full], dtype=np.int64)
         bits = np.left_shift(1, np.arange(self.n, dtype=np.int64))
         nc, cgt = np.array([self._noncomm, self._ext_cgt], dtype=np.int64)
-        start = 0
+        start, size = 0, 1
         for _ in range(radius):
             parent, last = np.nonzero(masks[:, None] & bits)
-            if len(words) + len(parent) > max_elements:
+            if size + len(parent) > max_elements:
                 raise CapacityError(
                     f"ball would exceed {max_elements} elements; raise the cap "
                     "to enumerate further")
             if not len(parent):
                 break
             masks = nc[last] | (cgt[last] & masks[parent])
-            parent += start               # level-local to ball indices
-            start = len(words)
-            words += [words[p] + (s,)
-                      for p, s in zip(parent.tolist(), last.tolist())]
-            tree.append((parent, last))
-        return words, tree
+            parents.append(parent + start)      # level-local to ball rows
+            lasts.append(last)
+            start, size = size, size + len(parent)
+        lengths = np.repeat(np.arange(len(parents)), [len(p) for p in parents])
+        return lengths, np.concatenate(parents), np.concatenate(lasts)
 
     def ball(self, radius: int, max_elements: int = DEFAULT_MAX_BALL) -> list["Element"]:
         """All elements of length at most radius, sorted by (length, ShortLex)."""
-        return [Element(self, word)
-                for word in self._ball_levels(radius, max_elements)[0]]
+        _, parent, last = self._ball_levels(radius, max_elements)
+        return [Element(self, word) for word in _tree_words(parent, last)]
 
     def ball_table(self, radius: int, max_elements: int = DEFAULT_MAX_BALL
-                   ) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
-        """The ball's canonical words with their right-multiplication table.
+                   ) -> "BallTable":
+        """The ball's prefix tree with its right-multiplication table.
 
-        Returns ``(words, lengths, right, descent)``: the words in ball
-        order and their lengths; ``right[s, i]`` is the index of
-        ``words[i] * s``, or -1 when the product leaves the ball, and
-        ``descent[s, i]`` flags right descents.  No word is normalized:
+        The tree is the one of :meth:`_ball_levels`, and ``right`` and
+        ``descent`` are filled level by level without normalizing a word:
         right multiplication by s is an involution, so the table is fixed
         by its descents.  For z = z't, zt = z'; a generator s != t is a
         descent of z iff it commutes with t and is a descent of z', and then
@@ -397,91 +394,34 @@ class CoxeterSystem:
         lengthening entry is the reverse of a descent entry of the level
         above, so a level's row is complete once the next level is built.
         """
-        words, tree = self._ball_levels(radius, max_elements)
-        lengths = np.repeat(np.arange(len(tree) + 1),
-                            [1] + [len(parent) for parent, _ in tree])
-        right = np.full((self.n, len(words)), -1, dtype=np.int64)
-        descent = np.zeros((self.n, len(words)), dtype=bool)
+        lengths, parent, last = self._ball_levels(radius, max_elements)
+        right = np.full((self.n, len(lengths)), -1, dtype=np.int64)
+        descent = np.zeros((self.n, len(lengths)), dtype=bool)
         commutes = ((np.array(self._comm, dtype=np.int64)[:, None]
                      >> np.arange(self.n)) & 1).astype(bool)
-        end = 1
-        for parent, last in tree:
-            child = np.arange(end, end + len(parent))
-            end += len(parent)
+        for lo, hi in _level_rows(lengths, len(lengths)):
+            child = np.arange(lo, hi)
+            up, t = parent[lo:hi], last[lo:hi]
             for s in range(self.n):
-                own = last == s
-                right[s, child[own]] = parent[own]
-                other = commutes[s][last] & descent[s, parent]
-                right[s, child[other]] = right[last[other],
-                                               right[s, parent[other]]]
+                own = t == s
+                right[s, child[own]] = up[own]
+                other = commutes[s][t] & descent[s, up]
+                right[s, child[other]] = right[t[other], right[s, up[other]]]
                 descent[s, child] = own | other
                 down = child[own | other]
                 right[s, right[s, down]] = down
-        return words, lengths, right, descent
-
-    @staticmethod
-    def _tree_levels(lengths: np.ndarray, right: np.ndarray, end: int
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Levels 1, 2, ... of the first ``end`` words of a :meth:`ball_table`,
-        each as (indices, last letters, parent indices).
-
-        A canonical word minus its last letter is the ShortLex-least of its
-        right-descent neighbours, and these are exactly the neighbours with
-        a smaller index: the parent is the least neighbour, the last letter
-        the generator reaching it."""
-        starts = np.searchsorted(lengths[:end],
-                                 np.arange(1, int(lengths[end - 1]) + 2))
-        for lo, hi in zip(starts, starts[1:]):
-            down = right[:, lo:hi]
-            down = np.where((down >= 0) & (down < lo), down, lo)
-            last = down.argmin(axis=0)
-            yield np.arange(lo, hi), last, down[last, np.arange(hi - lo)]
-
-    def ball_left_table(self, words: list[Word], lengths: np.ndarray,
-                        right: np.ndarray, end: int | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Left multiplication on the first ``end`` elements of a ball table.
-
-        Takes the output of :meth:`ball_table` and returns ``(left,
-        descent)``: ``left[s, i]`` is the index of ``s * words[i]``, or -1
-        when the product leaves the ball, and ``descent[s, i]`` flags left
-        descents.  For z = z't, sz = (sz')t is read from the right table at
-        the row of sz', which lies in the ball since |sz'| <= |z|; no word
-        is normalized.  Only the requested prefix is built.
-        """
-        end = len(words) if end is None else end
-        left = np.full((self.n, end), -1, dtype=np.int64)
-        left[:, 0] = right[:, 0]
-        for child, last, parent in self._tree_levels(lengths, right, end):
-            left[:, child] = right[last, left[:, parent]]
-        descent = (left >= 0) & (lengths[left] < lengths[:end])
-        return left, descent
-
-    def ball_supports(self, words: list[Word], lengths: np.ndarray,
-                      right: np.ndarray) -> np.ndarray:
-        """Support bitmasks of the words of a :meth:`ball_table`, built per
-        level as supp(z't) = supp(z') | bit(t)."""
-        supp = np.zeros(len(words), dtype=np.int64)
-        for child, last, parent in self._tree_levels(lengths, right, len(words)):
-            supp[child] = supp[parent] | (1 << last)
-        return supp
+        return BallTable(lengths, parent, last, right, descent)
 
     def _action_table(self, radius: int) -> tuple:
         """The ball table of :func:`hecke.action_matrix`, one per system and
-        rebuilt only at a larger radius: (radius, {word: row}, left, descent,
-        and per row the last letter and prefix row, -1 and 0 at the identity).
-        A ball is a prefix of any larger one, so it reads the same in it."""
+        rebuilt only at a larger radius: (radius, table, {word: row}, left,
+        descent).  A ball is a prefix of any larger one, so it reads the
+        same in it."""
         entry = self._ball_cache
         if entry is None or entry[0] < radius:
-            words, lengths, right, _ = self.ball_table(radius)
-            left, descent = self.ball_left_table(words, lengths, right)
-            last = np.full(len(words), -1, dtype=np.int64)
-            parent = np.zeros(len(words), dtype=np.int64)
-            for child, s, up in self._tree_levels(lengths, right, len(words)):
-                last[child], parent[child] = s, up
-            entry = self._ball_cache = (
-                radius, {w: i for i, w in enumerate(words)}, left, descent,
-                last, parent)
+            table = self.ball_table(radius)
+            index = {w: i for i, w in enumerate(table.words())}
+            entry = self._ball_cache = (radius, table, index, *table.left())
         return entry
 
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
@@ -637,6 +577,65 @@ class CoxeterSystem:
                  if self.commutes(i, j)]
         return (f"CoxeterSystem({list(self.names)}, "
                 f"commuting={pairs})")
+
+
+def _level_rows(lengths: np.ndarray, end: int) -> Iterator[tuple[int, int]]:
+    """Row ranges ``(lo, hi)`` of levels 1, 2, ... among the first ``end``
+    rows of a ball in ball order."""
+    starts = np.searchsorted(lengths[:end],
+                             np.arange(1, int(lengths[end - 1]) + 2)).tolist()
+    return zip(starts, starts[1:])
+
+
+def _tree_words(parent: np.ndarray, last: np.ndarray) -> list[Word]:
+    """The canonical words of a ball's prefix tree, in ball order: each is
+    its parent's word plus its last letter."""
+    words: list[Word] = [()]
+    for p, s in zip(parent[1:].tolist(), last[1:].tolist()):
+        words.append(words[p] + (s,))
+    return words
+
+
+class BallTable(NamedTuple):
+    """A ball of canonical words as the prefix tree of the canonical-word
+    automaton, in ball order (by length, then ShortLex), with its
+    right-multiplication table.
+
+    Row i holds a word z = z't of length ``lengths[i]``: ``parent[i]`` is
+    the row of z' and ``last[i]`` is t (0 and -1 at the identity, row 0).
+    ``right[s, i]`` is the row of zs, or -1 when it leaves the ball, and
+    ``descent[s, i]`` flags right descents.  Words are built only by
+    :meth:`words`.
+    """
+    lengths: np.ndarray
+    parent: np.ndarray
+    last: np.ndarray
+    right: np.ndarray
+    descent: np.ndarray
+
+    def words(self) -> list[Word]:
+        return _tree_words(self.parent, self.last)
+
+    def left(self, end: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Left multiplication on the first ``end`` rows: ``(left,
+        descent)``, ``left[s, i]`` the row of s z or -1 outside the ball and
+        ``descent[s, i]`` the left descents.  For z = z't, sz = (sz')t is
+        read from the right table at the row of sz', which lies in the ball
+        since |sz'| <= |z|."""
+        end = len(self.lengths) if end is None else end
+        left = self.right[:, :end].copy()   # row 0: se = es; levels follow
+        for lo, hi in _level_rows(self.lengths, end):
+            left[:, lo:hi] = self.right[self.last[lo:hi],
+                                        left[:, self.parent[lo:hi]]]
+        descent = (left >= 0) & (self.lengths[left] < self.lengths[:end])
+        return left, descent
+
+    def supports(self) -> np.ndarray:
+        """Support bitmasks, level by level: supp(z't) = supp(z') | bit(t)."""
+        supp = np.zeros(len(self.lengths), dtype=np.int64)
+        for lo, hi in _level_rows(self.lengths, len(self.lengths)):
+            supp[lo:hi] = supp[self.parent[lo:hi]] | (1 << self.last[lo:hi])
+        return supp
 
 
 @dataclass(frozen=True)

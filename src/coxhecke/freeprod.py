@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,7 +62,9 @@ class AtomicMeasure:
             raise InputError("total mass exceeds one")
 
     def total(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
+        # each distinct mass once, times the number of atoms carrying it
+        return sum((m * c for m, c in Counter(self.masses.values()).items()),
+                   Fraction(0))
 
     def points(self):
         return sorted(self.masses)

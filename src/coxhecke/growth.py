@@ -59,19 +59,16 @@ class RationalSeries:
         den = self.denominator
         if not den or den[0] == 0:
             raise DomainError("series is not regular at zero")
-        coeffs: list[Fraction] = []
+        coeffs: list[int] = []
         for k in range(n + 1):
-            num_k = self.numerator[k] if k < len(self.numerator) else 0
-            acc = Fraction(num_k)
+            acc = self.numerator[k] if k < len(self.numerator) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * coeffs[k - j]
-            coeffs.append(acc / den[0])
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
+            c, rem = divmod(acc, den[0])
+            if rem:
                 raise ConsistencyError("non-integer Taylor coefficient")
-            out.append(int(c))
-        return out
+            coeffs.append(c)
+        return coeffs
 
     def evaluate(self, x: Fraction) -> Fraction:
         den = _poly_eval(self.denominator, Fraction(x))
@@ -574,7 +571,8 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
             "no central projection exists for q >= rho: the radial vector "
             "is not square-summable")
 
-    words, lengths, idx, desc = system.ball_table(radius, max_elements)
+    table = system.ball_table(radius, max_elements)
+    lengths, parent, last, idx, desc = table
 
     # (a) formal scaling identity on interior vertices: for xi = u^{|w|} and
     # p = u - 1/u, xi(ws) + [s descent] p xi(w) = u xi(w) holds iff ws lies
@@ -606,8 +604,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     # length k is needed only up to length 2h - k to fill the block.
     columns = [zeta[:ends[2 * h]]]
     for jcol in range(1, n_h):
-        t = words[jcol][-1]
-        columns.append(apply_right(columns[idx[t, jcol]], t,
+        columns.append(apply_right(columns[parent[jcol]], last[jcol],
                                    ends[2 * h - lengths[jcol]]))
     m_h = np.column_stack([col[:n_h] for col in columns])
     spheres = np.bincount(lengths, minlength=h + 1)[:h + 1].tolist()
@@ -619,7 +616,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     # (c) commutators with generator left actions on the certified block
     n_c = int(np.count_nonzero(lengths <= h - 1))
     commutator_max = 0.0
-    left, ldesc = system.ball_left_table(words, lengths, idx, n_h)
+    left, ldesc = table.left(n_h)
     cols = np.arange(n_h)
     for s in range(system.n):
         l_mat = np.zeros((n_h, n_h))

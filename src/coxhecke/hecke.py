@@ -459,7 +459,7 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     if ((cached is None or cached[0] < r + m)
             and sum(sys._sphere_sizes(r + m)) > DEFAULT_MAX_BALL):
         return _action_by_products(a, ball, side)
-    _, index, left, descent, last, parent = sys._action_table(r + m)
+    _, table, index, left, descent = sys._action_table(r + m)
     p = a._p()
 
     n = len(ball)
@@ -481,9 +481,9 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
                         np.tile([a.terms[v] for v in support], n))
         peel = where
         for _ in range(r):              # each column's letters from the end
-            col, at, val = _left_step((col, at, val), last[peel][col],
+            col, at, val = _left_step((col, at, val), table.last[peel][col],
                                       left, descent, p)
-            peel = parent[peel]
+            peel = table.parent[peel]
 
     row = np.full(len(index), -1, dtype=np.int64)
     kept, first = np.unique(where[::-1], return_index=True)

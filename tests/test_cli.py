@@ -371,6 +371,25 @@ def test_zeta_check_pinned(capsys, name, q):
     assert out == ZETA_CHECK_PINS[name, q]
 
 
+# SHA-256 of zeta-check stdout at the radii the certificate is used at
+ZETA_CHECK_DEEP_PINS = {
+    ("pentagon", "19/100", 12):
+        "b28a88d7f08fad0e430dbea756c6fe29dcf7f121dc78f3a2a47dfb45b816c182",
+    ("free3", "1/5", 13):
+        "a336e17db1fa44ddefa6df0511a826ace769dcc0a875050e32da6ffbd55cc4e4",
+}
+
+
+@pytest.mark.parametrize("name,q,radius", sorted(ZETA_CHECK_DEEP_PINS))
+def test_zeta_check_pinned_deep(capsys, name, q, radius):
+    code, out, _ = run(capsys, ["zeta-check", "--group",
+                                str(GROUPS / f"{name}.json"), "--q", q,
+                                "--radius", str(radius), "--format", "json"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == ZETA_CHECK_DEEP_PINS[name, q, radius])
+
+
 # gamma stdout byte for byte, and the SHA-256 and line count of --edges-out
 GAMMA_PINS = {
     ("free3", 5, 2): (

@@ -10,7 +10,9 @@ and the canonical form must be the ShortLex-least member.
 import itertools
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from coxhecke import (CapacityError, CoxeterSystem, InputError, LEFT, RIGHT)
@@ -443,7 +445,7 @@ def assert_walk_matches_enumeration(sys, radius, max_elements=10**6):
             assert str(info.value) == str(exc)
         return
     assert [w.word for w in sys.ball(radius, max_elements)] == expected
-    assert sys.ball_table(radius, max_elements)[0] == expected
+    assert sys.ball_table(radius, max_elements).words() == expected
 
 
 @pytest.mark.parametrize("name,radius",
@@ -469,9 +471,49 @@ def test_ball_walk_matches_enumeration_62_generators():
         assert_walk_matches_enumeration(sys, 3, max_elements=5000)
 
 
+def assert_tree_matches_enumeration(sys, radius):
+    """The table's prefix tree against the oracle's words: each word is its
+    parent's word plus its last letter, and its length is the word's."""
+    words = enumerated_ball_words(sys, radius, 10**6)
+    table = sys.ball_table(radius)
+    assert table.parent[0] == 0 and table.last[0] == -1
+    for i in range(1, len(words)):
+        assert words[i] == words[table.parent[i]] + (table.last[i],), i
+    assert table.lengths.tolist() == [len(w) for w in words]
+
+
+def test_ball_tree_matches_enumeration_random_graphs():
+    rng = random.Random(2019)
+    for _ in range(60):
+        assert_tree_matches_enumeration(random_system(rng, 9), 5)
+
+
+def test_ball_tree_matches_enumeration_62_generators():
+    names = [f"g{i}" for i in range(62)]
+    for sys in (CoxeterSystem(names),
+                CoxeterSystem(names, itertools.combinations(range(62), 2))):
+        assert_tree_matches_enumeration(sys, 2)
+
+
+def test_ball_allocates_no_table():
+    """ball() reads the prefix tree only: its peak allocation stays below
+    the size of one right-multiplication table of the same ball."""
+    sys = CoxeterSystem([f"g{i}" for i in range(62)])
+    size = len(sys.ball(2))
+    tracemalloc.start()
+    try:
+        sys.ball(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.n * size * np.dtype(np.int64).itemsize
+
+
 def assert_table_matches_mult_gen(sys, radius):
     """Every entry of the recurrence-built table against mult_gen."""
-    words, lengths, right, descent = sys.ball_table(radius)
+    table = sys.ball_table(radius)
+    words, lengths, right, descent = (table.words(), table.lengths,
+                                      table.right, table.descent)
     ball = sys.ball(radius)
     assert words == [w.word for w in ball]
     assert lengths.tolist() == [len(w) for w in ball]
@@ -500,9 +542,10 @@ def test_ball_table_matches_mult_gen_random_graphs():
 def assert_left_table_matches_mult_gen(sys, radius):
     """Left table (index and descent) and support masks against mult_gen,
     on the whole ball and on a prefix."""
-    words, lengths, right, _ = sys.ball_table(radius)
-    left, descent = sys.ball_left_table(words, lengths, right)
-    supports = sys.ball_supports(words, lengths, right)
+    table = sys.ball_table(radius)
+    words = table.words()
+    left, descent = table.left()
+    supports = table.supports()
     ball = sys.ball(radius)
     index = {w.word: i for i, w in enumerate(ball)}
     for i, w in enumerate(ball):
@@ -512,7 +555,7 @@ def assert_left_table_matches_mult_gen(sys, radius):
             assert left[s, i] == index.get(sw.word, -1), (w, s)
             assert descent[s, i] == (delta < 0), (w, s)
     end = (len(words) + 1) // 2
-    prefix, prefix_descent = sys.ball_left_table(words, lengths, right, end)
+    prefix, prefix_descent = table.left(end)
     assert (prefix == left[:, :end]).all()
     assert (prefix_descent == descent[:, :end]).all()
 
@@ -568,7 +611,7 @@ def test_sphere_counts_automaton_random_graphs():
         depth = 5 if sys.n <= 4 else 3
         assert sys.sphere_counts(depth) == brute_force_sphere_counts(sys, depth)
         radius = 6 if sys.n <= 4 else 4
-        lengths = sys.ball_table(radius)[1]
+        lengths = sys.ball_table(radius).lengths
         assert sys.sphere_counts(radius) == [int((lengths == k).sum())
                                              for k in range(radius + 1)]
 

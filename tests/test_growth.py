@@ -12,7 +12,8 @@ from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
-from coxhecke.growth import _clique_polynomial, _locate_root
+from coxhecke import coxeter
+from coxhecke.growth import RationalSeries, _clique_polynomial, _locate_root
 from coxhecke.laurent import _poly_mul, _poly_trim
 from coxhecke.verify import random_system, suite_growth
 
@@ -164,6 +165,14 @@ def test_taylor_recurrence_against_direct_division():
     for the two-generator free product: 1/(1-t) * (1+t) = 1,2,2,2,..."""
     g = growth_series(CoxeterSystem("st"))
     assert g.taylor(5) == [1, 2, 2, 2, 2, 2]
+
+
+def test_taylor_error_paths():
+    """1/(2 - t) has the coefficient 1/2; 1/t is not regular at zero."""
+    with pytest.raises(ConsistencyError, match="non-integer Taylor"):
+        RationalSeries((1,), (2, -1)).taylor(3)
+    with pytest.raises(DomainError, match="not regular at zero"):
+        RationalSeries((1,), (0, 1)).taylor(3)
 
 
 # -- convergence radius -------------------------------------------------------------
@@ -562,6 +571,17 @@ def test_projection_partial_norm_exact(free3):
     assert rep.w_q == pytest.approx(2.5)
 
 
+def test_projection_builds_no_word_list(monkeypatch, named_systems):
+    """The certificate reads the ball's prefix tree, never its words."""
+    def no_words(*args):
+        raise AssertionError("word list built")
+
+    monkeypatch.setattr(coxeter, "_tree_words", no_words)
+    rep = verify_central_projection(named_systems["pentagon"],
+                                    Fraction(19, 100), 8)
+    assert rep.scaling_identity_exact
+
+
 def test_projection_scaling_checks_count(named_systems):
     for sys in named_systems.values():
         q = Fraction(rho_info(sys).value / 2).limit_denominator(1000)
@@ -576,10 +596,10 @@ def test_projection_scaling_identity_detects_flipped_descent(
     build = CoxeterSystem.ball_table
 
     def flipped(self, radius, max_elements):
-        words, lengths, right, descent = build(self, radius, max_elements)
-        descent = descent.copy()
+        table = build(self, radius, max_elements)
+        descent = table.descent.copy()
         descent[s, 1] = not descent[s, 1]
-        return words, lengths, right, descent
+        return table._replace(descent=descent)
 
     assert verify_central_projection(free3, Fraction(1, 4), 6) \
         .scaling_identity_exact
