@@ -82,7 +82,7 @@ def shortest_rep(system: CoxeterSystem, pair: InfinitePair,
                         else system.right_descents(cur))
             hit = next((g for g in gens if g in descents), None)
             if hit is not None:
-                cur, _ = system.mult_gen(cur, hit, side)
+                cur = Element(system, system._step(cur.word, hit, side)[0])
                 break
         else:
             break
@@ -137,19 +137,21 @@ def coset_elements(system: CoxeterSystem, info: DoubleCosetInfo,
 
     Every element factors as d w0 d' with d, d' in D and the lengths
     adding (Bjorner-Brenti), so it is reached from w0 by lengthening steps
-    with s or t on either side; the walk takes them one level at a time.
+    with s or t on either side; the walk takes them one level at a time
+    on canonical words, and wraps the words as elements at the end.
     """
+    system._check_own(info.w0)
     if radius < len(info.w0):
         return set()
-    level = {info.w0}
+    level = {info.w0.word}
     out = set(level)
     gens = (info.pair.s, info.pair.t)
     for _ in range(radius - len(info.w0)):
-        steps = (system.mult_gen(v, g, side) for v in level for g in gens
+        steps = (system._step(v, g, side) for v in level for g in gens
                  for side in (LEFT, RIGHT))
         level = {x for x, delta in steps if delta > 0}
         out |= level
-    return out
+    return {Element(system, v) for v in out}
 
 
 def _noncommuting_partners(system: CoxeterSystem, s: int) -> Iterable[int]:

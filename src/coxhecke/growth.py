@@ -411,23 +411,28 @@ def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
     For every w with |sws| = |w| + 2 whose whole quadruple lies in the
     domain of xi, the symbol must satisfy xi(sw) = xi(ws) and
     xi(sws) = xi(w) + p xi(sw), compared exactly.  Returns the violating
-    w (empty = pass).
+    w (empty = pass).  The steps run on canonical words, and a w longer
+    than the longest key minus 2 is skipped: its sws is outside xi.
     """
     s = system.generator_index(s)
+    system._check_own(*xi)
+    cut = max((len(w.word) for w in xi), default=0) - 2
     witnesses = []
     for w in xi:
-        ws, d2 = system.mult_gen(w, s, RIGHT)
+        if len(w.word) > cut:
+            continue
+        ws, d2 = system._step(w.word, s, RIGHT)
         if d2 < 0:
             continue
-        sw, d1 = system.mult_gen(w, s, LEFT)
+        sw, d1 = system._step(w.word, s, LEFT)
         if d1 < 0:
             continue
-        sws, d3 = system.mult_gen(sw, s, RIGHT)
-        if d3 < 0 or sws not in xi:
+        sws, d3 = system._step(sw, s, RIGHT)
+        if d3 < 0:
             continue
-        if sw not in xi or ws not in xi:
-            continue
-        if xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]:
+        sws, sw, ws = (Element(system, x) for x in (sws, sw, ws))
+        if sws in xi and sw in xi and ws in xi and (
+                xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]):
             witnesses.append(w)
     return sorted(witnesses, key=Element.sort_key)
 
@@ -438,7 +443,8 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
 
     Every coset element dwd' in the domain of xi must carry the value
     xi(w0) u^{|dwd'| - |w0|}, where w0 is the shortest representative;
-    values are Laurent polynomials in u and are compared exactly.
+    values are Laurent polynomials in u and are compared exactly.  The
+    coset is walked on words up to the length of the longest key.
     """
     info = shortest_rep(system, pair, w)
     if not info.nondegenerate:
@@ -448,7 +454,7 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
     w0 = info.w0
     if w0 not in xi:
         raise InputError("the coset's shortest element is outside the symbol")
-    radius = max(len(v) for v in xi)
+    radius = max(len(v.word) for v in xi)
     base = xi[w0]
     witnesses = [v for v in coset_elements(system, info, radius)
                  if v in xi

@@ -579,6 +579,8 @@ class _ExprParser:
         tok = self.peek()
         if tok[0] == "num":
             self.take()
+            if re.fullmatch(r"\d+/0+", tok[1]):
+                raise ParseError("zero denominator", line=1, column=tok[2] + 1)
             return unit(self.system).scale(Fraction(tok[1]))
         if tok[0] == "op" and tok[1] == "(":
             self.take()

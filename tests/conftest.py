@@ -1,6 +1,6 @@
 import pytest
 
-from coxhecke import LEFT, CoxeterSystem, LaurentPoly, verify
+from coxhecke import LEFT, RIGHT, CoxeterSystem, Element, LaurentPoly, verify
 
 
 def oracle_unnormalized_mul(sys, v, w):
@@ -23,6 +23,29 @@ def oracle_unnormalized_mul(sys, v, w):
                 nxt[x] = nxt.get(x, LaurentPoly.zero()) + qm1_poly * c
         terms = {x: c for x, c in nxt.items() if c}
     return terms
+
+
+def oracle_symbol_commutation(sys, s, xi, p):
+    """The per-element loop check_symbol_commutation ran before it moved
+    onto canonical words, kept as its oracle: three mult_gen calls for
+    every key of xi, with no length cut."""
+    s = sys.generator_index(s)
+    witnesses = []
+    for w in xi:
+        ws, d2 = sys.mult_gen(w, s, RIGHT)
+        if d2 < 0:
+            continue
+        sw, d1 = sys.mult_gen(w, s, LEFT)
+        if d1 < 0:
+            continue
+        sws, d3 = sys.mult_gen(sw, s, RIGHT)
+        if d3 < 0 or sws not in xi:
+            continue
+        if sw not in xi or ws not in xi:
+            continue
+        if xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]:
+            witnesses.append(w)
+    return sorted(witnesses, key=Element.sort_key)
 
 
 @pytest.fixture

@@ -321,6 +321,13 @@ def test_hecke_expression(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["1/0", "3/0*T(s)"])
+def test_hecke_zero_denominator(capsys, expr):
+    code, out, err = run(capsys, ["hecke", "--group", FREE3, "--expr", expr])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "column 1" in err
+
+
 def test_reports_byte_identical(capsys):
     path = PENTAGON
     argv = ["classify", "--group", path, "--q", "385/1000",

@@ -5,12 +5,16 @@ import random
 
 import pytest
 
-from coxhecke import (CoxeterSystem, DomainError, InputError, InfinitePair,
-                      LEFT, RIGHT, brute_force_min_rep, build_gamma_ball,
+from coxhecke import (CoxeterSystem, DomainError, Element, InputError,
+                      InfinitePair, LEFT, LaurentPoly, P_SYMBOL, RIGHT,
+                      brute_force_min_rep, build_gamma_ball,
+                      check_symbol_commutation, double_coset_symbol_check,
                       gamma_neighbors, shortest_rep,
                       verify_component_structure)
 from coxhecke.cosets import coset_elements, coset_nondegenerate, dihedral_words
 from coxhecke.verify import random_system, suite_cosets
+
+from conftest import oracle_symbol_commutation
 
 
 def test_infinite_pair_validation(free3, z2xz2):
@@ -130,6 +134,48 @@ def test_coset_walk_matches_enumeration(named_systems):
             assert_walk_matches_enumeration(
                 sys, pair, rng.sample(ball, min(4, len(ball))))
         drawn += 1
+
+
+def test_symbol_and_coset_checks_call_no_mult_gen(monkeypatch,
+                                                  named_systems):
+    """The symbol check, the coset walk and the radial coset check step on
+    canonical words: with mult_gen unusable they give the oracles' answers."""
+    rng = random.Random(6)
+    cases = []
+    for sys in named_systems.values():
+        ball = sys.ball(6)
+        xi = {w: LaurentPoly.u_power(len(w)) * (2 if rng.random() < 0.05 else 1)
+              for w in ball}
+        symbol = [oracle_symbol_commutation(sys, s, xi, P_SYMBOL)
+                  for s in range(sys.n)]
+        cosets = []
+        for pair in infinite_pairs(sys):
+            for v in rng.sample([w for w in ball if len(w) <= 4], 3):
+                info = shortest_rep(sys, pair, v)
+                elements = enumerated_coset_elements(sys, info, 6)
+                base = xi[info.w0]
+                radial = sorted(
+                    (x for x in elements if xi[x] != base * LaurentPoly.u_power(
+                        len(x) - len(info.w0))), key=Element.sort_key)
+                cosets.append((pair, v, info, elements,
+                               radial if info.nondegenerate else None))
+        cases.append((sys, xi, symbol, cosets))
+
+    def no_mult_gen(*args):
+        raise AssertionError("mult_gen called")
+
+    monkeypatch.setattr(CoxeterSystem, "mult_gen", no_mult_gen)
+    found = [0, 0]
+    for sys, xi, symbol, cosets in cases:
+        assert [check_symbol_commutation(sys, s, xi, P_SYMBOL)
+                for s in range(sys.n)] == symbol
+        found[0] += sum(map(bool, symbol))
+        for pair, v, info, elements, radial in cosets:
+            assert coset_elements(sys, info, 6) == elements
+            if radial is not None:
+                assert double_coset_symbol_check(sys, pair, v, xi) == radial
+                found[1] += bool(radial)
+    assert all(found)
 
 
 def test_gamma_neighbors(free3, z2sq_z2):

@@ -17,6 +17,8 @@ from coxhecke.growth import RationalSeries, _clique_polynomial, _locate_root
 from coxhecke.laurent import _poly_mul, _poly_trim
 from coxhecke.verify import random_system, suite_growth
 
+from conftest import oracle_symbol_commutation
+
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
@@ -437,6 +439,51 @@ def test_symbol_commutation_planted_counterexample(free3):
           for w in zv.elements}
     witnesses = check_symbol_commutation(free3, "t", xi, P_SYMBOL)
     assert free3.element("s") in witnesses
+
+
+def symbol_cases(sys, rng):
+    """Radial symbols u^|w| on ball(5) and on a random half of it that
+    keeps the words of length 5, each as is and perturbed at a few keys."""
+    ball = sys.ball(5)
+    half = [w for w in ball if len(w) == 5 or rng.random() < 0.5]
+    for domain in (ball, half):
+        xi = {w: LaurentPoly.u_power(len(w)) for w in domain}
+        yield xi
+        xi = dict(xi)
+        for w in rng.sample(domain, min(3, len(domain))):
+            xi[w] = xi[w] + LaurentPoly.one()
+        yield xi
+
+
+def test_symbol_commutation_matches_mult_gen_oracle(named_systems):
+    rng = random.Random(1993)
+    systems = list(named_systems.values())
+    systems += [random_system(rng, 5) for _ in range(20)]
+    cases = with_witnesses = 0
+    for sys in systems:
+        for xi in symbol_cases(sys, rng):
+            for p in (P_SYMBOL, -P_SYMBOL):
+                for s in range(sys.n):
+                    expected = oracle_symbol_commutation(sys, s, xi, p)
+                    assert check_symbol_commutation(sys, s, xi, p) == \
+                        expected, (sys, s, p)
+                    cases += 1
+                    with_witnesses += bool(expected)
+    assert 0 < with_witnesses < cases
+
+
+def test_symbol_commutation_rejects_foreign_keys(free3):
+    other = CoxeterSystem(free3.names)
+    xi = {w: LaurentPoly.u_power(len(w)) for w in free3.ball(4)}
+    # a foreign key longer than the cut is still refused
+    xi[other.element("s t u s")] = LaurentPoly.u_power(4)
+    with pytest.raises(InputError, match="different Coxeter system"):
+        check_symbol_commutation(free3, "s", xi, P_SYMBOL)
+    with pytest.raises(InputError, match="unknown generator"):
+        check_symbol_commutation(free3, "x", {}, P_SYMBOL)
+    with pytest.raises(InputError, match="out of range"):
+        check_symbol_commutation(free3, 3, {}, P_SYMBOL)
+    assert check_symbol_commutation(free3, "s", {}, P_SYMBOL) == []
 
 
 def test_double_coset_check_zeta(named_systems):

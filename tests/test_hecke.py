@@ -795,6 +795,17 @@ def test_parse_expression_errors(free3):
         parse_expression(free3, "T(s) ? T(t)")
 
 
+@pytest.mark.parametrize("text, column", [("1/0", 1), ("3/0*T(s)", 1),
+                                          ("T(s) + 2/00", 8)])
+def test_parse_expression_zero_denominator(free3, text, column):
+    from coxhecke import ParseError
+    with pytest.raises(ParseError, match="zero denominator") as info:
+        parse_expression(free3, text)
+    assert info.value.column == column
+    assert parse_expression(free3, "0/3 + 10/20*T(s)") == \
+        t_basis(free3.element("s")).scale(Fraction(1, 2))
+
+
 def test_printer_sorted_terms(free3):
     e = parse_expression(free3, "T(u) + T(s) + T(s t)")
     assert str(e) == "(1)*T(s) + (1)*T(u) + (1)*T(s.t)"
