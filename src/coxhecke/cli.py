@@ -17,13 +17,13 @@ import sys
 from fractions import Fraction
 
 from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem
-from .cosets import _component_report, build_gamma_ball
+from .cosets import _check_component_domain, _component_report, build_gamma_ball
 from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho
 from .groupfile import load_system
 from .growth import (_positive_q, classify, component_rhos, growth_series,
-                     rho, verify_central_projection)
+                     verify_central_projection)
 from .hecke import parse_expression
 from .verify import run_suites
 
@@ -133,9 +133,10 @@ def cmd_growth(args) -> int:
 
 def cmd_rho(args) -> int:
     sys_ = _load(args)
-    values = {",".join(sys_.names[i] for i in comp): v
-              for comp, v in component_rhos(sys_).items()}
-    overall = rho(sys_)
+    values = {",".join(sys_.names[i] for i in comp):
+              math.inf if info is None else info.value
+              for comp, info in component_rhos(sys_).items()}
+    overall = min(values.values())
     payload = {
         "command": "rho",
         "rho": None if math.isinf(overall) else overall,
@@ -175,6 +176,7 @@ def cmd_classify(args) -> int:
 
 def cmd_gamma(args) -> int:
     sys_ = _load(args)
+    _check_component_domain(sys_)
     graph = build_gamma_ball(sys_, args.radius, args.max_ball)
     report = _component_report(graph, args.slack)
     if args.edges_out:

@@ -65,15 +65,22 @@ class DoubleCosetInfo:
         return not (self.commutes_s and self.commutes_t)
 
 
+def _check_pair(system: CoxeterSystem, pair: InfinitePair):
+    if pair.system is not system:
+        raise InputError("pair belongs to a different Coxeter system")
+
+
 def shortest_rep(system: CoxeterSystem, pair: InfinitePair,
                  w: Element) -> DoubleCosetInfo:
     """Greedy descent stripping to the minimal element of DwD.
 
     Left descents in {s, t} are removed before right ones, smaller index
     first; the minimal representative is unique, so any order would reach
-    it (tested against a brute-force search).
+    it (tested against a brute-force search).  The pair must belong to
+    ``system``: another system's pair may name generators that commute.
     """
     system._check_own(w)
+    _check_pair(system, pair)
     gens = sorted((pair.s, pair.t))
     cur = w
     while True:
@@ -116,6 +123,7 @@ def brute_force_min_rep(system: CoxeterSystem, pair: InfinitePair, w: Element,
     room to strip w from both sides.
     """
     system._check_own(w)
+    _check_pair(system, pair)
     if bound < len(w) + 2:
         raise InputError("bound must be at least |w| + 2")
     count = (2 * bound + 1) ** 2
@@ -141,6 +149,7 @@ def coset_elements(system: CoxeterSystem, info: DoubleCosetInfo,
     on canonical words, and wraps the words as elements at the end.
     """
     system._check_own(info.w0)
+    _check_pair(system, info.pair)
     if radius < len(info.w0):
         return set()
     level = {info.w0.word}
@@ -351,9 +360,9 @@ def verify_component_structure(system: CoxeterSystem, radius: int,
 
 
 def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
-    """The checks of :func:`verify_component_structure` on a built graph."""
+    """The checks of :func:`verify_component_structure` on a built graph;
+    the caller checks the domain first, before the graph is built."""
     system, radius = graph.system, graph.radius
-    _check_component_domain(system)
     exceptional = [system.identity]
     z2gen = system.free_z2_factor_generator()
     if z2gen is not None:

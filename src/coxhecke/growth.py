@@ -160,10 +160,6 @@ class RhoInfo:
     bracket_high: Fraction | None
     denominator: tuple[int, ...]
 
-    @property
-    def is_finite_group(self) -> bool:
-        return math.isinf(self.value)
-
     def q_below_rho(self, q: Fraction) -> bool:
         """Exact decision of q < rho for rational q > 0: the denominator
         has no root in (0, q], counted with its Sturm chain."""
@@ -217,9 +213,13 @@ def _locate_root(den: tuple[int, ...]) -> RhoInfo:
                    Fraction(hi, scale), den)
 
 
-def component_rhos(system: CoxeterSystem) -> dict[tuple[int, ...], float]:
-    """The convergence radius of each irreducible component, by indices."""
-    return {comp: rho_info(system.subsystem(comp)[0]).value
+def component_rhos(system: CoxeterSystem) -> dict[tuple[int, ...], RhoInfo | None]:
+    """Each irreducible component, by indices, to the :class:`RhoInfo` of
+    its subsystem: the one walk over the components for radii.  A
+    one-generator component (the finite Z2, radius inf) maps to None, and
+    no subsystem, growth series or Sturm chain is built for it."""
+    return {comp: None if system.component_is_finite(comp)
+            else rho_info(system.subsystem(comp)[0])
             for comp in system.components}
 
 
@@ -227,9 +227,10 @@ def rho(system: CoxeterSystem) -> float:
     """Convergence radius of the growth series; inf for a finite group.
 
     For reducible systems the growth series multiplies over components,
-    so the radius is the minimum of :func:`component_rhos`.
+    so the radius is the least radius in :func:`component_rhos`.
     """
-    return min(component_rhos(system).values())
+    return min((info.value for info in component_rhos(system).values()
+                if info is not None), default=math.inf)
 
 
 # -- factoriality classification ----------------------------------------------------
@@ -290,57 +291,50 @@ def _positive_q(q) -> Fraction:
     return Fraction(q)
 
 
+def _classify_component(names: tuple[str, ...], info: RhoInfo | None,
+                        q: Fraction) -> ComponentClassification:
+    """One component's entry of :func:`classify`, from its radius record."""
+    if info is None:
+        return ComponentClassification(
+            generators=names, kind="finite_abelian",
+            classification=NOT_APPLICABLE,
+            reason="finite abelian component: commutative summand",
+            rho=math.inf, center_dimension=2)
+    if len(names) < 3:
+        return ComponentClassification(
+            generators=names, kind="dihedral", classification=NOT_APPLICABLE,
+            reason="infinite two-generator component: the interval "
+                   "criterion requires at least 3 generators",
+            rho=info.value, center_dimension=None)
+    r = min(q, 1 / q)
+    inside = (r >= 1) or not info.q_below_rho(r)
+    return ComponentClassification(
+        generators=names, kind="classified",
+        classification=FACTOR if inside else FACTOR_PLUS_C, reason="",
+        rho=info.value, center_dimension=1 if inside else 2)
+
+
 def classify(system: CoxeterSystem, q) -> CenterReport:
     """Classify the center of the completed Hecke algebra at parameter q.
 
-    Each irreducible component contributes: a finite Z2 component a
-    two-dimensional commutative summand, an infinite component with at
-    least three generators a factor (trivial center) exactly when
-    min(q, 1/q) is at least the component's convergence radius, and a
-    one-dimensional extra summand otherwise.  Two-generator infinite
-    components are left unclassified (their center is large and outside
-    the scope of the interval criterion).
-    """
+    Each irreducible component contributes, read off its entry of
+    :func:`component_rhos`: a finite Z2 component a two-dimensional
+    commutative summand, an infinite component with at least three
+    generators a factor (trivial center) exactly when min(q, 1/q) is at
+    least the component's convergence radius, and a one-dimensional extra
+    summand otherwise.  Two-generator infinite components are left
+    unclassified (their center is large and outside the scope of the
+    interval criterion).  The overall rho and center dimension are the
+    minimum and the product over the components' entries."""
     q = _positive_q(q)
-    comps = []
-    total_dim: int | None = 1
-    overall_rho = math.inf
-    for comp in system.components:
-        names = tuple(system.names[i] for i in comp)
-        if system.component_is_finite(comp):
-            comps.append(ComponentClassification(
-                generators=names, kind="finite_abelian",
-                classification=NOT_APPLICABLE,
-                reason="finite abelian component: commutative summand",
-                rho=math.inf, center_dimension=2))
-            if total_dim is not None:
-                total_dim *= 2
-            continue
-        sub, _ = system.subsystem(comp)
-        info = rho_info(sub)
-        overall_rho = min(overall_rho, info.value)
-        if sub.n < 3:
-            comps.append(ComponentClassification(
-                generators=names, kind="dihedral",
-                classification=NOT_APPLICABLE,
-                reason="infinite two-generator component: the interval "
-                       "criterion requires at least 3 generators",
-                rho=info.value, center_dimension=None))
-            total_dim = None
-            continue
-        r = min(q, 1 / q)
-        inside = (r >= 1) or not info.q_below_rho(r)
-        comps.append(ComponentClassification(
-            generators=names, kind="classified",
-            classification=FACTOR if inside else FACTOR_PLUS_C,
-            reason="",
-            rho=info.value, center_dimension=1 if inside else 2))
-        if total_dim is not None:
-            total_dim *= 1 if inside else 2
+    comps = tuple(_classify_component(tuple(system.names[i] for i in comp),
+                                      info, q)
+                  for comp, info in component_rhos(system).items())
+    dims = [c.center_dimension for c in comps]
+    total_dim = None if None in dims else math.prod(dims)
 
     if len(comps) == 1:
-        only = comps[0]
-        classification, reason = only.classification, only.reason
+        classification, reason = comps[0].classification, comps[0].reason
     elif total_dim == 1:
         classification, reason = FACTOR, "all components are factors"
     elif total_dim is None:
@@ -350,9 +344,9 @@ def classify(system: CoxeterSystem, q) -> CenterReport:
         classification = NOT_APPLICABLE
         reason = ("reducible system: center dimension reported, summands "
                   "not classified")
-    return CenterReport(q=q, rho=overall_rho, classification=classification,
-                        reason=reason, center_dimension=total_dim,
-                        components=tuple(comps))
+    return CenterReport(q=q, rho=min(c.rho for c in comps),
+                        classification=classification, reason=reason,
+                        center_dimension=total_dim, components=comps)
 
 
 # -- the radial symbol -----------------------------------------------------------

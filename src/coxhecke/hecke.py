@@ -35,7 +35,8 @@ import numpy as np
 
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element, Word
 from .errors import InputError, ParseError
-from .laurent import LaurentPoly, P_SYMBOL, _coerce
+from .laurent import (LaurentPoly, P_SYMBOL, _coerce, _from_numerators,
+                      _numerators, _sparse_add, _sparse_mul_into)
 
 EXACT = "exact"
 
@@ -220,68 +221,30 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> di
     return terms
 
 
-def _numerators(a: HeckeElement) -> tuple[int, dict[Word, dict[int, int]]]:
-    """A common denominator d of a's coefficients, and the coefficients of
-    d a as {canonical word: {exponent: int}}."""
-    d = 1
-    for c in a.terms.values():
-        for x in c.terms.values():
-            if type(x) is not int:
-                d = math.lcm(d, x.denominator)
-    return d, {w.word: {e: x * d if type(x) is int
-                        else x.numerator * (d // x.denominator)
-                        for e, x in c.terms.items()}
-               for w, c in a.terms.items()}
-
-
-def _clean(cls, **slots):
-    """The private constructor of an immutable class, for slot values that
-    are clean by construction."""
-    out = object.__new__(cls)
-    for name, value in slots.items():
-        object.__setattr__(out, name, value)
-    return out
-
-
-def _merge_exponents(c1: dict, c2: dict) -> dict:
-    """The sum of two {exponent: coefficient} dicts, as a new dict."""
-    out = dict(c1)
-    for e, n in c2.items():
-        out[e] = out.get(e, 0) + n
-    return out
-
-
-def _times_into(acc: dict, c1: dict, c2: dict) -> dict:
-    """Add the product of two {exponent: coefficient} dicts into ``acc``."""
-    for e1, n1 in c1.items():
-        for e2, n2 in c2.items():
-            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
-    return acc
-
-
 def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
     """The exact product on the integer numerators of a and b: for each
     word w of b, a's numerators peeled by the letters of w, times c_w, are
     summed into one exponent dict per target, and divided by the common
-    denominator d at the end (an int where d divides it); the output is
-    built without re-validation.  A rational p keeps its ``Fraction``
-    values through the same sums."""
-    da, num_a = _numerators(a)
-    db, num_b = _numerators(b)
+    denominator d at the end; the output is built without re-validation.
+    A rational p keeps its ``Fraction`` values through the same sums."""
+    da, num_a = _numerators({w.word: c for w, c in a.terms.items()})
+    db, num_b = _numerators(b.terms)
     pt = p.terms
     result: dict[Word, dict[int, int]] = {}
     for w, cw in num_b.items():
-        for x, c in _right_peel(a.system, num_a, w, _merge_exponents,
-                                lambda c: _times_into({}, c, pt)).items():
-            _times_into(result.setdefault(x, {}), c, cw)
+        for x, c in _right_peel(a.system, num_a, w.word, _sparse_add,
+                                lambda c: _sparse_mul_into({}, c, pt)).items():
+            _sparse_mul_into(result.setdefault(x, {}), c, cw)
     d = da * db
     terms = {}
     for x, acc in result.items():
-        c = {e: n // d if n % d == 0 else Fraction(n, d)
-             for e, n in acc.items() if n}
-        if c:
-            terms[Element(a.system, x)] = _clean(LaurentPoly, terms=c)
-    return _clean(HeckeElement, system=a.system, q=None, terms=terms)
+        c = _from_numerators(acc, d)
+        if c.terms:
+            terms[Element(a.system, x)] = c
+    out = object.__new__(HeckeElement)
+    for name, value in (("system", a.system), ("q", None), ("terms", terms)):
+        object.__setattr__(out, name, value)
+    return out
 
 
 def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:

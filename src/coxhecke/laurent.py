@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-# -- integer polynomial helpers (dense, ascending degree) ----------------------
+# -- integer polynomial helpers: dense (ascending degree) and sparse dicts -----
 
 
 def _poly_trim(p: list) -> list:
@@ -39,6 +39,22 @@ def _poly_add(a: Sequence, b: Sequence) -> list:
     for i, y in enumerate(b):
         out[i] += y
     return _poly_trim(out)
+
+
+def _sparse_add(c1: Mapping, c2: Mapping) -> dict:
+    """The sum of two {exponent: coefficient} dicts, as a new dict."""
+    out = dict(c1)
+    for e, n in c2.items():
+        out[e] = out.get(e, 0) + n
+    return out
+
+
+def _sparse_mul_into(acc: dict, c1: Mapping, c2: Mapping) -> dict:
+    """Add the product of two {exponent: coefficient} dicts into ``acc``."""
+    for e1, n1 in c1.items():
+        for e2, n2 in c2.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
+    return acc
 
 
 def _poly_eval(p: Sequence, x):
@@ -161,11 +177,7 @@ class LaurentPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly(_sparse_add(self.terms, _coerce(other).terms))
 
     __radd__ = __add__
 
@@ -179,13 +191,8 @@ class LaurentPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        out: dict[int, Fraction | int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly(_sparse_mul_into({}, self.terms,
+                                            _coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -220,6 +227,30 @@ def _coerce(x) -> LaurentPoly:
     if isinstance(x, (int, Fraction)):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into LaurentPoly")
+
+
+def _numerators(polys: Mapping) -> tuple[int, dict]:
+    """A common denominator d of the coefficients of the polynomials in
+    ``polys``, and d times each as an {exponent: int} dict, same keys."""
+    d = 1
+    for c in polys.values():
+        for x in c.terms.values():
+            if type(x) is not int:
+                d = math.lcm(d, x.denominator)
+    return d, {key: {e: x * d if type(x) is int
+                     else x.numerator * (d // x.denominator)
+                     for e, x in c.terms.items()}
+               for key, c in polys.items()}
+
+
+def _from_numerators(num: Mapping, d: int) -> LaurentPoly:
+    """num / d for {exponent: numerator}: an int where d divides it and a
+    ``Fraction`` otherwise, zeros dropped, built without re-validation."""
+    out = object.__new__(LaurentPoly)
+    object.__setattr__(out, "terms", {e: n // d if n % d == 0
+                                      else Fraction(n, d)
+                                      for e, n in num.items() if n})
+    return out
 
 
 _ZERO = LaurentPoly()

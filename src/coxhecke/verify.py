@@ -18,8 +18,8 @@ from .cosets import InfinitePair, brute_force_min_rep, coset_nondegenerate, \
 from .freeprod import (FreeFactorSpec, cross_validate_with_rho, freeness_test,
                        hvn_z2_idempotents, mu_k)
 from .growth import (VALIDATION_DEPTH, check_symbol_commutation,
-                     growth_series, rho_info, verify_central_projection,
-                     zeta_symbol)
+                     component_rhos, growth_series, rho_info,
+                     verify_central_projection, zeta_symbol)
 from .hecke import j_iso, mul, t_basis, unit
 from .laurent import P_SYMBOL, _poly_eval
 
@@ -224,9 +224,9 @@ def suite_growth(seed: int) -> SuiteResult:
     for _ in range(20):
         sys = random_system(rng)
         growth_series(sys)
-        for comp in sys.components:     # repeated ones give a double root
-            info = rho_info(sys.subsystem(comp)[0])
-            if info.is_finite_group:
+        # one bracket per component: repeated ones give a double root
+        for info in component_rhos(sys).values():
+            if info is None:
                 continue
             den, brackets = info.denominator, brackets + 1
             if not (_poly_eval(den, info.bracket_low) > 0

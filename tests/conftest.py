@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
 from coxhecke import LEFT, RIGHT, CoxeterSystem, Element, LaurentPoly, verify
+from coxhecke.growth import (FACTOR, FACTOR_PLUS_C, NOT_APPLICABLE,
+                             CenterReport, ComponentClassification, rho_info)
 
 
 def oracle_unnormalized_mul(sys, v, w):
@@ -46,6 +50,64 @@ def oracle_symbol_commutation(sys, s, xi, p):
         if xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]:
             witnesses.append(w)
     return sorted(witnesses, key=Element.sort_key)
+
+
+def oracle_classify(system, q):
+    """The per-component walk classify ran before it read the component
+    map, kept as its oracle: a subsystem and rho_info for every component,
+    a finite one included, with a running overall rho and center
+    dimension.  q must be a positive Fraction."""
+    comps = []
+    total_dim = 1
+    overall_rho = math.inf
+    for comp in system.components:
+        names = tuple(system.names[i] for i in comp)
+        if system.component_is_finite(comp):
+            comps.append(ComponentClassification(
+                generators=names, kind="finite_abelian",
+                classification=NOT_APPLICABLE,
+                reason="finite abelian component: commutative summand",
+                rho=math.inf, center_dimension=2))
+            if total_dim is not None:
+                total_dim *= 2
+            continue
+        sub, _ = system.subsystem(comp)
+        info = rho_info(sub)
+        overall_rho = min(overall_rho, info.value)
+        if sub.n < 3:
+            comps.append(ComponentClassification(
+                generators=names, kind="dihedral",
+                classification=NOT_APPLICABLE,
+                reason="infinite two-generator component: the interval "
+                       "criterion requires at least 3 generators",
+                rho=info.value, center_dimension=None))
+            total_dim = None
+            continue
+        r = min(q, 1 / q)
+        inside = (r >= 1) or not info.q_below_rho(r)
+        comps.append(ComponentClassification(
+            generators=names, kind="classified",
+            classification=FACTOR if inside else FACTOR_PLUS_C,
+            reason="",
+            rho=info.value, center_dimension=1 if inside else 2))
+        if total_dim is not None:
+            total_dim *= 1 if inside else 2
+
+    if len(comps) == 1:
+        only = comps[0]
+        classification, reason = only.classification, only.reason
+    elif total_dim == 1:
+        classification, reason = FACTOR, "all components are factors"
+    elif total_dim is None:
+        classification = NOT_APPLICABLE
+        reason = "a two-generator infinite component is unclassified"
+    else:
+        classification = NOT_APPLICABLE
+        reason = ("reducible system: center dimension reported, summands "
+                  "not classified")
+    return CenterReport(q=q, rho=overall_rho, classification=classification,
+                        reason=reason, center_dimension=total_dim,
+                        components=tuple(comps))
 
 
 @pytest.fixture

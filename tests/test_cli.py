@@ -258,6 +258,16 @@ def test_gamma_rejects_dihedral(capsys, group_file):
                                 group_file('{"generators": ["s", "t"]}'),
                                 "--radius", "4"])
     assert code == 2 and "3 generators" in err
+    # the domain is checked before the ball is built, whatever its size
+    code, _, err = run(capsys, ["gamma", "--group",
+                                group_file('{"generators": ["s", "t"]}'),
+                                "--radius", "50", "--max-ball", "20"])
+    assert code == 2 and "3 generators" in err
+    code, _, err = run(capsys, ["gamma", "--group", group_file(
+        '{"generators": ["a", "b", "c", "d"], "commuting_pairs": '
+        '[["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]}'),
+        "--radius", "5", "--max-ball", "10"])
+    assert code == 2 and "irreducible" in err
 
 
 def test_zeta_check(capsys):

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from coxhecke import (CoxeterSystem, DomainError, Element, InputError,
-                      InfinitePair, LEFT, LaurentPoly, P_SYMBOL, RIGHT,
-                      brute_force_min_rep, build_gamma_ball,
+from coxhecke import (CoxeterSystem, DomainError, DoubleCosetInfo, Element,
+                      InputError, InfinitePair, LEFT, LaurentPoly, P_SYMBOL,
+                      RIGHT, brute_force_min_rep, build_gamma_ball,
                       check_symbol_commutation, double_coset_symbol_check,
                       gamma_neighbors, shortest_rep,
                       verify_component_structure)
@@ -44,6 +44,23 @@ def test_shortest_rep_examples(free3, z2sq_z2):
     pair2 = InfinitePair.of(z2sq_z2, "s", "t")
     info = shortest_rep(z2sq_z2, pair2, z2sq_z2.element("s"))
     assert info.w0.is_identity and not info.nondegenerate
+
+
+def test_coset_functions_reject_foreign_pair(free3, pentagon):
+    """free3's pair (s, t) names generators 0 and 1, which are p and q in
+    the pentagon, where they commute; the pentagon refuses the pair."""
+    foreign = InfinitePair.of(free3, 0, 1)
+    r = pentagon.element("r")
+    xi = {w: LaurentPoly.u_power(len(w)) for w in pentagon.ball(3)}
+    with pytest.raises(InputError, match="different Coxeter system"):
+        shortest_rep(pentagon, foreign, r)
+    with pytest.raises(InputError, match="different Coxeter system"):
+        brute_force_min_rep(pentagon, foreign, r, 3)
+    with pytest.raises(InputError, match="different Coxeter system"):
+        double_coset_symbol_check(pentagon, foreign, r, xi)
+    info = DoubleCosetInfo(foreign, r, commutes_s=False, commutes_t=False)
+    with pytest.raises(InputError, match="different Coxeter system"):
+        coset_elements(pentagon, info, 3)
 
 
 def test_shortest_rep_has_no_boundary_descents(named_systems):

@@ -1,5 +1,6 @@
 """Growth series, convergence radius, classification, radial symbol."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,11 +14,13 @@ from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
 from coxhecke import coxeter
-from coxhecke.growth import RationalSeries, _clique_polynomial, _locate_root
+from coxhecke.cli import main
+from coxhecke.growth import (RationalSeries, _clique_polynomial, _locate_root,
+                             component_rhos)
 from coxhecke.laurent import _poly_mul, _poly_trim
 from coxhecke.verify import random_system, suite_growth
 
-from conftest import oracle_symbol_commutation
+from conftest import oracle_classify, oracle_symbol_commutation
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -299,6 +302,75 @@ def test_rho_reducible_is_min_over_components():
                         [("a", "x"), ("b", "x"), ("c", "x")])
     # components: free product on a,b,c (rho 1/2) and the single x (finite)
     assert rho(sys) == pytest.approx(0.5, abs=1e-9)
+
+
+def _fresh(sys):
+    """A copy of sys that shares no cached series, subsystem or radius."""
+    return CoxeterSystem(sys.names, [(i, j) for i in range(sys.n)
+                                     for j in range(i + 1, sys.n)
+                                     if sys.commutes(i, j)])
+
+
+def test_component_map_rho_and_classify_match_oracle():
+    """component_rhos, rho and classify against the per-component walk of
+    oracle_classify on 60 seeded random graphs, reducible ones included:
+    at a random q, at a q within 2% of each component's radius, and at
+    their inverses.  The oracle runs on a fresh copy of each system."""
+    rng = random.Random(29)
+    reducible = cases = 0
+    for _ in range(60):
+        sys = random_system(rng, 9)
+        twin = _fresh(sys)
+        reducible += len(sys.components) > 1
+        infos = component_rhos(sys)
+        assert list(infos) == list(sys.components)
+        radii = []
+        for comp, info in infos.items():
+            want = rho_info(twin.subsystem(comp)[0])
+            if len(comp) == 1:
+                assert info is None and math.isinf(want.value)
+            else:
+                assert info == want
+                radii.append(info.value)
+        assert rho(sys) == min(radii, default=math.inf) \
+            == oracle_classify(twin, Fraction(1)).rho
+        qs = [Fraction(rng.randint(1, 300), rng.randint(1, 300))]
+        qs += [Fraction(r * (1 + rng.choice((-1, 1)) * rng.uniform(1e-4, 0.02)))
+               .limit_denominator(10**6) for r in radii]
+        for q in qs:
+            for x in (q, 1 / q):
+                assert classify(sys, x) == oracle_classify(twin, x), (sys, x)
+                cases += 1
+    assert reducible >= 20 and cases > 200
+
+
+def test_no_subsystem_for_one_generator_component(monkeypatch, tmp_path,
+                                                  capsys):
+    """rho, classify, ``coxhecke rho`` and ``classify`` and the growth-rho
+    suite build a subsystem for each component of two or more generators
+    and none for a one-generator component (the finite Z2)."""
+    calls = []
+    subsystem = CoxeterSystem.subsystem
+
+    def counted(self, indices):
+        calls.append(tuple(indices))
+        return subsystem(self, indices)
+
+    monkeypatch.setattr(CoxeterSystem, "subsystem", counted)
+    names = ["a", "b", "c", "x", "y"]
+    pairs = [("x", "y")] + [(g, h) for g in "abc" for h in "xy"]
+    sys = CoxeterSystem(names, pairs)     # components {a, b, c}, {x}, {y}
+    assert rho(sys) == pytest.approx(0.5, abs=1e-9)
+    assert classify(sys, Fraction(1, 4)).center_dimension == 8
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": names,
+                                "commuting_pairs": pairs}))
+    assert main(["rho", "--group", str(path)]) == 0
+    assert main(["classify", "--group", str(path), "--q", "1/4"]) == 0
+    assert set(calls) == {(0, 1, 2)}
+    calls.clear()
+    assert suite_growth(0).passed
+    assert calls and min(len(c) for c in calls) >= 2
 
 
 # -- classification -----------------------------------------------------------------
