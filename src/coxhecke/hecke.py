@@ -10,17 +10,21 @@ with p = (q - 1)/sqrt(q).  In exact mode coefficients are Laurent
 polynomials in u (u^2 = q) and p is the ring element u - 1/u; numeric
 mode fixes a concrete q > 0 and keeps float coefficients.
 
+An exact element holds {canonical word: {exponent of u: int}} over one
+positive denominator, with no zero entry and no common factor of them
+all, so equal elements are held alike; arithmetic works on that form, and
+``terms`` ({Element: LaurentPoly}) is built from it on first read.
+
 Both modes peel with right steps on canonical words:
-T_x T_s = T_{xs}, plus p T_x on a descent.  Exact products clear the
-rational coefficients to integers and peel each word of b, in one pass,
-on the right of all of a; they take no adjoint, because inverting the
-inputs and every output word costs more steps than peeling the shorter
-factor saves (descents are rare).  Numeric products peel each term's
-v^-1 on the right of b^*, through the adjoint
-T_v T_w = (T_{w^-1} T_{v^-1})^*: it maps each intermediate sum onto that
-of peeling v on the left of b, and a step gives a target at most two
-contributions, so the float sums are those of the left recursion
-(:func:`action_matrix` follows the same order).
+T_x T_s = T_{xs}, plus p T_x on a descent.  Exact products peel each
+word of b, in one pass, on the right of all of a's numerators; they take
+no adjoint, because inverting the inputs and every output word costs
+more steps than peeling the shorter factor saves (descents are rare).
+Numeric products peel each term's v^-1 on the right of b^*, through the
+adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*: it maps each intermediate sum
+onto that of peeling v on the left of b, and a step gives a target at
+most two contributions, so the float sums are those of the left
+recursion (:func:`action_matrix` follows the same order).
 """
 
 from __future__ import annotations
@@ -44,35 +48,42 @@ EXACT = "exact"
 class HeckeElement:
     """A finitely supported linear combination of normalized basis terms.
 
-    ``q`` is None in exact mode (coefficients are LaurentPoly) and a
-    positive float in numeric mode (coefficients are floats).  Values are
-    immutable; all arithmetic returns fresh elements.
+    ``q`` is None in exact mode and a positive float in numeric mode.
+    ``terms`` maps the support to the coefficients, LaurentPolys or
+    floats; it is built on first read from the coefficients by canonical
+    word, exact ones as numerators over one denominator (see above).
+    Values are immutable; all arithmetic returns fresh elements.
     """
 
-    __slots__ = ("system", "q", "terms")
+    __slots__ = ("system", "q", "_den", "_num", "_terms")
 
-    def __init__(self, system: CoxeterSystem, terms=None, q: float | None = None):
+    def __new__(cls, system: CoxeterSystem, terms=None, q: float | None = None):
         if q is not None:
-            q = float(q)
-            if not 0 < q < math.inf:
-                raise InputError("q must be positive")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "q", q)
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if w.system is not system:
-                    raise InputError("basis element from a different system")
-                if q is None:
-                    c = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-                else:
-                    c = float(c)
-                if c:
-                    clean[w] = c
-        object.__setattr__(self, "terms", clean)
+            q = _positive_q(q)
+        terms = terms or {}
+        if any(w.system is not system for w in terms):
+            raise InputError("basis element from a different system")
+        if q is None:
+            den, num = _canonical(*_numerators(
+                {w.word: _scalar(None, c, "a coefficient").terms
+                 for w, c in terms.items()}))
+        else:
+            den, num = 1, {w.word: f for w, c in terms.items()
+                           if (f := float(c))}
+        return _make(system, q, den, num)
 
     def __setattr__(self, *a):
         raise AttributeError("HeckeElement is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{Element: coefficient}, built on the first read and kept."""
+        if self._terms is None:
+            d, exact = self._den, self.q is None
+            object.__setattr__(self, "_terms", {
+                Element(self.system, w): _from_numerators(c, d) if exact else c
+                for w, c in self._num.items()})
+        return self._terms
 
     # -- mode helpers ----------------------------------------------------------
 
@@ -85,9 +96,6 @@ class HeckeElement:
             return P_SYMBOL
         return (self.q - 1.0) / math.sqrt(self.q)
 
-    def _zero_coeff(self):
-        return LaurentPoly.zero() if self.q is None else 0.0
-
     def _check_compat(self, other: "HeckeElement"):
         if self.system is not other.system:
             raise InputError("elements live over different Coxeter systems")
@@ -98,10 +106,20 @@ class HeckeElement:
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self._check_compat(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, self._zero_coeff()) + c
-        return HeckeElement(self.system, out, self.q)
+        if not (self._num and other._num):
+            return self if self._num else other
+        if self.q is not None:
+            out = dict(self._num)
+            for w, c in other._num.items():
+                out[w] = out.get(w, 0.0) + c
+            return _make(self.system, self.q, 1,
+                         {w: c for w, c in out.items() if c})
+        d, out = math.lcm(self._den, other._den), {}
+        for x in (self, other):
+            k = {0: d // x._den}
+            for w, c in x._num.items():
+                out[w] = _sparse_mul_into(out.get(w, {}), c, k)
+        return _make(self.system, None, *_canonical(d, out))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scale(-1)
@@ -110,11 +128,14 @@ class HeckeElement:
         return self.scale(-1)
 
     def scale(self, c) -> "HeckeElement":
-        if self.q is None and not isinstance(c, LaurentPoly):
-            c = LaurentPoly.const(c)
-        return HeckeElement(self.system,
-                            {w: coeff * c for w, coeff in self.terms.items()},
-                            self.q)
+        c = _scalar(self.q, c, "a scalar")
+        if self.q is not None:
+            return _make(self.system, self.q, 1,
+                         {w: f for w, x in self._num.items() if (f := x * c)})
+        d, k = _numerators({(): c.terms})
+        return _make(self.system, None, *_canonical(
+            self._den * d, {w: _sparse_mul_into({}, x, k[()])
+                            for w, x in self._num.items()}))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, float, LaurentPoly)):
@@ -130,16 +151,19 @@ class HeckeElement:
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement) and self.system is other.system
-                and self.q == other.q and self.terms == other.terms)
+                and self.q == other.q and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((id(self.system), self.q, frozenset(self.terms.items())))
+        return hash((id(self.system), self.q, self._den, frozenset(self._num)))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def coefficient(self, w: Element):
-        return self.terms.get(w, self._zero_coeff())
+        if w.system is not self.system:
+            raise InputError("basis element from a different system")
+        return self.terms.get(w, LaurentPoly.zero() if self.q is None else 0.0)
 
     def support(self) -> list[Element]:
         return sorted(self.terms, key=Element.sort_key)
@@ -149,9 +173,9 @@ class HeckeElement:
     def star(self) -> "HeckeElement":
         """The adjoint: the same coefficients on inverted basis words
         (coefficients are real, so conjugation fixes them)."""
-        sys = self.system
-        return HeckeElement(sys, {sys.inverse(w): c
-                                  for w, c in self.terms.items()}, self.q)
+        fold = self.system._fold
+        return _make(self.system, self.q, self._den,
+                     {fold((), reversed(w)): c for w, c in self._num.items()})
 
     def phi(self):
         """The vacuum state: the coefficient of the identity basis term."""
@@ -161,33 +185,75 @@ class HeckeElement:
         """Evaluate exact coefficients at u = sqrt(q), yielding numeric mode."""
         if self.q is not None:
             raise InputError("element is already numeric")
-        u = math.sqrt(float(q))
+        q = _positive_q(q)
+        u = math.sqrt(q)
         return HeckeElement(self.system,
                             {w: c.evaluate(u) for w, c in self.terms.items()},
                             q=q)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in self.support():
-            c = self.terms[w]
-            parts.append(f"({c})*T({w})")
-        return " + ".join(parts)
+        """The terms in ShortLex order, formatted with no Element built."""
+        d, name = self._den, self.system.word_str
+        return " + ".join(
+            f"({c if self.q else _from_numerators(c, d)})*T({name(w)})"
+            for w, c in sorted(self._num.items(),
+                               key=lambda t: (len(t[0]), t[0]))) or "0"
 
     def __repr__(self):
         return f"HeckeElement[{self.mode}]({self})"
+
+
+def _make(system: CoxeterSystem, q, den, num) -> HeckeElement:
+    """The element with the coefficients ``num`` over ``den``, unchecked."""
+    out, put = object.__new__(HeckeElement), object.__setattr__
+    put(out, "system", system)
+    put(out, "q", q)
+    put(out, "_den", den)
+    put(out, "_num", num)
+    put(out, "_terms", None)
+    return out
+
+
+def _canonical(den: int, num: dict) -> tuple[int, dict]:
+    """Exact numerators over den without zero entries or empty words, and
+    divided by the common factor of den and all of them.  The pass over
+    the entries runs only when one is zero or the factor is not 1."""
+    g = 1 if den == 1 else math.gcd(den, *(n for c in num.values()
+                                           for n in c.values()))
+    if g != 1 or not all(c and 0 not in c.values() for c in num.values()):
+        num = {w: c for w, c in ((w, {e: n // g for e, n in c.items() if n})
+                                 for w, c in num.items()) if c}
+    return den // g, num
+
+
+def _positive_q(q) -> float:
+    q = float(q)
+    if not 0 < q < math.inf:
+        raise InputError("q must be positive")
+    return q
+
+
+def _scalar(q: float | None, c, what: str):
+    """``c`` checked as a scalar of the mode of ``q``: exact mode takes an
+    int, a Fraction or a LaurentPoly and returns a LaurentPoly, numeric
+    mode takes an int, a Fraction or a float and returns it as it is."""
+    if isinstance(c, (int, Fraction, LaurentPoly if q is None else float)):
+        return c if q else _coerce(c)
+    mode = EXACT if q is None else "numeric"
+    raise InputError(f"{what} in {mode} mode cannot be a {type(c).__name__}")
 
 
 # -- constructors ------------------------------------------------------------------
 
 
 def unit(system: CoxeterSystem, q: float | None = None) -> HeckeElement:
-    return HeckeElement(system, {system.identity: 1}, q)
+    return t_basis(system.identity, q)
 
 
 def t_basis(w: Element, q: float | None = None) -> HeckeElement:
     """The normalized basis term T_w with coefficient one."""
+    if q is None:
+        return _make(w.system, None, 1, {w.word: {0: 1}})
     return HeckeElement(w.system, {w: 1}, q)
 
 
@@ -222,29 +288,22 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> di
 
 
 def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
-    """The exact product on the integer numerators of a and b: for each
-    word w of b, a's numerators peeled by the letters of w, times c_w, are
-    summed into one exponent dict per target, and divided by the common
-    denominator d at the end; the output is built without re-validation.
-    A rational p keeps its ``Fraction`` values through the same sums."""
-    da, num_a = _numerators({w.word: c for w, c in a.terms.items()})
-    db, num_b = _numerators(b.terms)
+    """The exact product on the numerators of a and b: for each word w of
+    b, a's numerators peeled by the letters of w, times b's numerator at
+    w, are summed into one exponent dict per target, over the denominator
+    d_a d_b.  A rational p keeps its ``Fraction`` values through the same
+    sums, and the result is cleared to integers once at the end."""
     pt = p.terms
     result: dict[Word, dict[int, int]] = {}
-    for w, cw in num_b.items():
-        for x, c in _right_peel(a.system, num_a, w.word, _sparse_add,
+    for w, cw in b._num.items():
+        for x, c in _right_peel(a.system, a._num, w, _sparse_add,
                                 lambda c: _sparse_mul_into({}, c, pt)).items():
             _sparse_mul_into(result.setdefault(x, {}), c, cw)
-    d = da * db
-    terms = {}
-    for x, acc in result.items():
-        c = _from_numerators(acc, d)
-        if c.terms:
-            terms[Element(a.system, x)] = c
-    out = object.__new__(HeckeElement)
-    for name, value in (("system", a.system), ("q", None), ("terms", terms)):
-        object.__setattr__(out, name, value)
-    return out
+    d = a._den * b._den
+    if any(type(x) is not int for x in pt.values()):
+        dp, result = _numerators(result)
+        d *= dp
+    return _make(a.system, None, *_canonical(d, result))
 
 
 def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
@@ -257,26 +316,25 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     took 1,002,510.  ``p_override`` substitutes a different structure
     constant (used for the sign-twisted target algebra of the duality
     isomorphism); in exact mode it must be exact (a LaurentPoly or a
-    rational).  In numeric mode
+    rational), in numeric mode a real number.  In numeric mode
     each term c_a T_v of a in turn peels v^-1 on the right of b^*, on the
     float coefficients themselves, and adds c_a times the inverted output;
     the float sums are those of peeling v on the left of b (see above).
     """
     a._check_compat(b)
+    p = (a._p() if p_override is None
+         else _scalar(a.q, p_override, "p_override"))
     if a.q is None:
-        return _exact_mul(a, b, P_SYMBOL if p_override is None
-                          else _coerce(p_override))
+        return _exact_mul(a, b, p)
     sys, fold = a.system, a.system._fold
-    p = a._p() if p_override is None else p_override
-    adjoint = {fold((), reversed(w.word)): c for w, c in b.terms.items()}
+    adjoint = {fold((), reversed(w)): c for w, c in b._num.items()}
     result: dict[Word, float] = {}
-    for v, ca in a.terms.items():
-        for x, c in _right_peel(sys, adjoint, reversed(v.word), operator.add,
+    for v, ca in a._num.items():
+        for x, c in _right_peel(sys, adjoint, reversed(v), operator.add,
                                 lambda c: p * c).items():
             x = fold((), reversed(x))
             result[x] = result.get(x, 0.0) + ca * c
-    return HeckeElement(sys, {Element(sys, x): c for x, c in result.items()},
-                        a.q)
+    return _make(sys, a.q, 1, {x: c for x, c in result.items() if c})
 
 
 def j_iso(a: HeckeElement) -> HeckeElement:
@@ -294,10 +352,9 @@ def j_iso(a: HeckeElement) -> HeckeElement:
     if a.q is not None:
         raise InputError("duality isomorphism needs exact mode; specialize "
                          "the image at 1/q instead")
-    out = {}
-    for w, c in a.terms.items():
-        out[w] = -c if len(w) % 2 else c
-    return HeckeElement(a.system, out, None)
+    return _make(a.system, None, a._den,
+                 {w: {e: -n for e, n in c.items()} if len(w) % 2 else c
+                  for w, c in a._num.items()})
 
 
 def state_phi(a: HeckeElement):
@@ -311,13 +368,11 @@ def inner(a: HeckeElement, b: HeckeElement):
     is exactly rounded, so it does not depend on the order of the terms."""
     a._check_compat(b)
     if a.q is None:
-        total = LaurentPoly.zero()
-        for w, c in a.terms.items():
-            d = b.terms.get(w)
-            if d is not None:
-                total = total + c * d
-        return total
-    return math.fsum(c * b.terms.get(w, 0.0) for w, c in a.terms.items())
+        acc = {}
+        for w in a._num.keys() & b._num.keys():
+            _sparse_mul_into(acc, a._num[w], b._num[w])
+        return _from_numerators(acc, a._den * b._den)
+    return math.fsum(c * b._num.get(w, 0.0) for w, c in a._num.items())
 
 
 def l2_norm(a: HeckeElement) -> float:
@@ -415,7 +470,7 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     if any(w.system is not sys for w in ball):
         raise InputError("elements live over different Coxeter systems")
     r = max((len(w) for w in ball), default=0)
-    m = max((len(v) for v in a.terms), default=0)
+    m = max(map(len, a._num), default=0)
     # counted by the automaton before a build at a new radius; a cached
     # table at radius >= r + m already fit under the cap
     cached = sys._ball_cache
@@ -430,18 +485,17 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     where = np.array([index[w.word] for w in ball], dtype=np.int64)
     if side == LEFT:
         parts = [(cols[:0], cols[:0], np.zeros(0))]     # for the zero element
-        for v, c in a.terms.items():
+        for v, c in a._num.items():
             terms = (cols, where, np.ones(n))
-            for s in reversed(v.word):
+            for s in reversed(v):
                 terms = _left_step(terms, np.full(len(terms[0]), s),
                                    left, descent, p)
             parts.append((terms[0], terms[1], c * terms[2]))
         col, at, val = _merge(*map(np.concatenate, zip(*parts)), len(index))
     else:
-        support = list(a.terms)
-        start = np.array([index[v.word] for v in support], dtype=np.int64)
-        col, at, val = (np.repeat(cols, len(support)), np.tile(start, n),
-                        np.tile([a.terms[v] for v in support], n))
+        start = np.array([index[v] for v in a._num], dtype=np.int64)
+        col, at, val = (np.repeat(cols, len(start)), np.tile(start, n),
+                        np.tile(list(a._num.values()), n))
         peel = where
         for _ in range(r):              # each column's letters from the end
             col, at, val = _left_step((col, at, val), table.last[peel][col],

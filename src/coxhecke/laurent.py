@@ -230,16 +230,16 @@ def _coerce(x) -> LaurentPoly:
 
 
 def _numerators(polys: Mapping) -> tuple[int, dict]:
-    """A common denominator d of the coefficients of the polynomials in
-    ``polys``, and d times each as an {exponent: int} dict, same keys."""
+    """A common denominator d of the values of the {exponent: rational}
+    dicts in ``polys``, and d times each as an {exponent: int} dict."""
     d = 1
     for c in polys.values():
-        for x in c.terms.values():
+        for x in c.values():
             if type(x) is not int:
                 d = math.lcm(d, x.denominator)
     return d, {key: {e: x * d if type(x) is int
                      else x.numerator * (d // x.denominator)
-                     for e, x in c.terms.items()}
+                     for e, x in c.items()}
                for key, c in polys.items()}
 
 

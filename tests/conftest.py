@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from coxhecke import LEFT, RIGHT, CoxeterSystem, Element, LaurentPoly, verify
+from coxhecke import (LEFT, RIGHT, CoxeterSystem, Element, InputError,
+                      LaurentPoly, verify)
 from coxhecke.growth import (FACTOR, FACTOR_PLUS_C, NOT_APPLICABLE,
                              CenterReport, ComponentClassification, rho_info)
 
@@ -27,6 +29,122 @@ def oracle_unnormalized_mul(sys, v, w):
                 nxt[x] = nxt.get(x, LaurentPoly.zero()) + qm1_poly * c
         terms = {x: c for x, c in nxt.items() if c}
     return terms
+
+
+class OracleElement:
+    """An exact Hecke element held as {Element: LaurentPoly}, each term
+    checked and coerced on construction: the representation the package
+    used before the numerator form, kept as that form's oracle."""
+
+    def __init__(self, system, terms=None):
+        self.system = system
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            if w.system is not system:
+                raise InputError("basis element from a different system")
+            c = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+            if c:
+                self.terms[w] = c
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, LaurentPoly.zero()) + c
+        return OracleElement(self.system, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+        return OracleElement(self.system,
+                             {w: x * c for w, x in self.terms.items()})
+
+    def __eq__(self, other):
+        return self.system is other.system and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def coefficient(self, w):
+        return self.terms.get(w, LaurentPoly.zero())
+
+    def support(self):
+        return sorted(self.terms, key=Element.sort_key)
+
+    def phi(self):
+        return self.coefficient(self.system.identity)
+
+    def star(self):
+        return OracleElement(self.system, {self.system.inverse(w): c
+                                           for w, c in self.terms.items()})
+
+    def j(self):
+        return OracleElement(self.system, {w: -c if len(w) % 2 else c
+                                           for w, c in self.terms.items()})
+
+    def __str__(self):
+        return " + ".join(f"({self.terms[w]})*T({w})"
+                          for w in self.support()) or "0"
+
+
+def _oracle_numerators(polys):
+    """A common denominator d of the LaurentPoly values of ``polys`` and d
+    times each as an {exponent: int} dict."""
+    d = 1
+    for c in polys.values():
+        for x in c.terms.values():
+            if type(x) is not int:
+                d = math.lcm(d, x.denominator)
+    return d, {key: {e: x * d if type(x) is int
+                     else x.numerator * (d // x.denominator)
+                     for e, x in c.terms.items()}
+               for key, c in polys.items()}
+
+
+def _add_poly(c1, c2):
+    out = dict(c1)
+    for e, n in c2.items():
+        out[e] = out.get(e, 0) + n
+    return out
+
+
+def _mul_poly_into(acc, c1, c2):
+    for e1, n1 in c1.items():
+        for e2, n2 in c2.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
+    return acc
+
+
+def oracle_exact_mul(a, b, p=None):
+    """The exact product of two OracleElements as the package computed it
+    before the numerator form: both factors cleared to integer numerators,
+    a's peeled on the right by each word of b with p (default u - 1/u)
+    times the coefficient on a descent, and each output divided by the
+    product of the denominators."""
+    sys = a.system
+    p = LaurentPoly({1: 1, -1: -1}) if p is None else (
+        p if isinstance(p, LaurentPoly) else LaurentPoly.const(p))
+    da, num_a = _oracle_numerators({w.word: c for w, c in a.terms.items()})
+    db, num_b = _oracle_numerators(b.terms)
+    result = {}
+    for w, cw in num_b.items():
+        terms = num_a
+        for s in w.word:
+            nxt = {}
+            for x, c in terms.items():
+                xs, delta = sys._step(x, s, RIGHT)
+                nxt[xs] = _add_poly(nxt.get(xs, {}), c)
+                if delta < 0:
+                    nxt[x] = _add_poly(nxt.get(x, {}),
+                                       _mul_poly_into({}, c, p.terms))
+            terms = nxt
+        for x, c in terms.items():
+            _mul_poly_into(result.setdefault(x, {}), c, cw)
+    d = da * db
+    return OracleElement(sys, {Element(sys, x): LaurentPoly(
+        {e: Fraction(n, d) for e, n in acc.items()})
+        for x, acc in result.items()})
 
 
 def oracle_symbol_commutation(sys, s, xi, p):

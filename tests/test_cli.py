@@ -573,6 +573,21 @@ def test_verify_pinned(capsys):
     assert out == VERIFY_SEED_0_PIN
 
 
+#: SHA-256 of ``verify`` stdout at seeds 1 and 2, recorded on the parent of
+#: the change that holds exact Hecke elements as integer numerators.
+VERIFY_SEED_SHA256 = {
+    1: "4a817b4df576068845800122329e2affa1eb6528bb34286167c5e6251385ef91",
+    2: "dd9141bacbb9d89b1bf836ab629707ad7697183964fdaa619633848ac3d0230f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SEED_SHA256))
+def test_verify_pinned_other_seeds(capsys, seed):
+    code, out, _ = run(capsys, ["verify", "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED_SHA256[seed]
+
+
 def test_growth_rejects_negative_radius(capsys):
     path = FREE3
     for command in ("growth", "ball"):

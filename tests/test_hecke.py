@@ -14,14 +14,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coxhecke import (CoxeterSystem, InputError, LEFT, RIGHT, LaurentPoly,
-                      P_SYMBOL, action_matrix, inner, j_iso, l2_norm, mul,
-                      parse_expression, state_phi, t_basis, t_tilde, unit)
+from coxhecke import (CoxeterSystem, Element, InputError, LEFT, RIGHT,
+                      LaurentPoly, P_SYMBOL, action_matrix, inner, j_iso,
+                      l2_norm, mul, parse_expression, state_phi, t_basis,
+                      t_tilde, unit)
 from coxhecke.hecke import HeckeElement
 from coxhecke import hecke, verify
 from coxhecke.verify import random_system, suite_hecke
 
-from conftest import oracle_unnormalized_mul
+from conftest import OracleElement, oracle_exact_mul, oracle_unnormalized_mul
 
 
 def random_exact_element(rng, sys, ball, n_terms=3, min_terms=1):
@@ -79,6 +80,47 @@ def test_mode_and_system_mismatch(dihedral, free3):
 def test_numeric_element_rejects_bad_q(dihedral, q):
     with pytest.raises(InputError, match="q must be positive"):
         HeckeElement(dihedral, {dihedral.identity: 1.0}, q=q)
+
+
+@pytest.mark.parametrize("q", [-1.0, 0.0, float("nan"), float("inf")])
+def test_specialize_rejects_bad_q(dihedral, q):
+    with pytest.raises(InputError, match="q must be positive"):
+        t_basis(dihedral.element("s")).specialize(q)
+
+
+def test_coefficient_of_foreign_element(dihedral):
+    """A basis element of another system, even one with the same word, is
+    refused in both modes."""
+    other = CoxeterSystem("st")
+    for q in (None, 0.5):
+        a = t_basis(dihedral.element("s"), q=q)
+        with pytest.raises(InputError,
+                           match="basis element from a different system"):
+            a.coefficient(other.element("s"))
+
+
+def test_scalars_of_the_wrong_mode(dihedral):
+    """Exact elements take exact scalars and structure constants, numeric
+    elements real ones; the wrong kind is refused with the mode named."""
+    w = dihedral.element("s")
+    exact, numeric = t_basis(w), t_basis(w, q=0.5)
+    with pytest.raises(InputError, match="exact mode cannot be a float"):
+        exact.scale(0.1)
+    with pytest.raises(InputError, match="exact mode cannot be a float"):
+        0.1 * exact
+    with pytest.raises(InputError, match="exact mode cannot be a float"):
+        mul(exact, exact, p_override=0.5)
+    with pytest.raises(InputError, match="exact mode cannot be a float"):
+        HeckeElement(dihedral, {w: 0.1})
+    with pytest.raises(InputError,
+                       match="numeric mode cannot be a LaurentPoly"):
+        numeric.scale(P_SYMBOL)
+    with pytest.raises(InputError,
+                       match="numeric mode cannot be a LaurentPoly"):
+        mul(numeric, numeric, p_override=P_SYMBOL)
+    assert numeric.scale(Fraction(1, 2)).coefficient(w) == 0.5
+    assert exact.scale(Fraction(1, 2)).coefficient(w) == LaurentPoly.const(
+        Fraction(1, 2))
 
 
 def assert_basis_product_matches_oracle(sys, v, w):
@@ -345,6 +387,110 @@ def test_numeric_products_pinned():
         count += 1
     assert count == 920
     assert digest.hexdigest() == NUMERIC_PRODUCTS_PIN
+
+
+def oracle_twins(rng, sys, ball, n_terms=3, min_terms=1):
+    """A random exact element, summed term by term as in
+    random_exact_element, its OracleElement twin, and the terms."""
+    items = [(rng.choice(ball),
+              LaurentPoly({rng.randint(-1, 1): Fraction(rng.randint(-3, 3),
+                                                        rng.randint(1, 3))}))
+             for _ in range(rng.randint(min_terms, n_terms))]
+    elem, twin = HeckeElement(sys), OracleElement(sys)
+    for w, c in items:
+        elem = elem + t_basis(w).scale(c)
+        twin = twin + OracleElement(sys, {w: 1}).scale(c)
+    return elem, twin, items
+
+
+def assert_like_oracle(elem, twin, words):
+    """elem reads as its twin through every public accessor; the
+    coefficients are compared on ``words`` and on the twin's support."""
+    assert str(elem) == str(twin)
+    assert bool(elem) == bool(twin)
+    assert elem.phi() == twin.phi()
+    assert elem.support() == twin.support()
+    for w in set(words) | set(twin.terms):
+        assert elem.coefficient(w) == twin.coefficient(w)
+    assert elem.terms == twin.terms
+    assert ({w: [type(x) for x in c.terms.values()]
+             for w, c in elem.terms.items()}
+            == {w: [type(x) for x in c.terms.values()]
+                for w, c in twin.terms.items()})
+
+
+def assert_same(x, y):
+    assert x == y and hash(x) == hash(y)
+
+
+def test_canonical_form_matches_oracle():
+    """On 60 seeded random graphs, exact elements in the numerator form
+    read, compare and hash as the {Element: LaurentPoly} oracle says:
+    sums in two orders, a - a, a scale undone, j twice, the adjoint, and
+    products with every structure constant of exact_pin_products."""
+    rng = random.Random(113)
+    for _ in range(60):
+        sys = random_system(rng)
+        ball = sys.ball(4)
+        a, a_twin, items = oracle_twins(rng, sys, ball)
+        b, b_twin, _ = oracle_twins(rng, sys, ball, 8, 3)
+        assert_like_oracle(a, a_twin, ball)
+        assert_like_oracle(b, b_twin, ball)
+        assert (a == b) == (a_twin == b_twin)
+
+        backwards = HeckeElement(sys)
+        for w, c in reversed(items):
+            backwards = t_basis(w).scale(c) + backwards
+        assert_same(backwards, a)
+        assert_like_oracle(a + b, a_twin + b_twin, ball)
+        assert_same(b + a, a + b)
+        assert_same((a + b) - b, a)
+
+        zero = a - a
+        assert_like_oracle(zero, a_twin - a_twin, ball)
+        assert_same(zero, HeckeElement(sys))
+        assert str(zero) == "0" and not zero
+
+        c = Fraction(rng.choice((-5, -2, 3, 7)), rng.choice((1, 4, 9)))
+        for scalar, inverse in ((c, 1 / c),
+                                (LaurentPoly({2: c}), LaurentPoly({-2: 1 / c}))):
+            assert_like_oracle(a.scale(scalar), a_twin.scale(scalar), ball)
+            assert_same(a.scale(scalar).scale(inverse), a)
+        assert_like_oracle(b.scale(P_SYMBOL), b_twin.scale(P_SYMBOL), ball)
+
+        assert_like_oracle(j_iso(a), a_twin.j(), ball)
+        assert_same(j_iso(j_iso(a)), a)
+        assert_like_oracle(a.star(), a_twin.star(), ball)
+
+        for p in (None, -P_SYMBOL, Fraction(2, 3), 3):
+            product = mul(a, b + a.star(), p_override=p)
+            expected = oracle_exact_mul(a_twin, b_twin + a_twin.star(), p)
+            assert_like_oracle(product, expected, ball)
+
+
+def test_terms_built_once_and_only_when_read(monkeypatch):
+    """Exact sums, products, the adjoint, j, comparison, hashing and
+    printing build no Element; the first read of ``terms`` builds one per
+    support word, and later reads build none."""
+    built = []
+
+    class Counted(Element):
+        def __init__(self, system, word):
+            built.append(word)
+            super().__init__(system, word)
+
+    rng = random.Random(127)
+    sys = verify.named_systems()["pentagon"]
+    ball = sys.ball(3)
+    a, b = (random_exact_element(rng, sys, ball, 6, 3) for _ in range(2))
+    monkeypatch.setattr(hecke, "Element", Counted)
+    c = j_iso(mul(a, b) + b.star()).scale(Fraction(2, 3)) - a
+    assert c == c.scale(1) and hash(c) == hash(c.scale(1)) and c
+    str(c)
+    assert built == []
+    terms = c.terms
+    assert sorted(built) == sorted(w.word for w in terms) and built
+    assert c.terms is terms and len(built) == len(terms)
 
 
 def test_verify_suite_covers_random_graphs():
