@@ -124,6 +124,7 @@ class CoxeterSystem:
 
         self._identity = Element(self, ())
         self._subsystem_cache: dict = {}
+        # the action matrices' one ball table, kept by the module building them
         self._ball_cache: tuple | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -412,18 +413,6 @@ class CoxeterSystem:
                 right[s, right[s, down]] = down
         return BallTable(lengths, parent, last, right, descent)
 
-    def _action_table(self, radius: int) -> tuple:
-        """The ball table of :func:`hecke.action_matrix`, one per system and
-        rebuilt only at a larger radius: (radius, table, {word: row}, left,
-        descent).  A ball is a prefix of any larger one, so it reads the
-        same in it."""
-        entry = self._ball_cache
-        if entry is None or entry[0] < radius:
-            table = self.ball_table(radius)
-            index = {w: i for i, w in enumerate(table.words())}
-            entry = self._ball_cache = (radius, table, index, *table.left())
-        return entry
-
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
         """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k},
         counted by the canonical-word automaton; raises ``CapacityError``
@@ -475,20 +464,14 @@ class CoxeterSystem:
         if not self.irreducible or self.is_finite():
             raise DomainError("length-additive joins need an irreducible "
                               "infinite system")
-        dl_w = self.left_descents(w)
         u_letters: list[int] = []
         cur = v
-        extra = sorted(dl_w - self.right_descents(cur))
-        for s in extra:
-            cur, delta = self.mult_gen(cur, s, RIGHT)
-            if delta != +1:
-                raise DomainError("internal join invariant violated")
-            u_letters.append(s)
-        for s in sorted(set(range(self.n)) - self.right_descents(cur)):
-            cur, delta = self.mult_gen(cur, s, RIGHT)
-            if delta != +1:
-                raise DomainError("internal join invariant violated")
-            u_letters.append(s)
+        for pool in (self.left_descents(w), range(self.n)):
+            for s in sorted(set(pool) - self.right_descents(cur)):
+                cur, delta = self.mult_gen(cur, s, RIGHT)
+                if delta != +1:
+                    raise DomainError("internal join invariant violated")
+                u_letters.append(s)
         u = self.normalize(u_letters)
         total = self.multiply(cur, w)
         if len(total) != len(v) + len(u) + len(w):

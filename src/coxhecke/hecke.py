@@ -75,6 +75,9 @@ class HeckeElement:
     def __setattr__(self, *a):
         raise AttributeError("HeckeElement is immutable")
 
+    def __reduce__(self):
+        return _make, (self.system, self.q, self._den, self._num)
+
     @property
     def terms(self) -> dict:
         """{Element: coefficient}, built on the first read and kept."""
@@ -105,6 +108,8 @@ class HeckeElement:
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         self._check_compat(other)
         if not (self._num and other._num):
             return self if self._num else other
@@ -122,6 +127,8 @@ class HeckeElement:
         return _make(self.system, None, *_canonical(d, out))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __neg__(self) -> "HeckeElement":
@@ -182,14 +189,16 @@ class HeckeElement:
         return self.coefficient(self.system.identity)
 
     def specialize(self, q: float) -> "HeckeElement":
-        """Evaluate exact coefficients at u = sqrt(q), yielding numeric mode."""
+        """Evaluate exact coefficients at u = sqrt(q), yielding numeric mode:
+        n/d rounds as the rational does, so each word's numerators give the
+        float of ``LaurentPoly.evaluate`` on ``terms``, with no Element."""
         if self.q is not None:
             raise InputError("element is already numeric")
         q = _positive_q(q)
-        u = math.sqrt(q)
-        return HeckeElement(self.system,
-                            {w: c.evaluate(u) for w, c in self.terms.items()},
-                            q=q)
+        u, d = math.sqrt(q), self._den
+        return _make(self.system, q, 1, {
+            w: f for w, c in self._num.items()
+            if (f := math.fsum(n / d * u ** e for e, n in c.items()))})
 
     def __str__(self):
         """The terms in ShortLex order, formatted with no Element built."""
@@ -252,16 +261,14 @@ def unit(system: CoxeterSystem, q: float | None = None) -> HeckeElement:
 
 def t_basis(w: Element, q: float | None = None) -> HeckeElement:
     """The normalized basis term T_w with coefficient one."""
-    if q is None:
-        return _make(w.system, None, 1, {w.word: {0: 1}})
-    return HeckeElement(w.system, {w: 1}, q)
+    q = None if q is None else _positive_q(q)
+    return _make(w.system, q, 1, {w.word: 1.0 if q else {0: 1}})
 
 
 def t_tilde(w: Element, q: float | None = None) -> HeckeElement:
     """The unnormalized basis term, u^{|w|} times the normalized one."""
-    if q is None:
-        return HeckeElement(w.system, {w: LaurentPoly.u_power(len(w))})
-    return HeckeElement(w.system, {w: float(q) ** (len(w) / 2.0)}, q)
+    return t_basis(w, q).scale(LaurentPoly.u_power(len(w)) if q is None
+                               else float(q) ** (len(w) / 2.0))
 
 
 # -- multiplication ------------------------------------------------------------------
@@ -403,20 +410,37 @@ class ActionMatrix:
 def _action_by_products(a: HeckeElement, ball: list[Element],
                         side: str) -> ActionMatrix:
     """The action matrix column by column, one Hecke product per column."""
-    index = {w: i for i, w in enumerate(ball)}
+    index = {w.word: i for i, w in enumerate(ball)}
     n = len(ball)
     mat = np.zeros((n, n))
     exact = np.ones(n, dtype=bool)
     for j, w in enumerate(ball):
         basis = t_basis(w, q=a.q)
         image = mul(a, basis) if side == LEFT else mul(basis, a)
-        for v, c in image.terms.items():
+        for v, c in image._num.items():
             i = index.get(v)
             if i is None:
                 exact[j] = False
             else:
                 mat[i, j] = c
     return ActionMatrix(tuple(ball), mat, exact, side)
+
+
+def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
+    """The ball table of :func:`action_matrix`, one per system and rebuilt
+    only at a larger radius: (radius, table, {word: row}, left, descent).
+    A ball is a prefix of any larger one, so it reads the same in it.
+    Before a build at a new radius the canonical-word automaton counts
+    ball(radius); past ``DEFAULT_MAX_BALL`` elements it returns None and
+    caches nothing."""
+    entry = system._ball_cache
+    if entry is None or entry[0] < radius:
+        if sum(system._sphere_sizes(radius)) > DEFAULT_MAX_BALL:
+            return None
+        table = system.ball_table(radius)
+        index = {w: i for i, w in enumerate(table.words())}
+        entry = system._ball_cache = (radius, table, index, *table.left())
+    return entry
 
 
 def _merge(col, at, val, size):
@@ -453,14 +477,14 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     side "right" peels each column's word from the end on the left of
     ``a``.  :func:`mul` takes the same steps mirrored by the adjoint, and a
     step gives a term at most two contributions, so the entries are bit for
-    bit those of per-column products.  The system holds one table, grown on
-    demand and never shrunk: a smaller ball is a prefix of it, with the
-    same rows and the same sums.  Before a table is built at a new radius,
-    the canonical-word automaton counts ball(r + m); past
-    ``DEFAULT_MAX_BALL`` elements the columns are computed one product at
-    a time instead and nothing is cached.  The only ``CapacityError`` comes
-    from that count, when one level of the automaton has more than
-    ``DEFAULT_MAX_BALL`` states.
+    bit those of per-column products.  The table comes from
+    :func:`_action_table`, the one keeper of the system's table: grown on
+    demand and never shrunk, since a smaller ball is a prefix of it with
+    the same rows and the same sums.  Where it declines, ball(r + m) having
+    more than ``DEFAULT_MAX_BALL`` elements, the columns are computed one
+    product at a time, indexed by canonical word, and nothing is cached.
+    The only ``CapacityError`` comes from the automaton's count of the
+    ball, when one of its levels has more than ``DEFAULT_MAX_BALL`` states.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")
@@ -471,13 +495,10 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
         raise InputError("elements live over different Coxeter systems")
     r = max((len(w) for w in ball), default=0)
     m = max(map(len, a._num), default=0)
-    # counted by the automaton before a build at a new radius; a cached
-    # table at radius >= r + m already fit under the cap
-    cached = sys._ball_cache
-    if ((cached is None or cached[0] < r + m)
-            and sum(sys._sphere_sizes(r + m)) > DEFAULT_MAX_BALL):
+    entry = _action_table(sys, r + m)
+    if entry is None:
         return _action_by_products(a, ball, side)
-    _, table, index, left, descent = sys._action_table(r + m)
+    _, table, index, left, descent = entry
     p = a._p()
 
     n = len(ball)

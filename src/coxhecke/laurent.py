@@ -130,6 +130,15 @@ def poly_str(p: Sequence[int], var: str = "t") -> str:
 # -- Laurent polynomials -------------------------------------------------------
 
 
+def _coercing(op):
+    """``op`` on a coerced operand, or NotImplemented for any other type."""
+    def binary(self, other):
+        if not isinstance(other, (int, Fraction, LaurentPoly)):
+            return NotImplemented
+        return op(self, _coerce(other))
+    return binary
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial sum of c_k u^k with rational c_k.
 
@@ -156,6 +165,9 @@ class LaurentPoly:
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.terms,)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -176,23 +188,26 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------------
 
+    @_coercing
     def __add__(self, other) -> "LaurentPoly":
-        return LaurentPoly(_sparse_add(self.terms, _coerce(other).terms))
+        return LaurentPoly(_sparse_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({k: -c for k, c in self.terms.items()})
 
+    @_coercing
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-_coerce(other))
+        return self + (-other)
 
+    @_coercing
     def __rsub__(self, other) -> "LaurentPoly":
-        return _coerce(other) + (-self)
+        return other + (-self)
 
+    @_coercing
     def __mul__(self, other) -> "LaurentPoly":
-        return LaurentPoly(_sparse_mul_into({}, self.terms,
-                                            _coerce(other).terms))
+        return LaurentPoly(_sparse_mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -222,11 +237,8 @@ class LaurentPoly:
 
 
 def _coerce(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into LaurentPoly")
+    """An int, a Fraction or a LaurentPoly, as a LaurentPoly."""
+    return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
 
 
 def _numerators(polys: Mapping) -> tuple[int, dict]:

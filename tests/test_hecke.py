@@ -6,8 +6,11 @@ with q = u^2; agreement with the normalized product is checked through
 the rescaling T~_w = u^{|w|} T_w.
 """
 
+import copy
 import hashlib
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -121,6 +124,41 @@ def test_scalars_of_the_wrong_mode(dihedral):
     assert numeric.scale(Fraction(1, 2)).coefficient(w) == 0.5
     assert exact.scale(Fraction(1, 2)).coefficient(w) == LaurentPoly.const(
         Fraction(1, 2))
+
+
+def test_mixed_operands(dihedral):
+    """A LaurentPoly on the left defers to the element it multiplies, and
+    operands neither side takes are refused with TypeError."""
+    w = dihedral.element("st")
+    a = t_basis(w).scale(Fraction(2, 3)) + unit(dihedral)
+    assert P_SYMBOL * a == a * P_SYMBOL == a.scale(P_SYMBOL)
+    for bad in (lambda: a + 2, lambda: a - 2, lambda: 2 + a,
+                lambda: P_SYMBOL + a, lambda: P_SYMBOL - a,
+                lambda: P_SYMBOL * 0.5):
+        with pytest.raises(TypeError):
+            bad()
+    numeric = a.specialize(0.5)
+    for product in (lambda: numeric * P_SYMBOL, lambda: P_SYMBOL * numeric):
+        with pytest.raises(InputError,
+                           match="numeric mode cannot be a LaurentPoly"):
+            product()
+
+
+def test_copy_and_pickle(pentagon):
+    """Copies are equal; a pickle round trip of (system, element) prints
+    the same and equals the element rebuilt over the unpickled system."""
+    text = "2/3*T(p q) + T(r)*T(r s) - star(T(p t))"
+    for q in (None, 0.37):
+        a = parse_expression(pentagon, text)
+        a = a if q is None else a.specialize(q)
+        assert copy.copy(a) == a and str(copy.deepcopy(a)) == str(a)
+        system, b = pickle.loads(pickle.dumps((pentagon, a)))
+        again = parse_expression(system, text)
+        assert str(b) == str(a)
+        assert b == (again if q is None else again.specialize(q))
+    for c in (P_SYMBOL, LaurentPoly({-2: Fraction(1, 3), 1: 4})):
+        assert copy.copy(c) == copy.deepcopy(c) == c
+        assert pickle.loads(pickle.dumps(c)) == c
 
 
 def assert_basis_product_matches_oracle(sys, v, w):
@@ -468,10 +506,8 @@ def test_canonical_form_matches_oracle():
             assert_like_oracle(product, expected, ball)
 
 
-def test_terms_built_once_and_only_when_read(monkeypatch):
-    """Exact sums, products, the adjoint, j, comparison, hashing and
-    printing build no Element; the first read of ``terms`` builds one per
-    support word, and later reads build none."""
+def count_elements(monkeypatch) -> list:
+    """The words of the ``Element``s that ``hecke`` builds from now on."""
     built = []
 
     class Counted(Element):
@@ -479,11 +515,19 @@ def test_terms_built_once_and_only_when_read(monkeypatch):
             built.append(word)
             super().__init__(system, word)
 
+    monkeypatch.setattr(hecke, "Element", Counted)
+    return built
+
+
+def test_terms_built_once_and_only_when_read(monkeypatch):
+    """Exact sums, products, the adjoint, j, comparison, hashing and
+    printing build no Element; the first read of ``terms`` builds one per
+    support word, and later reads build none."""
     rng = random.Random(127)
     sys = verify.named_systems()["pentagon"]
     ball = sys.ball(3)
     a, b = (random_exact_element(rng, sys, ball, 6, 3) for _ in range(2))
-    monkeypatch.setattr(hecke, "Element", Counted)
+    built = count_elements(monkeypatch)
     c = j_iso(mul(a, b) + b.star()).scale(Fraction(2, 3)) - a
     assert c == c.scale(1) and hash(c) == hash(c.scale(1)) and c
     str(c)
@@ -491,6 +535,39 @@ def test_terms_built_once_and_only_when_read(monkeypatch):
     terms = c.terms
     assert sorted(built) == sorted(w.word for w in terms) and built
     assert c.terms is terms and len(built) == len(terms)
+
+
+def test_specialize_and_fallback_build_no_element(monkeypatch, free3):
+    """``specialize`` reads the numerators, and ``action_matrix`` past the
+    cap indexes the ball by word; neither builds an Element."""
+    rng = random.Random(131)
+    sys = verify.named_systems()["pentagon"]
+    a = random_exact_element(rng, sys, sys.ball(3), 6, 3)
+    ball = free3.ball(2)                  # ball(3) has 22 elements
+    monkeypatch.setattr(hecke, "DEFAULT_MAX_BALL", 20)
+    built = count_elements(monkeypatch)
+    assert a.specialize(0.37)
+    for side in (LEFT, RIGHT):
+        action_matrix(t_basis(free3.element("s t"), q=0.5), ball, side)
+    assert built == [] and free3._ball_cache is None
+
+
+def test_specialize_matches_evaluating_terms():
+    """On 60 seeded random graphs, ``specialize(q)`` holds, float for
+    float, each coefficient of ``terms`` evaluated at sqrt(q)."""
+    rng = random.Random(137)
+    for _ in range(60):
+        sys = random_system(rng)
+        ball = sys.ball(3)
+        a = random_exact_element(rng, sys, ball, 6, 2)
+        a = mul(a, random_exact_element(rng, sys, ball, 4)) + a.scale(
+            Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        q = rng.choice((0.05, 0.37, 1.0, 2.5, 11.0))
+        expected = {w: c.evaluate(math.sqrt(q)) for w, c in a.terms.items()}
+        got = a.specialize(q)
+        assert got.q == q
+        assert ({w: f.hex() for w, f in got.terms.items()}
+                == {w: f.hex() for w, f in expected.items() if f})
 
 
 def test_verify_suite_covers_random_graphs():
@@ -881,6 +958,25 @@ def test_action_matrix_builds_one_table_per_growth(monkeypatch):
     action_matrix(a, sys.ball(1), LEFT)
     action_matrix(unit(sys, q=0.37), sys.ball(5), LEFT)
     assert builds == [5, 6]
+
+
+def test_action_matrix_counts_only_at_a_new_radius(monkeypatch, pentagon):
+    """The automaton counts the ball before a table is built; a radius the
+    cached table covers is served with no count."""
+    counts = []
+    sizes = CoxeterSystem._sphere_sizes
+
+    def counted(self, depth):
+        counts.append(depth)
+        return sizes(self, depth)
+
+    monkeypatch.setattr(CoxeterSystem, "_sphere_sizes", counted)
+    a = HeckeElement(pentagon, {pentagon.element("p r"): 1.25}, q=0.37)
+    action_matrix(a, pentagon.ball(3), LEFT)
+    assert counts == [5]
+    for ball, side in ((pentagon.ball(3), RIGHT), (pentagon.ball(2), LEFT)):
+        action_matrix(a, ball, side)
+    assert counts == [5]
 
 
 def test_action_matrix_past_cap_caches_nothing(monkeypatch, free3):
