@@ -302,7 +302,8 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
         for mult in (left, table.right):
             j = mult[s, i]
             inside = j >= 0
-            keys.append(np.minimum(i, j)[inside] * size
+            keys.append(np.multiply(np.minimum(i, j)[inside], size,
+                                    dtype=np.int64)
                         + np.maximum(i, j)[inside])
     keys = np.unique(np.concatenate(keys))
     lo, hi = keys // size, keys % size

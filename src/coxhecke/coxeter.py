@@ -357,6 +357,8 @@ class CoxeterSystem:
         """
         if radius < 0:
             raise InputError("radius must be nonnegative")
+        if max_elements < 1:
+            raise InputError("ball cap must be at least 1: a ball holds e")
         parents, lasts = [np.zeros(1, np.int64)], [np.full(1, -1, np.int64)]
         masks = np.array([self._full], dtype=np.int64)
         bits = np.left_shift(1, np.arange(self.n, dtype=np.int64))
@@ -394,9 +396,11 @@ class CoxeterSystem:
         zs = (z's)t is read from the row of z's, two levels down.  Each
         lengthening entry is the reverse of a descent entry of the level
         above, so a level's row is complete once the next level is built.
+        ``right`` is int32, so the cap is at most 2^31 - 1 rows.
         """
-        lengths, parent, last = self._ball_levels(radius, max_elements)
-        right = np.full((self.n, len(lengths)), -1, dtype=np.int64)
+        lengths, parent, last = self._ball_levels(
+            radius, min(max_elements, np.iinfo(np.int32).max))
+        right = np.full((self.n, len(lengths)), -1, dtype=np.int32)
         descent = np.zeros((self.n, len(lengths)), dtype=bool)
         commutes = ((np.array(self._comm, dtype=np.int64)[:, None]
                      >> np.arange(self.n)) & 1).astype(bool)
@@ -586,8 +590,8 @@ class BallTable(NamedTuple):
 
     Row i holds a word z = z't of length ``lengths[i]``: ``parent[i]`` is
     the row of z' and ``last[i]`` is t (0 and -1 at the identity, row 0).
-    ``right[s, i]`` is the row of zs, or -1 when it leaves the ball, and
-    ``descent[s, i]`` flags right descents.  Words are built only by
+    ``right[s, i]`` (int32) is the row of zs, or -1 when it leaves the ball,
+    and ``descent[s, i]`` flags right descents.  Words are built only by
     :meth:`words`.
     """
     lengths: np.ndarray

@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
-                      _component)
+                      _component, _level_rows)
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
 from .laurent import (LaurentPoly, _has_root_up_to, _poly_add, _poly_eval,
@@ -545,6 +545,47 @@ class ProjectionReport:
         ])
 
 
+def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
+                  max_elements: int) -> tuple:
+    """Phases (a), (b) and (d) of :func:`verify_central_projection`, and what
+    (c) reads of the ball table, which dies on return."""
+    table = system.ball_table(radius, max_elements)
+    lengths, parent, last, idx, desc = table
+
+    # (a) formal scaling identity on interior vertices, a generator row at a
+    # time: for xi = u^{|w|} and p = u - 1/u, xi(ws) + [s descent] p xi(w) =
+    # u xi(w) iff ws is in the ball with |ws| = |w| - 1 on a descent, else + 1
+    n_in = int(np.count_nonzero(lengths <= radius - 1))
+    exact_ok = all(np.all((idx[s, :n_in] >= 0) & (lengths[idx[s, :n_in]]
+                   == lengths[:n_in] + np.where(desc[s, :n_in], -1, 1)))
+                   for s in range(system.n))
+
+    # (b) truncated action matrix of the radial operator, certified block.
+    # The column of w = w't is its parent's column times t, needed up to
+    # length 2h - |w|; M_h is filled from one level of columns at a time.
+    h = radius // 2
+    ends = np.searchsorted(lengths, np.arange(2 * h + 1), side="right")
+    n_h = int(ends[h])
+    zeta = sq ** lengths[:ends[2 * h]].astype(float)
+    m_h, above = np.empty((n_h, n_h)), zeta[None, :]
+    m_h[:, 0] = zeta[:n_h]
+    for k, (lo, hi) in enumerate(_level_rows(lengths, n_h), 1):
+        end = ends[2 * h - k]
+        level = np.empty((hi - lo, end))
+        for j in range(lo, hi):     # the level above ends at row lo
+            i, row = parent[j] - lo + len(above), idx[last[j], :end]
+            level[j - lo] = (np.where(row >= 0, above[i, row], 0.0)
+                             + p * above[i, :end] * desc[last[j], :end])
+        m_h[:, lo:hi] = level[:, :n_h].T
+        above = level
+    spheres = np.bincount(lengths[:n_h], minlength=h + 1).tolist()
+
+    # (d) certified Rayleigh quotient, read before M_h is scaled into P
+    zeta_h = zeta[:n_h]
+    rayleigh = float(zeta_h @ (m_h @ zeta_h)) / float(zeta_h @ zeta_h)
+    return exact_ok, n_in, m_h, rayleigh, spheres, *table.left(n_h)
+
+
 def verify_central_projection(system: CoxeterSystem, q, radius: int,
                               max_elements: int = DEFAULT_MAX_BALL) -> ProjectionReport:
     """Certify that the normalized radial operator is close to a projection.
@@ -556,7 +597,9 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     certified sub-block, against the analytic tail bound; (c) commutation
     of P with every generator's left action on the certified sub-block,
     read from the left table of the half-radius ball; (d) the certified
-    Rayleigh quotient converging to W(q).
+    Rayleigh quotient converging to W(q).  Each phase keeps only what a
+    later one reads: the ball table dies after (a), (b) and (d), and P is
+    M_h scaled in place.
     """
     q = _positive_q(q)
     if not system.irreducible or system.is_finite() or system.n < 3:
@@ -571,52 +614,20 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
             "no central projection exists for q >= rho: the radial vector "
             "is not square-summable")
 
-    table = system.ball_table(radius, max_elements)
-    lengths, parent, last, idx, desc = table
-
-    # (a) formal scaling identity on interior vertices: for xi = u^{|w|} and
-    # p = u - 1/u, xi(ws) + [s descent] p xi(w) = u xi(w) holds iff ws lies
-    # in the ball with |ws| = |w| - 1 on a descent and |w| + 1 otherwise
-    n_in = int(np.count_nonzero(lengths <= radius - 1))
-    image = idx[:, :n_in]
-    step = np.where(desc[:, :n_in], -1, 1)
-    exact_ok = bool(np.all((image >= 0)
-                           & (lengths[image] == lengths[:n_in] + step)))
-    checks = system.n * n_in
-
-    # numeric data
     qf = float(q)
     sq = math.sqrt(qf)
     p = (qf - 1.0) / sq
-    zeta = sq ** lengths.astype(float)
     w_q = float(series.evaluate(q))
-
-    h = radius // 2
-    n_h = int(np.count_nonzero(lengths <= h))
-    ends = np.searchsorted(lengths, np.arange(2 * h + 1), side="right")
-
-    def apply_right(vec: np.ndarray, s: int, end: int) -> np.ndarray:
-        moved = np.where(idx[s, :end] >= 0, vec[idx[s, :end]], 0.0)
-        return moved + p * vec[:end] * desc[s, :end]
-
-    # (b) truncated action matrix of the radial operator, certified block.
-    # The column of w = w't is its parent's column times t; a column at
-    # length k is needed only up to length 2h - k to fill the block.
-    columns = [zeta[:ends[2 * h]]]
-    for jcol in range(1, n_h):
-        columns.append(apply_right(columns[parent[jcol]], last[jcol],
-                                   ends[2 * h - lengths[jcol]]))
-    m_h = np.column_stack([col[:n_h] for col in columns])
-    spheres = np.bincount(lengths, minlength=h + 1)[:h + 1].tolist()
+    exact_ok, n_in, m_h, rayleigh, spheres, left, ldesc = _table_phases(
+        system, radius, sq, p, max_elements)
     partial = float(sum(Fraction(c) * q ** k for k, c in enumerate(spheres)))
-    p_mat = m_h / w_q
+    p_mat = np.divide(m_h, w_q, out=m_h)
     residual = float(np.linalg.norm(p_mat @ p_mat - p_mat, 2))
     bound = (w_q - partial) / w_q
 
     # (c) commutators with generator left actions on the certified block
-    n_c = int(np.count_nonzero(lengths <= h - 1))
+    n_h, n_c = len(p_mat), len(p_mat) - spheres[-1]
     commutator_max = 0.0
-    left, ldesc = table.left(n_h)
     cols = np.arange(n_h)
     for s in range(system.n):
         l_mat = np.zeros((n_h, n_h))
@@ -624,20 +635,13 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
         l_mat[left[s, inside], cols[inside]] = 1.0
         down = cols[ldesc[s]]
         l_mat[down, down] = p
-        comm = (l_mat @ p_mat - p_mat @ l_mat)[:n_c, :n_c]
-        if comm.size:
-            commutator_max = max(commutator_max,
-                                 float(np.linalg.norm(comm, 2)))
-
-    # (d) certified Rayleigh quotient
-    zeta_h = zeta[:n_h]
-    denom = float(zeta_h @ zeta_h)
-    rayleigh = float(zeta_h @ (m_h @ zeta_h)) / denom if denom else 0.0
+        commutator_max = max(commutator_max, float(np.linalg.norm(
+            (l_mat @ p_mat - p_mat @ l_mat)[:n_c, :n_c], 2)))
 
     return ProjectionReport(
-        q=q, radius=radius, certified_radius=h, w_q=w_q,
+        q=q, radius=radius, certified_radius=radius // 2, w_q=w_q,
         partial_norm_sq=partial,
-        scaling_identity_exact=exact_ok, scaling_checks=checks,
+        scaling_identity_exact=exact_ok, scaling_checks=system.n * n_in,
         projection_residual=residual, projection_bound=bound,
         commutator_max=commutator_max,
         rayleigh_estimate=rayleigh, rayleigh_gap=abs(w_q - rayleigh),

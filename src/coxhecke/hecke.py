@@ -445,8 +445,9 @@ def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
 
 def _merge(col, at, val, size):
     """Sum the coefficients of equal (column, element) terms in array order
-    and drop zeros."""
-    keys, where = np.unique(col * size + at, return_inverse=True)
+    and drop zeros.  Keys are int64 whatever the index dtype."""
+    keys, where = np.unique(np.multiply(col, size, dtype=np.int64) + at,
+                            return_inverse=True)
     val = np.bincount(where, weights=val, minlength=len(keys))
     keep = val != 0
     return keys[keep] // size, keys[keep] % size, val[keep]

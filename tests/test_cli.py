@@ -123,6 +123,18 @@ def test_options_only_where_read(capsys):
     assert "exceed 100 elements" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta-check", "--q", "19/100", "--radius", "6", "--max-ball", "-5"],
+    ["ball", "--radius", "3", "--max-ball", "0"],
+    ["gamma", "--radius", "3", "--max-ball", "-1"]])
+def test_max_ball_below_one_exits_2(capsys, argv):
+    """No ball is empty: a cap below 1 is a bad argument (exit 2), not a
+    capacity failure (exit 1)."""
+    code, out, err = run(capsys, argv + ["--group", PENTAGON])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "at least 1" in err
+
+
 def test_ball_pinned_finite_group(capsys, group_file):
     doc = '{"generators": ["s", "t"], "commuting_pairs": [["s", "t"]]}'
     code, out, _ = run(capsys, ["ball", "--group", group_file(doc),
@@ -407,6 +419,27 @@ def test_zeta_check_pinned_deep(capsys, name, q, radius):
             == ZETA_CHECK_DEEP_PINS[name, q, radius])
 
 
+# SHA-256 of zeta-check stdout at the shapes of the certify benchmark
+ZETA_CHECK_CERTIFY_PINS = {
+    ("pentagon", "19/100", 11):
+        "a4acf3fa8702897105dad23c692a45843f7e73bb512a064fd9ae1fc134aa0c27",
+    ("pentagon", "19/100", 13):
+        "43eb914dc94900f243a337acff2e2f4fc24688931fc21ffae17c45b28df0da0a",
+    ("z2sq-z2", "1/5", 13):
+        "f573a25c7c7cfb95b0f8e488ffdeaf137c5033f20bfd6a3da0ba6c34cf54f4fd",
+}
+
+
+@pytest.mark.parametrize("name,q,radius", sorted(ZETA_CHECK_CERTIFY_PINS))
+def test_zeta_check_pinned_certify_shapes(capsys, name, q, radius):
+    code, out, _ = run(capsys, ["zeta-check", "--group",
+                                str(GROUPS / f"{name}.json"), "--q", q,
+                                "--radius", str(radius), "--format", "json"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == ZETA_CHECK_CERTIFY_PINS[name, q, radius])
+
+
 # gamma stdout byte for byte, and the SHA-256 and line count of --edges-out
 GAMMA_PINS = {
     ("free3", 5, 2): (
@@ -449,6 +482,22 @@ def test_gamma_pinned(capsys, tmp_path, name, radius, slack):
     data = edges.read_bytes()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_gamma_pinned_past_int32_keys(capsys, tmp_path):
+    """Pentagon ball(10) has 54,726 vertices, so its flat edge keys
+    (smaller row * size + larger row) pass 2^31 while the ball table is
+    int32."""
+    edges = tmp_path / "edges.txt"
+    code, out, _ = run(capsys, ["gamma", "--group", PENTAGON,
+                                "--radius", "10", "--format", "json",
+                                "--edges-out", str(edges)])
+    assert code == 0
+    assert json.loads(out)["vertices"] == 54726
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b08cc38a21734cd29d6eba127fd293ef29da1695007b86a1090c4a82d6ba0d23")
+    assert hashlib.sha256(edges.read_bytes()).hexdigest() == (
+        "fdb7805249eb12b7122a064493b7ae7f572091296c2caf6e828715d1009cd4f9")
 
 
 def test_gamma_radius_zero(capsys):

@@ -402,6 +402,16 @@ def test_ball_capacity_guard(free3):
         free3.sphere_counts(30, max_total=1000)
 
 
+@pytest.mark.parametrize("cap", [0, -1, -5])
+def test_ball_cap_below_one_is_input_error(free3, cap):
+    """No ball is empty, so a cap below 1 is a bad argument rather than a
+    capacity failure, at every radius."""
+    for call in (free3.ball, free3.ball_table):
+        for radius in (0, 3):
+            with pytest.raises(InputError, match="at least 1"):
+                call(radius, cap)
+
+
 def test_ball_exact_capacity_boundary(free3):
     size = len(free3.ball(6))
     assert len(free3.ball(6, max_elements=size)) == size
@@ -536,6 +546,18 @@ def test_ball_table_matches_mult_gen_random_graphs():
     for _ in range(60):
         sys = random_system(rng)
         assert_table_matches_mult_gen(sys, 6 if sys.n <= 4 else 4)
+
+
+def test_ball_table_int32_random_graphs():
+    """On the graphs above, the right table and the left table derived from
+    it are int32, and the left entries still match mult_gen."""
+    rng = random.Random(2015)
+    for _ in range(60):
+        sys = random_system(rng)
+        table = sys.ball_table(6 if sys.n <= 4 else 4)
+        assert table.right.dtype == np.int32
+        assert table.left()[0].dtype == np.int32
+        assert_left_table_matches_mult_gen(sys, 6 if sys.n <= 4 else 4)
 
 
 

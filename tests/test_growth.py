@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -725,3 +726,24 @@ def test_projection_scaling_identity_detects_flipped_descent(
     monkeypatch.setattr(CoxeterSystem, "ball_table", flipped)
     rep = verify_central_projection(free3, Fraction(1, 4), 6)
     assert not rep.scaling_identity_exact
+
+
+def test_projection_cap_below_one_is_input_error(pentagon):
+    with pytest.raises(InputError, match="at least 1"):
+        verify_central_projection(pentagon, Fraction(19, 100), 6, -5)
+
+
+def test_projection_peak_below_twice_the_table(pentagon):
+    """Each phase of the certificate keeps only what a later one reads, so
+    at radius 11 its traced peak stays below twice the bytes of the ball
+    table it is built on."""
+    q = Fraction(rho_info(pentagon).value / 2).limit_denominator(1000)
+    verify_central_projection(pentagon, q, 5)     # caches series and rho
+    table_bytes = sum(a.nbytes for a in pentagon.ball_table(11))
+    tracemalloc.start()
+    try:
+        verify_central_projection(pentagon, q, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table_bytes
