@@ -192,11 +192,14 @@ class CoxeterSystem:
         """Restriction to a subset of generators, with the index embedding.
 
         Indices must be strictly increasing so that the induced generator
-        order (and hence canonical words) agrees with the parent's.
+        order (and hence canonical words) agrees with the parent's.  All
+        the generators give the system itself.
         """
         idx = tuple(self.generator_index(i) for i in indices)
         if any(b <= a for a, b in zip(idx, idx[1:])) or not idx:
             raise InputError("subsystem indices must be strictly increasing")
+        if len(idx) == self.n:
+            return self, idx
         cached = self._subsystem_cache.get(idx)
         if cached is not None:
             return cached, idx

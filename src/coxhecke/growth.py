@@ -17,8 +17,9 @@ The convergence radius rho is the smallest positive root of the reduced
 denominator: the series has nonnegative coefficients, hence a singularity
 on the positive axis.  Sturm's theorem, on the integer Sturm chain of
 the denominator, decides exactly whether a root lies in (0, x] for
-rational x, and one binary search on that predicate picks a cell of
-width at most 1e-12.
+rational x, and a search on that predicate picks a cell of width at most
+1e-12: it probes first the cell a float Newton estimate points at, then
+bisects what is left.
 For an irreducible system with at least three generators, the
 completed algebra at parameter q has trivial center exactly for q in
 [rho, 1/rho]; below rho the radial vector
@@ -162,8 +163,12 @@ class RhoInfo:
 
     def q_below_rho(self, q: Fraction) -> bool:
         """Exact decision of q < rho for rational q > 0: the denominator
-        has no root in (0, q], counted with its Sturm chain."""
+        has no root in (0, q].  The bracket decides q outside its cell; the
+        Sturm chain counts q inside it, or any q when rho is inf."""
         q = Fraction(q)
+        if self.bracket_low is not None and not \
+                self.bracket_low < q < self.bracket_high:
+            return q <= self.bracket_low
         return not _has_root_up_to(_sturm_chain(self.denominator),
                                    q.numerator, q.denominator)
 
@@ -178,11 +183,12 @@ def rho_info(system: CoxeterSystem) -> RhoInfo:
     """Locate the smallest denominator root in (0, 1] by exact root
     counting on its integer Sturm chain.
 
-    The predicate "a root lies in (0, x]" is monotone in x, so one binary
-    search over the grid of 10^4 2^27 cells, the coarsest of the form
-    10^4 2^j with width at most 1e-12, finds the cell that holds the
-    root.  Every decision is an integer sign count, so a root of even
-    multiplicity, or two roots in one cell, cannot be missed.
+    "A root lies in (0, x]" is monotone in x, so any search keeping it
+    false at lo and true at hi ends in the cell, of the 10^4 2^27 cells
+    of width at most 1e-12, that holds the root.  :func:`_locate_root`
+    probes the cell of a float Newton estimate and the neighbour its answer
+    points to, then bisects the rest; every decision is an integer sign
+    count, so a double root or two roots in one cell cannot be missed.
     The result is cached on the system.
     """
     cached = getattr(system, "_rho_info", None)
@@ -194,6 +200,7 @@ def rho_info(system: CoxeterSystem) -> RhoInfo:
 
 
 def _locate_root(den: tuple[int, ...]) -> RhoInfo:
+    """The :class:`RhoInfo` of a denominator positive at zero; see rho_info."""
     if den[0] <= 0:
         raise ConsistencyError("denominator not positive at zero")
     chain = _sturm_chain(den)
@@ -203,6 +210,12 @@ def _locate_root(den: tuple[int, ...]) -> RhoInfo:
     while 1 / scale > BISECT_TOL:
         scale *= 2
     lo, hi = 0, scale                 # roots up to hi/scale, none up to lo/scale
+    probe = min(int(_root_estimate(den) * scale), scale - 1)
+    for _ in range(2):                # the estimate's cell, then its neighbour
+        if _has_root_up_to(chain, probe, scale):
+            hi, probe = probe, probe - 1
+        else:
+            lo, probe = probe, probe + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _has_root_up_to(chain, mid, scale):
@@ -211,6 +224,20 @@ def _locate_root(den: tuple[int, ...]) -> RhoInfo:
             lo = mid
     return RhoInfo((2 * lo + 1) / (2 * scale), Fraction(lo, scale),
                    Fraction(hi, scale), den)
+
+
+def _root_estimate(den: tuple[int, ...]) -> float:
+    """Float Newton estimate, in [0, 1], of the smallest positive root of
+    ``den``, from t = 0.  It stops at the first step no shorter than the
+    one before, so it ends; it only picks where exact counts look first."""
+    slope_poly = [k * c for k, c in enumerate(den)][1:]
+    t, last = 0.0, math.inf
+    while slope := _poly_eval(slope_poly, t):
+        step = _poly_eval(den, t) / slope
+        if not abs(step) < last:
+            break
+        t, last = t - step, abs(step)
+    return min(max(t, 0.0), 1.0)
 
 
 def component_rhos(system: CoxeterSystem) -> dict[tuple[int, ...], RhoInfo | None]:
@@ -548,7 +575,8 @@ class ProjectionReport:
 def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
                   max_elements: int) -> tuple:
     """Phases (a), (b) and (d) of :func:`verify_central_projection`, and what
-    (c) reads of the ball table, which dies on return."""
+    (c) reads of the ball table.  The table dies after (a): (b) reads copies
+    of its first rows only, and (c) its left table of the certified ball."""
     table = system.ball_table(radius, max_elements)
     lengths, parent, last, idx, desc = table
 
@@ -565,8 +593,12 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
     # length 2h - |w|; M_h is filled from one level of columns at a time.
     h = radius // 2
     ends = np.searchsorted(lengths, np.arange(2 * h + 1), side="right")
-    n_h = int(ends[h])
+    n_h, n_b = int(ends[h]), int(ends[2 * h - 1])
     zeta = sq ** lengths[:ends[2 * h]].astype(float)
+    left = table.left(n_h)
+    idx, desc = idx[:, :n_b].copy(), desc[:, :n_b].copy()
+    lengths, parent, last = (a[:n_h].copy() for a in (lengths, parent, last))
+    del table
     m_h, above = np.empty((n_h, n_h)), zeta[None, :]
     m_h[:, 0] = zeta[:n_h]
     for k, (lo, hi) in enumerate(_level_rows(lengths, n_h), 1):
@@ -583,7 +615,7 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
     # (d) certified Rayleigh quotient, read before M_h is scaled into P
     zeta_h = zeta[:n_h]
     rayleigh = float(zeta_h @ (m_h @ zeta_h)) / float(zeta_h @ zeta_h)
-    return exact_ok, n_in, m_h, rayleigh, spheres, *table.left(n_h)
+    return exact_ok, n_in, m_h, rayleigh, spheres, *left
 
 
 def verify_central_projection(system: CoxeterSystem, q, radius: int,

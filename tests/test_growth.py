@@ -14,11 +14,12 @@ from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, verify_central_projection,
                       zeta_symbol)
-from coxhecke import coxeter
+from coxhecke import coxeter, growth
 from coxhecke.cli import main
 from coxhecke.growth import (RationalSeries, _clique_polynomial, _locate_root,
                              component_rhos)
-from coxhecke.laurent import _poly_mul, _poly_trim
+from coxhecke.laurent import (_has_root_up_to, _poly_mul, _poly_trim,
+                              _sturm_chain)
 from coxhecke.verify import random_system, suite_growth
 
 from conftest import oracle_classify, oracle_symbol_commutation
@@ -372,6 +373,153 @@ def test_no_subsystem_for_one_generator_component(monkeypatch, tmp_path,
     calls.clear()
     assert suite_growth(0).passed
     assert calls and min(len(c) for c in calls) >= 2
+
+
+def plain_bisection_root(den):
+    """The Sturm-count binary search that located rho before the Newton
+    probes, kept as an oracle: the (0, 1] check, then a cold bisection over
+    the 10^4 2^27 grid cells."""
+    chain = _sturm_chain(den)
+    if not _has_root_up_to(chain, 1, 1):
+        return math.inf, None, None
+    scale = 10**4 * 2**27
+    lo, hi = 0, scale
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _has_root_up_to(chain, mid, scale):
+            hi = mid
+        else:
+            lo = mid
+    return (2 * lo + 1) / (2 * scale), Fraction(lo, scale), Fraction(hi, scale)
+
+
+def adversarial_polynomials(rng, count):
+    """Seeded integer polynomials positive at 0: products of linear factors
+    whose roots lie on, just below or just above a grid point k / (10^4
+    2^27), of multiplicity up to 3, two to a cell, or past 1, with
+    irreducible quadratics riding along."""
+    scale = 10**4 * 2**27
+    for _ in range(count):
+        poly = [1]
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice((rng.randint(1, scale), rng.randint(1, 10**3),
+                            scale - rng.randint(0, 10**3)))
+            fine = rng.choice((2, 7, 10**3, 10**9))
+            kind = rng.randrange(6)
+            if kind == 0:                              # on the grid point
+                factor = [k, -scale]
+            elif kind in (1, 2):                       # just below, above
+                factor = [fine * k + (-1, 1)[kind - 1], -fine * scale]
+            elif kind == 3:                            # two roots in a cell
+                factor = _poly_mul([fine * k + 1, -fine * scale],
+                                   [fine * k + 2, -fine * scale])
+            elif kind == 4:                            # irreducible quadratic
+                a, c = rng.randint(1, 10**4), rng.randint(1, 10**4)
+                b = rng.randint(-math.isqrt(4 * a * c - 1),
+                                math.isqrt(4 * a * c - 1))
+                factor = [c, b, a]
+            else:                                      # no root in (0, 1]
+                factor = [fine + rng.randint(1, 10**3), -fine]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                poly = _poly_mul(poly, factor)
+        yield tuple(poly)
+
+
+def counted_locate_root(monkeypatch):
+    """_locate_root and the number of Sturm counts of its last call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _has_root_up_to(*args)
+
+    monkeypatch.setattr(growth, "_has_root_up_to", counted)
+
+    def locate(den):
+        calls.clear()
+        info = _locate_root(den)
+        return (info.value, info.bracket_low, info.bracket_high), len(calls)
+
+    return locate
+
+
+def test_locate_root_matches_plain_bisection_on_polynomials(monkeypatch):
+    """Identical triples to the plain bisection on 3,000 seeded adversarial
+    polynomials, in at most 44 Sturm counts, its 42 plus the two probes."""
+    locate = counted_locate_root(monkeypatch)
+    found = 0
+    for den in adversarial_polynomials(random.Random(24), 3000):
+        triple, calls = locate(den)
+        assert triple == plain_bisection_root(den), den
+        assert calls <= 44, den
+        found += triple[1] is not None
+    assert found > 2000
+
+
+def test_locate_root_three_counts_on_component_denominators(
+        monkeypatch, named_systems):
+    """On the named systems and every component of 60 seeded random
+    graphs on up to 12 generators, each distinct denominator once: the plain bisection's triple
+    in at most three Sturm counts, the (0, 1] check and the two probes."""
+    locate = counted_locate_root(monkeypatch)
+    dens = {growth_series(sys).denominator for sys in named_systems.values()}
+    rng = random.Random(31)
+    for _ in range(60):
+        sys = random_system(rng, 12)
+        dens.update(growth_series(sys.subsystem(comp)[0]).denominator
+                    for comp in sys.components)
+    assert len(dens) > 25
+    for den in dens:
+        triple, calls = locate(den)
+        assert triple == plain_bisection_root(den), den
+        assert calls <= 3, den
+
+
+def test_q_below_rho_answers_from_bracket(monkeypatch, named_systems):
+    """No Sturm chain is built for q outside the bracket's cell, and every
+    answer agrees with the Sturm count: at both ends, the cell midpoint
+    and seeded rationals, on roots of multiplicity 2, two roots in a cell
+    and a finite group (no bracket)."""
+    dens = [rho_info(sys).denominator for sys in named_systems.values()]
+    dens += [(1, -4, 4), (1, -2, -1, 2, 1), (1, 1),
+             tuple(_poly_mul([50002, -100000], [50007, -100000]))]
+    infos = [_locate_root(den) for den in dens]
+    builds = []
+
+    def counted(den):
+        builds.append(den)
+        return _sturm_chain(den)
+
+    monkeypatch.setattr(growth, "_sturm_chain", counted)
+    rng = random.Random(37)
+    for info in infos:
+        chain = _sturm_chain(info.denominator)
+        qs = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+              for _ in range(40)]
+        if info.bracket_low is not None:
+            mid = (info.bracket_low + info.bracket_high) / 2
+            qs += [info.bracket_low, info.bracket_high, mid]
+            qs += [info.bracket_low - Fraction(1, 10**15),
+                   info.bracket_high + Fraction(1, 10**15)]
+        for q in qs:
+            builds.clear()
+            below = info.q_below_rho(q)
+            assert below == (not _has_root_up_to(chain, q.numerator,
+                                                  q.denominator)), (info, q)
+            inside = info.bracket_low is None \
+                or info.bracket_low < q < info.bracket_high
+            assert len(builds) == inside, (info, q)
+
+
+def test_irreducible_subsystem_is_itself(named_systems):
+    """All the generators of a system give the system itself, kept out of
+    the subsystem cache; a proper subset still gives a new system."""
+    for sys in named_systems.values():
+        sub, idx = sys.subsystem(range(sys.n))
+        assert sub is sys and idx == tuple(range(sys.n))
+        assert sys.subsystem(sys.names)[0] is sys
+        assert sys not in sys._subsystem_cache.values()
+        assert sys.subsystem(range(sys.n - 1))[0] is not sys
 
 
 # -- classification -----------------------------------------------------------------
