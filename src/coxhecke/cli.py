@@ -3,8 +3,9 @@
 Subcommands: info, ball, growth, rho, classify, gamma, zeta-check,
 dykema, hecke, verify.  Output is plain text or JSON (``--format json``,
 schema version 1); identical inputs including the seed produce
-byte-identical reports.  Exit codes: 0 success, 1 computational failure,
-2 input error.
+byte-identical reports, bar the ``zeta-check`` floats, which can change
+with the BLAS build and thread count.  Exit codes: 0 success, 1
+computational failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def cmd_classify(args) -> int:
 
 def cmd_gamma(args) -> int:
     sys_ = _load(args)
-    _check_component_domain(sys_)
+    _check_component_domain(sys_, args.slack)
     graph = build_gamma_ball(sys_, args.radius, args.max_ball)
     report = _component_report(graph, args.slack)
     if args.edges_out:

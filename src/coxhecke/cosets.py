@@ -17,18 +17,21 @@ and k commutes with s and t.  Conversely, if w0 commutes with s and t,
 then supp(w0) lies in C(s) & C(t) = K (the centralizer of a generator s
 of a right-angled group is generated by C(s)), and w = d w0 d' with
 d, d' in D gives supp(w) within {s, t} + supp(w0).
+Per generator s, the covers {s, t} + K over the t with m(s,t) = infinity
+meet in one edge cover E_s, and w joins ws and sw iff supp(w) is not
+inside E_s.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .coxeter import LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL
+from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
+                      _bits)
 from .errors import CapacityError, DomainError, InputError
 
 
@@ -74,25 +77,21 @@ def shortest_rep(system: CoxeterSystem, pair: InfinitePair,
                  w: Element) -> DoubleCosetInfo:
     """Greedy descent stripping to the minimal element of DwD.
 
-    Left descents in {s, t} are removed before right ones, smaller index
-    first; the minimal representative is unique, so any order would reach
-    it (tested against a brute-force search).  The pair must belong to
+    Each round takes the first of the steps by s or t that shortens the
+    canonical word, left steps before right ones, smaller index first;
+    the minimal representative is unique, so any order would reach it
+    (tested against a brute-force search).  The pair must belong to
     ``system``: another system's pair may name generators that commute.
     """
     system._check_own(w)
     _check_pair(system, pair)
     gens = sorted((pair.s, pair.t))
-    cur = w
-    while True:
-        for side in (LEFT, RIGHT):
-            descents = (system.left_descents(cur) if side == LEFT
-                        else system.right_descents(cur))
-            hit = next((g for g in gens if g in descents), None)
-            if hit is not None:
-                cur = Element(system, system._step(cur.word, hit, side)[0])
-                break
-        else:
-            break
+    word = w.word
+    while (down := next((x for side in (LEFT, RIGHT) for g in gens
+                         for x, delta in [system._step(word, g, side)]
+                         if delta < 0), None)) is not None:
+        word = down
+    cur = Element(system, word)
     return DoubleCosetInfo(
         pair=pair, w0=cur,
         commutes_s=system.commutes_with_gen(cur, pair.s),
@@ -116,7 +115,7 @@ def dihedral_words(pair: InfinitePair, max_len: int) -> Iterator[tuple[int, ...]
 
 
 def brute_force_min_rep(system: CoxeterSystem, pair: InfinitePair, w: Element,
-                        bound: int, max_products: int = 2 * 10**6) -> Element:
+                        bound: int) -> Element:
     """Oracle for shortest_rep: minimize |d w d'| over dihedral d, d'.
 
     Enumerates all products with |d|, |d'| <= bound; the bound must leave
@@ -127,7 +126,7 @@ def brute_force_min_rep(system: CoxeterSystem, pair: InfinitePair, w: Element,
     if bound < len(w) + 2:
         raise InputError("bound must be at least |w| + 2")
     count = (2 * bound + 1) ** 2
-    if count > max_products:
+    if count > 2 * 10**6:
         raise CapacityError(f"would enumerate {count} products")
     best = w
     for d in dihedral_words(pair, bound):
@@ -163,24 +162,21 @@ def coset_elements(system: CoxeterSystem, info: DoubleCosetInfo,
     return {Element(system, v) for v in out}
 
 
-def _noncommuting_partners(system: CoxeterSystem, s: int) -> Iterable[int]:
-    return (t for t in range(system.n) if t != s and not system.commutes(s, t))
-
-
 def _degenerate_cover(system: CoxeterSystem, s: int, t: int) -> int:
     """{s, t} plus the generators commuting with both, as a bitmask: for
     m(s,t) = infinity, DwD is degenerate iff supp(w) lies inside it."""
     return (1 << s) | (1 << t) | (system._cmask[s] & system._cmask[t])
 
 
-def _edge_flags(system: CoxeterSystem, supports: np.ndarray) -> np.ndarray:
-    """``flags[s, i]``: s is an edge generator of the element whose support
-    bitmask is ``supports[i]``."""
-    flags = np.zeros((system.n, len(supports)), dtype=bool)
+def _edge_covers(system: CoxeterSystem) -> list[int]:
+    """E_s for each generator s, as a bitmask: the degenerate covers of the
+    t with m(s,t) = infinity intersected, every generator when there is no
+    such t.  s is an edge generator of w iff supp(w) is not inside E_s."""
+    covers = [system._full] * system.n
     for s in range(system.n):
-        for t in _noncommuting_partners(system, s):
-            flags[s] |= (supports & ~_degenerate_cover(system, s, t)) != 0
-    return flags
+        for t in _bits(system._noncomm[s]):
+            covers[s] &= _degenerate_cover(system, s, t)
+    return covers
 
 
 def coset_nondegenerate(pair: InfinitePair, w: Element) -> bool:
@@ -194,10 +190,11 @@ def coset_nondegenerate(pair: InfinitePair, w: Element) -> bool:
 
 def edge_generators(system: CoxeterSystem, w: Element) -> list[int]:
     """Generators s for which w gains edges to ws and sw: some t with
-    m(s,t) = infinity makes the coset of w non-degenerate."""
-    return [s for s in range(system.n)
-            if any(coset_nondegenerate(InfinitePair(system, s, t), w)
-                   for t in _noncommuting_partners(system, s))]
+    m(s,t) = infinity makes the coset of w non-degenerate, that is, some
+    letter of w lies outside the edge cover of s."""
+    system._check_own(w)
+    return [s for s, cover in enumerate(_edge_covers(system))
+            if any(not (cover >> x) & 1 for x in w.word)]
 
 
 def gamma_neighbors(system: CoxeterSystem, w: Element) -> set[Element]:
@@ -271,11 +268,11 @@ class GammaBallGraph:
         return out
 
     def isolated_vertices(self) -> list[Element]:
-        touched = set()
-        for i, j in self.edges:
-            touched.add(i)
-            touched.add(j)
-        return [v for k, v in enumerate(self.vertices) if k not in touched]
+        """Vertices without edges: the graph has no loops (ws != w != sw),
+        so these are the vertices of the singleton components."""
+        sizes = np.bincount(self.component_label)
+        return [v for v, lab in zip(self.vertices, self.component_label)
+                if sizes[lab] == 1]
 
     def write_edge_list(self, stream):
         """One 'u v' pair per line using canonical word strings."""
@@ -287,18 +284,19 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
                      max_elements: int = DEFAULT_MAX_BALL) -> GammaBallGraph:
     """Construct the ball-restricted interaction graph.
 
-    Edge generators come from the support rule on the ball's support
-    bitmasks, and the edges to ws and sw from its right and left
-    multiplication tables; edges leaving the ball are dropped.  Edges are
-    stored as sorted index pairs, so the set is symmetric by construction.
+    Edge generators come from one edge-cover test per generator on the
+    ball's support bitmasks, and the edges to ws and sw from its right and
+    left multiplication tables; edges leaving the ball are dropped.  Edges
+    are stored as sorted index pairs, so the set is symmetric by
+    construction.
     """
     table = system.ball_table(radius, max_elements)
     left, _ = table.left()
-    flags = _edge_flags(system, table.supports())
+    supports = table.supports()
     size = len(table.lengths)
     keys = []
-    for s in range(system.n):
-        i = np.flatnonzero(flags[s])
+    for s, cover in enumerate(_edge_covers(system)):
+        i = np.flatnonzero(supports & ~cover)
         for mult in (left, table.right):
             j = mult[s, i]
             inside = j >= 0
@@ -335,7 +333,9 @@ class ComponentReport:
                 f"vertices in one component of size {self.big_component_size}")
 
 
-def _check_component_domain(system: CoxeterSystem):
+def _check_component_domain(system: CoxeterSystem, slack: int):
+    if slack < 0:
+        raise InputError("slack must be nonnegative")
     if not system.irreducible or system.is_finite():
         raise DomainError("component verification needs an irreducible "
                           "infinite system")
@@ -355,14 +355,14 @@ def verify_component_structure(system: CoxeterSystem, radius: int,
     balls, hence the slack.  This is an empirical check on a finite ball,
     not a proof.
     """
-    _check_component_domain(system)
+    _check_component_domain(system, slack)
     return _component_report(build_gamma_ball(system, radius, max_elements),
                              slack)
 
 
 def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     """The checks of :func:`verify_component_structure` on a built graph;
-    the caller checks the domain first, before the graph is built."""
+    the caller checks the domain and the slack before building it."""
     system, radius = graph.system, graph.radius
     exceptional = [system.identity]
     z2gen = system.free_z2_factor_generator()
@@ -373,18 +373,16 @@ def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     inside = [w for w in exceptional if len(w) <= radius]
     special = [graph.index(w) for w in inside]
     labels = graph.component_label
+    sizes = np.bincount(labels)
     core = [i for i, w in enumerate(graph.vertices)
             if len(w) <= radius - slack and i not in special]
     big_label = labels[core[0]] if core else None
     failures = [graph.vertices[i] for i in core if labels[i] != big_label]
-    # expected isolated: no edges at all inside the ball
-    ends = np.fromiter(itertools.chain.from_iterable(graph.edges),
-                       dtype=np.int64, count=2 * len(graph.edges))
-    degree = np.bincount(ends, minlength=len(graph.vertices))
-    failures += [w for w, i in zip(inside, special) if degree[i]]
+    # expected isolated: a singleton component, with no edges in the ball
+    failures += [w for w, i in zip(inside, special) if sizes[labels[i]] > 1]
     return ComponentReport(
         radius=radius, slack=slack, passed=not failures,
         exceptional=tuple(exceptional), n_components=graph.n_components,
-        big_component_size=labels.count(big_label) if core else 0,
+        big_component_size=int(sizes[big_label]) if core else 0,
         core_size=len(core), failures=tuple(failures),
     )

@@ -208,20 +208,20 @@ def dykema_decompose(spec: FreeFactorSpec, q) -> DecompositionReport:
             "condition still evaluates)")
     order = sorted(range(len(spec.ranks)), key=lambda i: -spec.ranks[i])
     ks = [spec.ranks[i] for i in order]
-    # the first step's pair count is known before any measure is built
+    # the first step's pair count is known before any mass is computed
     _check_atoms(2 ** (ks[0] + ks[1]))
-    measures = [mu_k(spec.ranks[i], q) for i in range(len(spec.ranks))]
 
-    # a mass depends only on the subset size, so fold in descending-rank
-    # order on tuples of sizes; a tuple stands for prod C(k_i, r_i) atoms
-    acc = {(r,): measures[order[0]].masses[tuple(range(r))]
-           for r in range(ks[0] + 1)}
-    for fi, k in zip(order[1:], ks[1:]):
+    # a mass of mu_k depends only on the subset size r, q^r / (q+1)^k, so
+    # fold in descending-rank order on tuples of sizes, with no measure
+    # built; a tuple stands for prod C(k_i, r_i) atoms
+    acc = {(r,): q ** r / (q + 1) ** ks[0] for r in range(ks[0] + 1)}
+    for k in ks[1:]:
         _check_atoms(2 ** k * sum(math.prod(map(math.comb, ks, sizes))
                                   for sizes in acc))
+        denom = (q + 1) ** k
         acc = {sizes + (r,): excess for sizes, m1 in acc.items()
                for r in range(k + 1)
-               if (excess := m1 + measures[fi].masses[tuple(range(r))] - 1) > 0}
+               if (excess := m1 + q ** r / denom - 1) > 0}
     # expand the survivors in the order of a fold over atoms (per factor by
     # size, then subset) and restore input factor order in the labels
     atoms = {label: m for sizes, m in acc.items()

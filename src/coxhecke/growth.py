@@ -502,8 +502,7 @@ class RecurrenceReport:
     admissible: bool
 
 
-def coset_recurrence(q, f0: float, f1: float, n: int,
-                     tol: float = 1e-12) -> RecurrenceReport:
+def coset_recurrence(q, f0: float, f1: float, n: int) -> RecurrenceReport:
     """Iterate the recurrence and solve for the mode coefficients."""
     q = float(q)
     if not 0 < q < math.inf:
@@ -521,7 +520,7 @@ def coset_recurrence(q, f0: float, f1: float, n: int,
         if abs(model - v) > 1e-9 * max(1.0, abs(v)):
             raise ConsistencyError("mode decomposition failed to reproduce "
                                    "the iterated values")
-    bound = tol * max(abs(f0), abs(f1), 1.0)
+    bound = 1e-12 * max(abs(f0), abs(f1), 1.0)
     admissible = ((q > 1.0 or abs(beta) <= bound)
                   and (q < 1.0 or abs(alpha) <= bound))
     return RecurrenceReport(q=q, values=tuple(values[: n + 1]),

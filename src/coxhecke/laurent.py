@@ -122,9 +122,9 @@ def _terms_str(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def poly_str(p: Sequence[int], var: str = "t") -> str:
-    """Human-readable polynomial, ascending degree."""
-    return _terms_str(((k, c) for k, c in enumerate(p) if c), var)
+def poly_str(p: Sequence[int]) -> str:
+    """Human-readable polynomial in t, ascending degree."""
+    return _terms_str(((k, c) for k, c in enumerate(p) if c), "t")
 
 
 # -- Laurent polynomials -------------------------------------------------------

@@ -306,21 +306,26 @@ def test_dykema(capsys):
     assert code == 2
 
 
-def test_dykema_decomposes_once(capsys, monkeypatch):
+def test_dykema_decomposes_once_without_measures(capsys, monkeypatch):
     """The atoms printed are those of the cross-validation's decomposition,
-    which builds the measure of each factor once."""
+    made once, and it builds no factor measure: it reads the masses
+    q^r / (q+1)^k directly."""
     from coxhecke import freeprod
     calls = []
-    measure = freeprod.mu_k
+    decompose = freeprod.dykema_decompose
 
-    def counted(k, q):
-        calls.append(k)
-        return measure(k, q)
+    def counted(spec, q):
+        calls.append(spec.ranks)
+        return decompose(spec, q)
 
-    monkeypatch.setattr(freeprod, "mu_k", counted)
+    def no_measure(k, q):
+        raise AssertionError("mu_k called")
+
+    monkeypatch.setattr(freeprod, "dykema_decompose", counted)
+    monkeypatch.setattr(freeprod, "mu_k", no_measure)
     code, out, _ = run(capsys, ["dykema", "--ranks", "2,1", "--q", "3"])
     assert code == 0 and "weight 5/16" in out
-    assert calls == [2, 1]
+    assert calls == [(2, 1)]
 
 
 @pytest.mark.parametrize("ranks", ["40,1", "19,1"])
@@ -514,6 +519,13 @@ def test_gamma_radius_zero(capsys):
     code, out, _ = run(capsys, ["gamma", "--group",
                                 str(GROUPS / "z2sq-z2.json"), "--radius", "0"])
     assert code == 0 and "pass: radius 0" in out
+
+
+def test_gamma_rejects_negative_slack(capsys):
+    code, out, err = run(capsys, ["gamma", "--group", FREE3, "--radius", "4",
+                                  "--slack", "-1"])
+    assert code == 2 and out == ""
+    assert "slack must be nonnegative" in err
 
 
 # hecke stdout byte for byte, text and JSON: a rational multi-term product,

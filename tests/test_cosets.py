@@ -1,5 +1,6 @@
 """Double cosets and the interaction graph."""
 
+import dataclasses
 import io
 import random
 
@@ -11,7 +12,9 @@ from coxhecke import (CoxeterSystem, DomainError, DoubleCosetInfo, Element,
                       check_symbol_commutation, double_coset_symbol_check,
                       gamma_neighbors, shortest_rep,
                       verify_component_structure)
-from coxhecke.cosets import coset_elements, coset_nondegenerate, dihedral_words
+from coxhecke.cosets import (_component_report, coset_elements,
+                             coset_nondegenerate, dihedral_words,
+                             edge_generators)
 from coxhecke.verify import random_system, suite_cosets
 
 from conftest import oracle_symbol_commutation
@@ -355,3 +358,69 @@ def test_verify_suite_checks_support_rule():
     for seed in (0, 1):
         result = suite_cosets(seed)
         assert result.passed and "support rule" in result.detail
+
+
+def test_edge_generators_match_their_definition(named_systems):
+    """s is an edge generator of w iff some t with m(s,t) = infinity makes
+    DwD non-degenerate: one edge cover per generator decides the same."""
+    systems = list(named_systems.values())
+    rng = random.Random(2025)
+    systems += [random_system(rng, 9) for _ in range(60)]
+    for sys in systems:
+        for w in sys.ball(3):
+            assert edge_generators(sys, w) == [
+                s for s in range(sys.n)
+                if any(coset_nondegenerate(InfinitePair(sys, s, t), w)
+                       for t in range(sys.n)
+                       if t != s and not sys.commutes(s, t))], w
+
+
+class _UnreadEdges(frozenset):
+    def __iter__(self):
+        raise AssertionError("the edge set was iterated")
+
+
+def test_isolation_read_from_component_labels(named_systems):
+    """The graph has no loops, so isolated vertices are the singleton
+    components: the report and isolated_vertices never read the edges."""
+    for sys in named_systems.values():
+        g = build_gamma_ball(sys, 5)
+        ends = {i for edge in g.edges for i in edge}
+        isolated = [v for i, v in enumerate(g.vertices) if i not in ends]
+        unread = dataclasses.replace(g, edges=_UnreadEdges(g.edges))
+        assert unread.isolated_vertices() == isolated
+        for slack in (0, 1, 2, 5):
+            assert _component_report(unread, slack) == \
+                _component_report(g, slack)
+        rep = _component_report(unread, 2)
+        assert rep.big_component_size == max(
+            map(len, g.components()))
+
+
+def test_shortest_rep_steps_without_descent_sets(named_systems, monkeypatch):
+    """shortest_rep walks down by steps and builds no descent set."""
+    cases = []
+    for sys in named_systems.values():
+        for s in range(sys.n):
+            for t in range(s + 1, sys.n):
+                if not sys.commutes(s, t):
+                    pair = InfinitePair(sys, s, t)
+                    cases += [(sys, pair, w, brute_force_min_rep(
+                        sys, pair, w, bound=len(w) + 2)) for w in sys.ball(3)]
+
+    def refuse(self, a):
+        raise AssertionError("descent set built")
+
+    monkeypatch.setattr(CoxeterSystem, "left_descents", refuse)
+    monkeypatch.setattr(CoxeterSystem, "right_descents", refuse)
+    for sys, pair, w, oracle in cases:
+        assert shortest_rep(sys, pair, w).w0 == oracle, (w, pair.s, pair.t)
+
+
+def test_component_structure_rejects_negative_slack(free3):
+    """A negative slack is refused before any ball is built, whatever the
+    radius."""
+    with pytest.raises(InputError, match="slack must be nonnegative"):
+        verify_component_structure(free3, 4, -1)
+    with pytest.raises(InputError, match="slack must be nonnegative"):
+        verify_component_structure(free3, 10**6, -1)

@@ -167,6 +167,29 @@ def test_dykema_matches_a_fold_over_atoms():
             got = dykema_decompose(spec, q).atoms.masses
             assert list(got.items()) == expected
 
+def test_dykema_builds_no_factor_measure(monkeypatch):
+    """The fold reads the masses q^r / (q+1)^k directly, so the reports do
+    not change when mu_k cannot be called."""
+    from coxhecke import freeprod
+    cases = [(FreeFactorSpec(ranks), q)
+             for ranks in ((2, 1), (2, 2), (3, 1), (3, 3, 2), (16, 3))
+             for q in (Fraction(1, 2), 1, 3)]
+
+    def reports(spec, q):
+        d = dykema_decompose(spec, q)
+        cv = cross_validate_with_rho(spec, q)
+        return (d.summary(), d.atoms.masses, cv.summary(),
+                cv.decomposition.atoms.masses, cv.agrees)
+
+    expected = [reports(spec, q) for spec, q in cases]
+
+    def refuse(k, q):
+        raise AssertionError("mu_k called")
+
+    monkeypatch.setattr(freeprod, "mu_k", refuse)
+    assert [reports(spec, q) for spec, q in cases] == expected
+
+
 # -- closed form and cross-validation ----------------------------------------------------
 
 def test_closed_form_examples():
