@@ -23,9 +23,10 @@ from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
 from .freeprod import FreeFactorSpec, cross_validate_with_rho
 from .groupfile import load_system
-from .growth import (_positive_q, classify, component_rhos, growth_series,
+from .growth import (classify, component_rhos, growth_series,
                      verify_central_projection)
 from .hecke import parse_expression
+from .laurent import positive_q
 from .verify import run_suites
 
 SCHEMA = 1
@@ -37,7 +38,7 @@ def parse_q(text: str) -> Fraction:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse q value {text!r}") from None
-    return _positive_q(q)
+    return positive_q(q)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -118,6 +119,10 @@ def cmd_growth(args) -> int:
         raise InputError("radius must be nonnegative")
     series = growth_series(sys_)
     coefficients = series.taylor(args.radius)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(coefficients) >= 10 ** limit:
+        raise CapacityError(f"growth coefficients to degree {args.radius} pass "
+                            f"Python's int-to-str limit of {limit} digits")
     payload = {
         "command": "growth",
         "numerator": list(series.numerator),
@@ -181,8 +186,11 @@ def cmd_gamma(args) -> int:
     graph = build_gamma_ball(sys_, args.radius, args.max_ball)
     report = _component_report(graph, args.slack)
     if args.edges_out:
-        with open(args.edges_out, "w") as fh:
-            graph.write_edge_list(fh)
+        try:
+            with open(args.edges_out, "w") as fh:
+                graph.write_edge_list(fh)
+        except OSError as exc:
+            raise InputError(f"cannot write edge list: {exc}") from None
     payload = {
         "command": "gamma", "radius": args.radius, "slack": args.slack,
         "vertices": len(graph.vertices), "edges": len(graph.edges),

@@ -22,8 +22,8 @@ from fractions import Fraction
 from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem, Element
 from .errors import CapacityError, InputError, PreconditionError
 from .hecke import HeckeElement, mul, state_phi, t_basis, unit
-from .growth import FACTOR, FACTOR_PLUS_C, CenterReport, _positive_q, classify
-from .laurent import LaurentPoly
+from .growth import FACTOR, FACTOR_PLUS_C, CenterReport, classify
+from .laurent import LaurentPoly, positive_q
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def mu_k(k: int, q) -> AtomicMeasure:
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    q = _positive_q(q)
+    q = positive_q(q)
     _check_atoms(2 ** k)
     denom = (q + 1) ** k
     masses = {}
@@ -125,15 +125,14 @@ class IdempotentPair:
 
     def numeric(self) -> tuple[HeckeElement, HeckeElement]:
         """The idempotents themselves, as numeric-mode elements."""
-        qf = float(self.q)
-        inv = 1.0 / (qf + 1.0)
-        return (self.scaled_plus.specialize(qf).scale(inv),
-                self.scaled_minus.specialize(qf).scale(inv))
+        inv = 1.0 / (float(self.q) + 1.0)
+        return (self.scaled_plus.specialize(self.q).scale(inv),
+                self.scaled_minus.specialize(self.q).scale(inv))
 
 
 def hvn_z2_idempotents(q) -> IdempotentPair:
     """Construct and exactly verify the rank-one projections over Z2."""
-    q = _positive_q(q)
+    q = positive_q(q)
     system = CoxeterSystem(["s"])
     s = system.element("s")
     u = LaurentPoly.u_power(1)
@@ -200,7 +199,7 @@ def dykema_decompose(spec: FreeFactorSpec, q) -> DecompositionReport:
     are the tuples with sum of masses above n - 1.  Exact rationals
     throughout.
     """
-    q = _positive_q(q)
+    q = positive_q(q)
     if max(spec.ranks) < 2:
         raise PreconditionError(
             "the iterated two-factor rule needs some rank at least 2; with "
@@ -242,7 +241,7 @@ def closed_form_condition(spec: FreeFactorSpec, q) -> bool:
     routed through the duality q -> 1/q, under which the left side is
     unchanged term by term.
     """
-    q = _positive_q(q)
+    q = positive_q(q)
     if q < 1:
         q = 1 / q
     lhs = sum((q / (q + 1)) ** k for k in spec.ranks)

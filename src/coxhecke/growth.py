@@ -43,7 +43,7 @@ from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
 from .laurent import (LaurentPoly, _has_root_up_to, _poly_add, _poly_eval,
-                      _poly_mul, _sturm_chain, poly_str)
+                      _poly_mul, _sturm_chain, float_q, poly_str, positive_q)
 
 # -- the rational growth series -------------------------------------------------
 
@@ -311,13 +311,6 @@ class CenterReport:
         return "\n".join(lines)
 
 
-def _positive_q(q) -> Fraction:
-    """The parameter q as an exact rational; it must be positive and finite."""
-    if isinstance(q, float) and not math.isfinite(q) or Fraction(q) <= 0:
-        raise InputError("q must be positive")
-    return Fraction(q)
-
-
 def _classify_component(names: tuple[str, ...], info: RhoInfo | None,
                         q: Fraction) -> ComponentClassification:
     """One component's entry of :func:`classify`, from its radius record."""
@@ -353,7 +346,7 @@ def classify(system: CoxeterSystem, q) -> CenterReport:
     unclassified (their center is large and outside the scope of the
     interval criterion).  The overall rho and center dimension are the
     minimum and the product over the components' entries."""
-    q = _positive_q(q)
+    q = positive_q(q)
     comps = tuple(_classify_component(tuple(system.names[i] for i in comp),
                                       info, q)
                   for comp, info in component_rhos(system).items())
@@ -405,13 +398,13 @@ def zeta_symbol(system: CoxeterSystem, q, radius: int,
     Requires q <= 1: for larger parameters classify at 1/q instead (the
     duality isomorphism exchanges the two algebras).
     """
-    q = _positive_q(q)
+    q = positive_q(q)
     if q > 1:
         raise PreconditionError(
             "zeta needs q <= 1; apply the duality isomorphism and classify "
             "at 1/q instead")
+    sq = float_q(q)[1]
     ball = system.ball(radius, max_elements)
-    sq = math.sqrt(float(q))
     values = np.array([sq ** len(w) for w in ball])
     partials = []
     acc = 0.0
@@ -504,11 +497,7 @@ class RecurrenceReport:
 
 def coset_recurrence(q, f0: float, f1: float, n: int) -> RecurrenceReport:
     """Iterate the recurrence and solve for the mode coefficients."""
-    q = float(q)
-    if not 0 < q < math.inf:
-        raise InputError("q must be positive")
-    sq = math.sqrt(q)
-    p = (q - 1.0) / sq
+    q, sq, p = float_q(q)
     values = [float(f0), float(f1)]
     for _ in range(max(n - 1, 0)):
         values.append(p * values[-1] + values[-2])
@@ -632,7 +621,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     later one reads: the ball table dies after (a), (b) and (d), and P is
     M_h scaled in place.
     """
-    q = _positive_q(q)
+    q = positive_q(q)
     if not system.irreducible or system.is_finite() or system.n < 3:
         raise DomainError("projection certification needs an irreducible "
                           "infinite system with at least 3 generators")
@@ -645,9 +634,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
             "no central projection exists for q >= rho: the radial vector "
             "is not square-summable")
 
-    qf = float(q)
-    sq = math.sqrt(qf)
-    p = (qf - 1.0) / sq
+    _, sq, p = float_q(q)
     w_q = float(series.evaluate(q))
     exact_ok, n_in, m_h, rayleigh, spheres, left, ldesc = _table_phases(
         system, radius, sq, p, max_elements)

@@ -38,11 +38,16 @@ from fractions import Fraction
 import numpy as np
 
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element, Word
-from .errors import InputError, ParseError
+from .errors import CapacityError, InputError, ParseError
 from .laurent import (LaurentPoly, P_SYMBOL, _coerce, _from_numerators,
-                      _numerators, _sparse_add, _sparse_mul_into)
+                      _numerators, _sparse_add, _sparse_mul_into, float_q)
 
 EXACT = "exact"
+
+#: Caps on a product's terms after each letter of a peel (about 1 KB and 10 us
+#: an exact term) and on parenthesis depth (three parser frames a level).
+MAX_PRODUCT_TERMS = 10**5
+MAX_EXPR_DEPTH = 200
 
 
 class HeckeElement:
@@ -58,8 +63,7 @@ class HeckeElement:
     __slots__ = ("system", "q", "_den", "_num", "_terms")
 
     def __new__(cls, system: CoxeterSystem, terms=None, q: float | None = None):
-        if q is not None:
-            q = _positive_q(q)
+        q = None if q is None else float_q(q)[0]
         terms = terms or {}
         if any(w.system is not system for w in terms):
             raise InputError("basis element from a different system")
@@ -95,9 +99,7 @@ class HeckeElement:
         return EXACT if self.q is None else "numeric"
 
     def _p(self):
-        if self.q is None:
-            return P_SYMBOL
-        return (self.q - 1.0) / math.sqrt(self.q)
+        return P_SYMBOL if self.q is None else float_q(self.q)[2]
 
     def _check_compat(self, other: "HeckeElement"):
         if self.system is not other.system:
@@ -194,8 +196,7 @@ class HeckeElement:
         float of ``LaurentPoly.evaluate`` on ``terms``, with no Element."""
         if self.q is not None:
             raise InputError("element is already numeric")
-        q = _positive_q(q)
-        u, d = math.sqrt(q), self._den
+        (q, u, _), d = float_q(q), self._den
         return _make(self.system, q, 1, {
             w: f for w, c in self._num.items()
             if (f := math.fsum(n / d * u ** e for e, n in c.items()))})
@@ -235,13 +236,6 @@ def _canonical(den: int, num: dict) -> tuple[int, dict]:
     return den // g, num
 
 
-def _positive_q(q) -> float:
-    q = float(q)
-    if not 0 < q < math.inf:
-        raise InputError("q must be positive")
-    return q
-
-
 def _scalar(q: float | None, c, what: str):
     """``c`` checked as a scalar of the mode of ``q``: exact mode takes an
     int, a Fraction or a LaurentPoly and returns a LaurentPoly, numeric
@@ -261,7 +255,7 @@ def unit(system: CoxeterSystem, q: float | None = None) -> HeckeElement:
 
 def t_basis(w: Element, q: float | None = None) -> HeckeElement:
     """The normalized basis term T_w with coefficient one."""
-    q = None if q is None else _positive_q(q)
+    q = None if q is None else float_q(q)[0]
     return _make(w.system, q, 1, {w.word: 1.0 if q else {0: 1}})
 
 
@@ -290,6 +284,9 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> di
                 c = times_p(c)
                 old = nxt.get(x)
                 nxt[x] = c if old is None else add(old, c)
+        if len(nxt) > MAX_PRODUCT_TERMS:
+            raise CapacityError(f"a Hecke product reached {len(nxt)} terms, "
+                                f"more than the cap of {MAX_PRODUCT_TERMS}")
         terms = nxt
     return terms
 
@@ -547,13 +544,17 @@ _TOKEN = re.compile(r"""
 
 
 def _tokenize(text: str):
-    pos = 0
+    pos = depth = 0
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}",
                              line=1, column=pos + 1)
+        depth += (m.group() == "(") - (m.group() == ")")
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_EXPR_DEPTH} "
+                             "levels", line=1, column=pos + 1)
         if m.lastgroup != "ws":
             out.append((m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -618,9 +619,14 @@ class _ExprParser:
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            if re.fullmatch(r"\d+/0+", tok[1]):
-                raise ParseError("zero denominator", line=1, column=tok[2] + 1)
-            return unit(self.system).scale(Fraction(tok[1]))
+            try:
+                c = Fraction(tok[1])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(
+                    "zero denominator" if isinstance(exc, ZeroDivisionError)
+                    else "number exceeds Python's int-to-str digit limit",
+                    line=1, column=tok[2] + 1) from None
+            return unit(self.system).scale(c)
         if tok[0] == "op" and tok[1] == "(":
             self.take()
             value = self.expr()

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .errors import InputError
+
 # -- integer polynomial helpers: dense (ascending degree) and sparse dicts -----
 
 
@@ -270,3 +272,24 @@ _ONE = LaurentPoly({0: 1})
 
 #: The Hecke structure constant p = u - 1/u, i.e. (q - 1)/sqrt(q).
 P_SYMBOL = LaurentPoly({1: 1, -1: -1})
+
+
+def positive_q(q) -> Fraction:
+    """The exact door for q: q as a rational, refused unless positive."""
+    if isinstance(q, float) and not math.isfinite(q) or Fraction(q) <= 0:
+        raise InputError("q must be positive")
+    return Fraction(q)
+
+
+def float_q(q) -> tuple[float, float, float]:
+    """The float door for q: q, sqrt(q) and p = (q - 1)/sqrt(q), for a q past
+    :func:`positive_q` (read as a float if ``Fraction`` refuses its type)."""
+    try:
+        qf = float(positive_q(q))
+    except TypeError:
+        qf = float(positive_q(float(q)))
+    except OverflowError:
+        qf = math.inf
+    if qf in (0.0, math.inf):
+        raise InputError(f"q is {qf} as a float; it must be positive and finite")
+    return qf, math.sqrt(qf), (qf - 1.0) / math.sqrt(qf)

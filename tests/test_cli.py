@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -656,3 +660,70 @@ def test_growth_rejects_negative_radius(capsys):
                                       "--radius", "-5"])
         assert code == 2 and out == ""
         assert "radius must be nonnegative" in err
+
+
+# -- inputs that once ended in a traceback or unbounded memory ----------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_subprocess(argv, tmp_path):
+    """One ``python -m coxhecke.cli`` process: exit code, stdout, stderr,
+    wall seconds and peak resident memory in MB (Linux reports KB)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "coxhecke.cli", *argv],
+                                stdout=out, stderr=err, env=env)
+        killer = threading.Timer(60, proc.kill)
+        killer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+        elapsed = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return (proc.returncode, out_path.read_text(), err_path.read_text(),
+            elapsed, usage.ru_maxrss / 1024)
+
+
+def _z2_power(tmp_path, n):
+    gens = [f"g{i}" for i in range(n)]
+    path = tmp_path / f"z2_{n}.json"
+    path.write_text(json.dumps({"generators": gens, "commuting_pairs": [
+        [a, b] for i, a in enumerate(gens) for b in gens[i + 1:]]}))
+    return str(path)
+
+
+LONGEST_Z2_18 = " ".join(f"g{i}" for i in range(18))
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["hecke", "--group", "Z2^18",
+      "--expr", f"T({LONGEST_Z2_18})*T({LONGEST_Z2_18})"], 1,
+     "more than the cap of 100000"),
+    (["growth", "--group", PENTAGON, "--radius", "10500"], 1,
+     "degree 10500 pass Python's int-to-str limit"),
+    (["hecke", "--group", PENTAGON, "--expr", "1" + "0" * 5000 + "*T(p)"], 2,
+     "digit limit (line 1, column 1)"),
+    (["hecke", "--group", PENTAGON, "--expr", "(" * 340 + "T(p)" + ")" * 340],
+     2, "nest deeper than 200 levels (line 1, column 201)"),
+    (["zeta-check", "--group", PENTAGON, "--q", "1e-400"], 2,
+     "q is 0.0 as a float"),
+    (["gamma", "--group", PENTAGON, "--radius", "3",
+      "--edges-out", "/nonexistent/dir/x"], 2, "cannot write edge list"),
+], ids=["hecke-cap", "growth-digits", "hecke-literal", "hecke-depth",
+        "zeta-tiny-q", "gamma-edges-out"])
+def test_input_ends_in_named_error(tmp_path, argv, code, message):
+    if "limit" in message and not DIGIT_LIMIT:
+        pytest.skip("this interpreter converts ints of any length")
+    argv = [_z2_power(tmp_path, 18) if a == "Z2^18" else a for a in argv]
+    got, out, err, elapsed, peak_mb = run_subprocess(argv, tmp_path)
+    assert (got, out) == (code, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err and message in err
+    assert elapsed < 5 and peak_mb < 500

@@ -6,14 +6,15 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
                       InfinitePair, InputError, LaurentPoly, P_SYMBOL,
                       PreconditionError, check_symbol_commutation, classify,
                       coset_recurrence, double_coset_symbol_check,
-                      growth_series, rho, rho_info, verify_central_projection,
-                      zeta_symbol)
+                      growth_series, rho, rho_info, t_basis,
+                      verify_central_projection, zeta_symbol)
 from coxhecke import coxeter, growth
 from coxhecke.cli import main
 from coxhecke.growth import (RationalSeries, _clique_polynomial, _locate_root,
@@ -792,6 +793,30 @@ def test_recurrence_rejects_bad_q():
 def test_recurrence_rejects_non_finite_q(q):
     with pytest.raises(InputError, match="q must be positive"):
         coset_recurrence(q, 1.0, 1.0, 3)
+
+
+def test_float_consumers_refuse_q_without_a_float(pentagon):
+    """q = 10^-400 is positive, so exact decisions take it, but its float is
+    0: every consumer of q as a float refuses it, the two ball consumers
+    before the ball (a one-element cap would raise CapacityError), and a q
+    whose float is inf likewise."""
+    q = Fraction("1e-400")
+    s = pentagon.element("p")
+    for call in (lambda: verify_central_projection(pentagon, q, 50, 1),
+                 lambda: zeta_symbol(pentagon, q, 50, 1),
+                 lambda: coset_recurrence(q, 1.0, 1.0, 3),
+                 lambda: t_basis(s, q),
+                 lambda: t_basis(s).specialize(q)):
+        with pytest.raises(InputError, match=r"q is 0\.0 as a float"):
+            call()
+    with pytest.raises(InputError, match="q is inf as a float"):
+        coset_recurrence(10 ** 400, 1.0, 1.0, 3)
+    report = classify(pentagon, q)
+    assert (report.q, report.classification, report.center_dimension) \
+        == (q, "factor_plus_C", 2)
+    # a real type that Fraction does not take is read through its float
+    assert coset_recurrence(np.float32(0.25), 1.0, 1.0, 3) \
+        == coset_recurrence(0.25, 1.0, 1.0, 3)
 
 
 # -- central projection certification -----------------------------------------------------
