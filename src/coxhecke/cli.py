@@ -3,9 +3,9 @@
 Subcommands: info, ball, growth, rho, classify, gamma, zeta-check,
 dykema, hecke, verify.  Output is plain text or JSON (``--format json``,
 schema version 1); identical inputs including the seed produce
-byte-identical reports, bar the ``zeta-check`` floats, which can change
-with the BLAS build and thread count.  Exit codes: 0 success, 1
-computational failure, 2 input error.
+byte-identical reports, bar ``projection_residual`` of ``zeta-check``
+(from a dense product), which can change with the BLAS build and thread
+count.  Exit codes: 0 success, 1 computational failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -371,6 +371,12 @@ def main(argv=None) -> int:
         return 2
     except (CapacityError, ConsistencyError, CoxheckeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:   # digit limit; inputs are checked when parsed
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: an output number passes Python's int-to-str digit limit "
+              f"of {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 1
 
 

@@ -29,6 +29,8 @@ def parse_system(text: str) -> CoxeterSystem:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # JSON's other error: a number past the digit limit
+        raise ParseError("number exceeds Python's int-to-str digit limit") from None
     if not isinstance(doc, dict):
         raise ParseError("group file must be a JSON object")
     unknown = set(doc) - {"generators", "commuting_pairs"}

@@ -564,7 +564,7 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
                   max_elements: int) -> tuple:
     """Phases (a), (b) and (d) of :func:`verify_central_projection`, and what
     (c) reads of the ball table.  The table dies after (a): (b) reads copies
-    of its first rows only, and (c) its left table of the certified ball."""
+    of its first rows only, and (c) its left table of ball(h - 1)."""
     table = system.ball_table(radius, max_elements)
     lengths, parent, last, idx, desc = table
 
@@ -583,7 +583,7 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
     ends = np.searchsorted(lengths, np.arange(2 * h + 1), side="right")
     n_h, n_b = int(ends[h]), int(ends[2 * h - 1])
     zeta = sq ** lengths[:ends[2 * h]].astype(float)
-    left = table.left(n_h)
+    left = table.left(int(ends[h - 1]))
     idx, desc = idx[:, :n_b].copy(), desc[:, :n_b].copy()
     lengths, parent, last = (a[:n_h].copy() for a in (lengths, parent, last))
     del table
@@ -616,7 +616,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     residual ||P^2 - P|| of the truncated, normalized action matrix on the
     certified sub-block, against the analytic tail bound; (c) commutation
     of P with every generator's left action on the certified sub-block,
-    read from the left table of the half-radius ball; (d) the certified
+    gathered from P by the left table of ball(h - 1); (d) the certified
     Rayleigh quotient converging to W(q).  Each phase keeps only what a
     later one reads: the ball table dies after (a), (b) and (d), and P is
     M_h scaled in place.
@@ -644,17 +644,14 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     bound = (w_q - partial) / w_q
 
     # (c) commutators with generator left actions on the certified block
-    n_h, n_c = len(p_mat), len(p_mat) - spheres[-1]
-    commutator_max = 0.0
-    cols = np.arange(n_h)
-    for s in range(system.n):
-        l_mat = np.zeros((n_h, n_h))
-        inside = (left[s] >= 0) & (left[s] < n_h)
-        l_mat[left[s, inside], cols[inside]] = 1.0
-        down = cols[ldesc[s]]
-        l_mat[down, down] = p
-        commutator_max = max(commutator_max, float(np.linalg.norm(
-            (l_mat @ p_mat - p_mat @ l_mat)[:n_c, :n_c], 2)))
+    # ball(h - 1), gathered from P since s z stays in ball(h):
+    # (L_s P)[i, k] = P[s z_i, k] + p [s in D_L(z_i)] P[i, k], and
+    # (P L_s)[i, k] = P[i, s z_k] + p [s in D_L(z_k)] P[i, k]
+    n_c = left.shape[1]
+    block = p_mat[:n_c, :n_c]
+    commutator_max = max(float(np.linalg.norm(
+        (p_mat[ls, :n_c] + p * d[:, None] * block)
+        - (p_mat[:n_c, ls] + p * block * d), 2)) for ls, d in zip(left, ldesc))
 
     return ProjectionReport(
         q=q, radius=radius, certified_radius=radius // 2, w_q=w_q,

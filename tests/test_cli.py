@@ -90,6 +90,12 @@ def test_parse_error_exit_code(capsys, group_file):
     code, _, err = run(capsys, ["info", "--group", group_file(
         '{"generators": ["s", "t"], "commuting_pairs": [["s", "s"]]}')])
     assert code == 2 and "self pair" in err
+    if DIGIT_LIMIT:     # a number JSON reads but Python will not convert
+        code, out, err = run(capsys, ["info", "--group", group_file(
+            '{"generators": ["s"], "x": 1' + "0" * DIGIT_LIMIT + '}')])
+        assert (code, out) == (2, "")
+        assert err == ("error: number exceeds Python's int-to-str digit "
+                       "limit\n")
 
 
 def test_missing_group_file(capsys):
@@ -377,21 +383,21 @@ def test_reports_byte_identical(capsys):
 ZETA_CHECK_PINS = {
     ("free3", "1/5"): (
         '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
-        '3.0739759555446695e-17, "partial_norm_sq": 1.9744, "passed": true, '
+        '2.7350958732519452e-17, "partial_norm_sq": 1.9744, "passed": true, '
         '"projection_bound": 0.012800000000000034, "projection_residual": '
         '0.012636160000000233, "q": "1/5", "radius": 8, "rayleigh_estimate": '
         '1.9743999999999982, "scaling_identity_exact": true, "schema": 1, '
         '"w_q": 2.0}\n'),
     ("z2sq-z2", "1/5"): (
         '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
-        '6.559606617459334e-17, "partial_norm_sq": 1.8848, "passed": true, '
+        '3.801891686515046e-17, "partial_norm_sq": 1.8848, "passed": true, '
         '"projection_bound": 0.005244444444444373, "projection_residual": '
         '0.0052169402469129855, "q": "1/5", "radius": 8, "rayleigh_estimate": '
         '1.8847999999999983, "scaling_identity_exact": true, "schema": 1, '
         '"w_q": 1.894736842105263}\n'),
     ("pentagon", "1/8"): (
         '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
-        '1.2312597404858716e-16, "partial_norm_sq": 1.963134765625, '
+        '1.2097585258443477e-16, "partial_norm_sq": 1.963134765625, '
         '"passed": true, "projection_bound": 0.006314501350308631, '
         '"projection_residual": 0.0062746284230057615, "q": "1/8", '
         '"radius": 8, "rayleigh_estimate": 1.9631347656250009, '
@@ -412,9 +418,9 @@ def test_zeta_check_pinned(capsys, name, q):
 # SHA-256 of zeta-check stdout at the radii the certificate is used at
 ZETA_CHECK_DEEP_PINS = {
     ("pentagon", "19/100", 12):
-        "b28a88d7f08fad0e430dbea756c6fe29dcf7f121dc78f3a2a47dfb45b816c182",
+        "78299a8aa5e18958b0a365e76f02d661aa8afef6adce0c102e68baf66c3921c5",
     ("free3", "1/5", 13):
-        "a336e17db1fa44ddefa6df0511a826ace769dcc0a875050e32da6ffbd55cc4e4",
+        "11e6d07399de3cec0a36bcaf881168a20048ccf534c75df47b7cbf6ce7f4f0b5",
 }
 
 
@@ -431,11 +437,11 @@ def test_zeta_check_pinned_deep(capsys, name, q, radius):
 # SHA-256 of zeta-check stdout at the shapes of the certify benchmark
 ZETA_CHECK_CERTIFY_PINS = {
     ("pentagon", "19/100", 11):
-        "a4acf3fa8702897105dad23c692a45843f7e73bb512a064fd9ae1fc134aa0c27",
+        "65e7a0073f3d35747733d72bc4d183b8d3e4725646bb609d96fde171da4c6343",
     ("pentagon", "19/100", 13):
-        "43eb914dc94900f243a337acff2e2f4fc24688931fc21ffae17c45b28df0da0a",
+        "6fb341cf626baa6fc0bc07665c7036c22465c537e930baaf499a2f80b2353520",
     ("z2sq-z2", "1/5", 13):
-        "f573a25c7c7cfb95b0f8e488ffdeaf137c5033f20bfd6a3da0ba6c34cf54f4fd",
+        "21582bfdaf8ad5b917df61b39bd7fcced3cb54fea7249ac85e7ed738074d4494",
 }
 
 
@@ -667,10 +673,11 @@ def test_growth_rejects_negative_radius(capsys):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_subprocess(argv, tmp_path):
-    """One ``python -m coxhecke.cli`` process: exit code, stdout, stderr,
-    wall seconds and peak resident memory in MB (Linux reports KB)."""
-    env = dict(os.environ)
+def run_subprocess(argv, tmp_path, **env_vars):
+    """One ``python -m coxhecke.cli`` process, with ``env_vars`` added to
+    its environment: exit code, stdout, stderr, wall seconds and peak
+    resident memory in MB (Linux reports KB)."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
     with open(out_path, "w") as out, open(err_path, "w") as err:
@@ -727,3 +734,44 @@ def test_input_ends_in_named_error(tmp_path, argv, code, message):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err and message in err
     assert elapsed < 5 and peak_mb < 500
+
+
+ZEROS_4000 = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke", "--group", PENTAGON, "--expr", f"{ZEROS_4000}*{ZEROS_4000}*T(p)"],
+    ["classify", "--group", PENTAGON, "--q", "1e-5000"],
+    ["dykema", "--ranks", "2,1", "--q", "1e-5000"],
+    ["dykema", "--ranks", "18,1", "--q", "1e-300"],
+], ids=["hecke-product", "classify-q", "dykema-q", "dykema-masses"])
+def test_output_past_digit_limit_is_named(tmp_path, argv):
+    """Each input is accepted, but a number of its report has more digits
+    than Python converts to a string (the masses, for ranks 18,1)."""
+    if not DIGIT_LIMIT:
+        pytest.skip("this interpreter converts ints of any length")
+    for fmt in ("text", "json"):
+        got, out, err, _, _ = run_subprocess([*argv, "--format", fmt],
+                                             tmp_path)
+        assert (got, out) == (1, "")
+        assert err == ("error: an output number passes Python's int-to-str "
+                       f"digit limit of {DIGIT_LIMIT} digits\n")
+
+
+@pytest.mark.parametrize("name,q,radius", [
+    ("pentagon", "1/8", 8), ("pentagon", "19/100", 11), ("z2sq-z2", "1/5", 13)])
+def test_zeta_check_fields_do_not_depend_on_blas_threads(tmp_path, name, q,
+                                                         radius):
+    """Only the residual of the dense product P @ P may read differently
+    with one and with two OpenBLAS threads."""
+    argv = ["zeta-check", "--group", str(GROUPS / f"{name}.json"), "--q", q,
+            "--radius", str(radius), "--format", "json"]
+    reports = []
+    for threads in ("1", "2"):
+        got, out, err, _, _ = run_subprocess(argv, tmp_path,
+                                             OPENBLAS_NUM_THREADS=threads)
+        assert (got, err) == (0, "")
+        report = json.loads(out)
+        del report["projection_residual"]
+        reports.append(report)
+    assert reports[0] == reports[1]

@@ -20,8 +20,8 @@ from coxhecke.cli import main
 from coxhecke.growth import (RationalSeries, _clique_polynomial, _locate_root,
                              component_rhos)
 from coxhecke.laurent import (_has_root_up_to, _poly_mul, _poly_trim,
-                              _sturm_chain)
-from coxhecke.verify import random_system, suite_growth
+                              _sturm_chain, float_q)
+from coxhecke.verify import named_systems, random_system, suite_growth
 
 from conftest import oracle_classify, oracle_symbol_commutation
 
@@ -844,6 +844,57 @@ def test_projection_report_small_radius(free3):
     assert rep.certified_radius == 3
     assert rep.rayleigh_estimate == pytest.approx(rep.partial_norm_sq)
     assert "projection residual" in rep.summary()
+
+
+def dense_commutator_max(system, radius, p_mat, p):
+    """max_s ||[L_s, P]|| on ball(h - 1) with each generator's left action
+    as a dense matrix on ball(h), multiplied with P both ways: phase (c)
+    as it was written before the commutators were gathered from P."""
+    table = system.ball_table(radius)
+    h = radius // 2
+    n_h = int(np.count_nonzero(table.lengths <= h))
+    n_c = int(np.count_nonzero(table.lengths <= h - 1))
+    left, ldesc = table.left(n_h)
+    commutator_max = 0.0
+    cols = np.arange(n_h)
+    for s in range(system.n):
+        l_mat = np.zeros((n_h, n_h))
+        inside = (left[s] >= 0) & (left[s] < n_h)
+        l_mat[left[s, inside], cols[inside]] = 1.0
+        down = cols[ldesc[s]]
+        l_mat[down, down] = p
+        commutator_max = max(commutator_max, float(np.linalg.norm(
+            (l_mat @ p_mat - p_mat @ l_mat)[:n_c, :n_c], 2)))
+    return commutator_max
+
+
+def test_commutators_match_dense_oracle(monkeypatch):
+    """With M_h replaced by a seeded random matrix the commutators are of
+    order 1, so a gather from a wrong row or column shows; the true M_h
+    commutes up to rounding and would hide it."""
+    real, drawn = growth._table_phases, []
+
+    def random_m_h(system, radius, *args):
+        out = real(system, radius, *args)
+        m_h = np.random.default_rng(len(drawn)).standard_normal(out[2].shape)
+        drawn.append(m_h.copy())
+        return (*out[:2], m_h, *out[3:])
+
+    monkeypatch.setattr(growth, "_table_phases", random_m_h)
+    rng, graphs = random.Random(27), []
+    while len(graphs) < 20:
+        system = random_system(rng)
+        if system.irreducible and system.n >= 3:
+            q = Fraction(rho(system) / 2).limit_denominator(1000)
+            graphs.append((system, q, 4 + len(graphs) % 3))
+    named = [(system, Fraction(1, 8), radius)
+             for system in named_systems().values() for radius in range(4, 10)]
+    for system, q, radius in named + graphs:
+        rep = verify_central_projection(system, q, radius)
+        expected = dense_commutator_max(system, radius, drawn[-1] / rep.w_q,
+                                        float_q(q)[2])
+        assert expected > 0.1
+        assert rep.commutator_max == pytest.approx(expected, rel=1e-12)
 
 
 def test_projection_residual_decreases(z2sq_z2):
