@@ -32,7 +32,7 @@ is square-summable with norm^2 = W(q) and spans the extra central summand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -292,7 +292,6 @@ class CenterReport:
     reason: str
     center_dimension: int | None
     components: tuple[ComponentClassification, ...]
-    residuals: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         dim = "unknown" if self.center_dimension is None else self.center_dimension
@@ -306,8 +305,6 @@ class CenterReport:
                 cdim = "unknown" if c.center_dimension is None else c.center_dimension
                 lines.append(f"  component {{{', '.join(c.generators)}}}: "
                              f"{c.classification}, center dim {cdim}")
-        for name, val in self.residuals.items():
-            lines.append(f"residual {name} = {val:.3e}")
         return "\n".join(lines)
 
 
@@ -521,28 +518,27 @@ def coset_recurrence(q, f0: float, f1: float, n: int) -> RecurrenceReport:
 
 @dataclass(frozen=True)
 class ProjectionReport:
-    """Numerical certificate for the rank-one central projection at q < rho.
+    """Certificate for the rank-one central projection at q < rho.
 
-    The action matrix of the truncated radial operator is assembled on the
-    ball's right-multiplication table, the column of w = w't being the
-    column of w' times t; entries with |v| + |w| <= radius are exact
-    (truncation effects cannot propagate that far inward), so residuals
-    are evaluated on the certified square sub-block over the half-radius
-    ball.  The scaling identity is exact: it is decided in integers on the
-    table's lengths, one check per interior vertex and generator.
+    M_h is the truncated radial operator's action matrix on the half-radius
+    ball, where its entries are exact (truncation effects cannot propagate
+    that far inward), and P = M_h / W(q).  The residual, its bound and the
+    Rayleigh quotient are those of M_h = zeta_h zeta_h^T, which the exact
+    scaling identity implies (see :func:`verify_central_projection`);
+    ``commutator_max`` is the one field read off the computed P.
     """
     q: Fraction
     radius: int
     certified_radius: int
     w_q: float                       # series value W(q)
-    partial_norm_sq: float           # certified-ball partial sum of q^{|w|}
+    partial_norm_sq: float           # W_h, certified-ball sum of q^{|w|}
     scaling_identity_exact: bool     # generator action scales zeta by sqrt(q)
     scaling_checks: int
-    projection_residual: float       # ||P^2 - P|| on the certified block
-    projection_bound: float          # analytic tail bound (W - W_h)/W
+    projection_residual: float       # ||P^2 - P|| = x (1 - x), x = W_h / W(q)
+    projection_bound: float          # analytic tail bound 1 - x = (W - W_h)/W
     commutator_max: float            # max_s ||[L_s, P]|| on the certified block
-    rayleigh_estimate: float         # certified Rayleigh quotient, -> W(q)
-    rayleigh_gap: float
+    rayleigh_estimate: float         # certified Rayleigh quotient W_h, -> W(q)
+    rayleigh_gap: float              # W(q) - W_h
 
     def summary(self) -> str:
         return "\n".join([
@@ -562,7 +558,7 @@ class ProjectionReport:
 
 def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
                   max_elements: int) -> tuple:
-    """Phases (a), (b) and (d) of :func:`verify_central_projection`, and what
+    """Phases (a) and (b) of :func:`verify_central_projection`, and what
     (c) reads of the ball table.  The table dies after (a): (b) reads copies
     of its first rows only, and (c) its left table of ball(h - 1)."""
     table = system.ball_table(radius, max_elements)
@@ -599,27 +595,28 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
         m_h[:, lo:hi] = level[:, :n_h].T
         above = level
     spheres = np.bincount(lengths[:n_h], minlength=h + 1).tolist()
-
-    # (d) certified Rayleigh quotient, read before M_h is scaled into P
-    zeta_h = zeta[:n_h]
-    rayleigh = float(zeta_h @ (m_h @ zeta_h)) / float(zeta_h @ zeta_h)
-    return exact_ok, n_in, m_h, rayleigh, spheres, *left
+    return exact_ok, n_in, m_h, spheres, *left
 
 
 def verify_central_projection(system: CoxeterSystem, q, radius: int,
                               max_elements: int = DEFAULT_MAX_BALL) -> ProjectionReport:
     """Certify that the normalized radial operator is close to a projection.
 
-    Runs four checks: (a) the exact generator scaling identity for the
-    radial symbol on interior vertices, decided by integer exponents on
-    the ball's right-multiplication table (the symbol is u^{|w|}); (b) the
-    residual ||P^2 - P|| of the truncated, normalized action matrix on the
-    certified sub-block, against the analytic tail bound; (c) commutation
-    of P with every generator's left action on the certified sub-block,
-    gathered from P by the left table of ball(h - 1); (d) the certified
-    Rayleigh quotient converging to W(q).  Each phase keeps only what a
-    later one reads: the ball table dies after (a), (b) and (d), and P is
-    M_h scaled in place.
+    Phases, on the ball and its certified block ball(h), h = radius // 2:
+    (a) the exact generator scaling identity for the radial symbol u^{|w|}
+    on interior vertices, decided by integer exponents on the ball's
+    right-multiplication table; (b) the action matrix M_h, scaled in place
+    into P = M_h / W(q); (c) commutation of P with each generator's left
+    action on ball(h - 1), gathered by its left table.  The table dies
+    after (a) and (b).
+
+    Where (a) holds, M_h = zeta_h zeta_h^T, so for the exact
+    x = W_h / W(q) the residual ||P^2 - P|| is x (1 - x), the tail bound
+    1 - x and the Rayleigh quotient W_h, each rounded once.  As 0 < x < 1
+    for an infinite series, the residual is below the bound by
+    construction, and the certificate passes exactly when (a) holds.
+    Where (a) fails, those fields describe the rank-one operator it would
+    give, not the computed M_h.
     """
     q = positive_q(q)
     if not system.irreducible or system.is_finite() or system.n < 3:
@@ -635,13 +632,12 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
             "is not square-summable")
 
     _, sq, p = float_q(q)
-    w_q = float(series.evaluate(q))
-    exact_ok, n_in, m_h, rayleigh, spheres, left, ldesc = _table_phases(
+    w_exact = series.evaluate(q)
+    exact_ok, n_in, m_h, spheres, left, ldesc = _table_phases(
         system, radius, sq, p, max_elements)
-    partial = float(sum(Fraction(c) * q ** k for k, c in enumerate(spheres)))
-    p_mat = np.divide(m_h, w_q, out=m_h)
-    residual = float(np.linalg.norm(p_mat @ p_mat - p_mat, 2))
-    bound = (w_q - partial) / w_q
+    partial = sum(Fraction(c) * q ** k for k, c in enumerate(spheres))
+    x = partial / w_exact
+    p_mat = np.divide(m_h, float(w_exact), out=m_h)
 
     # (c) commutators with generator left actions on the certified block
     # ball(h - 1), gathered from P since s z stays in ball(h):
@@ -654,10 +650,10 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
         - (p_mat[:n_c, ls] + p * block * d), 2)) for ls, d in zip(left, ldesc))
 
     return ProjectionReport(
-        q=q, radius=radius, certified_radius=radius // 2, w_q=w_q,
-        partial_norm_sq=partial,
+        q=q, radius=radius, certified_radius=radius // 2,
+        w_q=float(w_exact), partial_norm_sq=float(partial),
         scaling_identity_exact=exact_ok, scaling_checks=system.n * n_in,
-        projection_residual=residual, projection_bound=bound,
+        projection_residual=float(x * (1 - x)), projection_bound=float(1 - x),
         commutator_max=commutator_max,
-        rayleigh_estimate=rayleigh, rayleigh_gap=abs(w_q - rayleigh),
+        rayleigh_estimate=float(partial), rayleigh_gap=float(w_exact - partial),
     )

@@ -14,6 +14,7 @@ import pytest
 
 from coxhecke.cli import main, parse_q
 from coxhecke.groupfile import load_system
+from coxhecke.growth import rho_info
 from coxhecke.verify import named_systems
 from fractions import Fraction
 
@@ -384,23 +385,23 @@ ZETA_CHECK_PINS = {
     ("free3", "1/5"): (
         '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
         '2.7350958732519452e-17, "partial_norm_sq": 1.9744, "passed": true, '
-        '"projection_bound": 0.012800000000000034, "projection_residual": '
-        '0.012636160000000233, "q": "1/5", "radius": 8, "rayleigh_estimate": '
-        '1.9743999999999982, "scaling_identity_exact": true, "schema": 1, '
+        '"projection_bound": 0.0128, "projection_residual": '
+        '0.01263616, "q": "1/5", "radius": 8, "rayleigh_estimate": '
+        '1.9744, "scaling_identity_exact": true, "schema": 1, '
         '"w_q": 2.0}\n'),
     ("z2sq-z2", "1/5"): (
         '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
         '3.801891686515046e-17, "partial_norm_sq": 1.8848, "passed": true, '
-        '"projection_bound": 0.005244444444444373, "projection_residual": '
-        '0.0052169402469129855, "q": "1/5", "radius": 8, "rayleigh_estimate": '
-        '1.8847999999999983, "scaling_identity_exact": true, "schema": 1, '
+        '"projection_bound": 0.005244444444444445, "projection_residual": '
+        '0.0052169402469135805, "q": "1/5", "radius": 8, "rayleigh_estimate": '
+        '1.8848, "scaling_identity_exact": true, "schema": 1, '
         '"w_q": 1.894736842105263}\n'),
     ("pentagon", "1/8"): (
         '{"certified_radius": 4, "command": "zeta-check", "commutator_max": '
         '1.2097585258443477e-16, "partial_norm_sq": 1.963134765625, '
-        '"passed": true, "projection_bound": 0.006314501350308631, '
-        '"projection_residual": 0.0062746284230057615, "q": "1/8", '
-        '"radius": 8, "rayleigh_estimate": 1.9631347656250009, '
+        '"passed": true, "projection_bound": 0.006314501350308642, '
+        '"projection_residual": 0.006274628423005592, "q": "1/8", '
+        '"radius": 8, "rayleigh_estimate": 1.963134765625, '
         '"scaling_identity_exact": true, "schema": 1, '
         '"w_q": 1.975609756097561}\n'),
 }
@@ -418,9 +419,9 @@ def test_zeta_check_pinned(capsys, name, q):
 # SHA-256 of zeta-check stdout at the radii the certificate is used at
 ZETA_CHECK_DEEP_PINS = {
     ("pentagon", "19/100", 12):
-        "78299a8aa5e18958b0a365e76f02d661aa8afef6adce0c102e68baf66c3921c5",
+        "711e0a46ec886b9f9ee0e0e392e98336a268716ea6c964a90f8e495e47c6b9ef",
     ("free3", "1/5", 13):
-        "11e6d07399de3cec0a36bcaf881168a20048ccf534c75df47b7cbf6ce7f4f0b5",
+        "c8fdec16af3392e4fca7cc80b1f6bebc66c8131e8ec5a70355a6bd77c7dda053",
 }
 
 
@@ -437,11 +438,11 @@ def test_zeta_check_pinned_deep(capsys, name, q, radius):
 # SHA-256 of zeta-check stdout at the shapes of the certify benchmark
 ZETA_CHECK_CERTIFY_PINS = {
     ("pentagon", "19/100", 11):
-        "65e7a0073f3d35747733d72bc4d183b8d3e4725646bb609d96fde171da4c6343",
+        "9ee9514696b0082e1e84bbb7781c3f2a2f3a968472076c169575dce3e4ca219a",
     ("pentagon", "19/100", 13):
-        "6fb341cf626baa6fc0bc07665c7036c22465c537e930baaf499a2f80b2353520",
+        "0d0a069acb0cd04da8d4031154385b7f975f181a5c01beaf9a38342eb1cf70cb",
     ("z2sq-z2", "1/5", 13):
-        "21582bfdaf8ad5b917df61b39bd7fcced3cb54fea7249ac85e7ed738074d4494",
+        "0c2680dfa5e5bf81a58bb3b23e9db99b45eb6e12463137b52db037d91c123e05",
 }
 
 
@@ -758,20 +759,64 @@ def test_output_past_digit_limit_is_named(tmp_path, argv):
                        f"digit limit of {DIGIT_LIMIT} digits\n")
 
 
-@pytest.mark.parametrize("name,q,radius", [
-    ("pentagon", "1/8", 8), ("pentagon", "19/100", 11), ("z2sq-z2", "1/5", 13)])
+def _zeta_check_pin(name, q, radius):
+    """The pinned stdout of a zeta-check shape, or its SHA-256."""
+    if radius == 8:
+        return ZETA_CHECK_PINS[name, q]
+    return {**ZETA_CHECK_DEEP_PINS, **ZETA_CHECK_CERTIFY_PINS}[name, q, radius]
+
+
+@pytest.mark.parametrize("name,q,radius", sorted(
+    [(name, q, 8) for name, q in ZETA_CHECK_PINS]
+    + list(ZETA_CHECK_DEEP_PINS) + list(ZETA_CHECK_CERTIFY_PINS)))
 def test_zeta_check_fields_do_not_depend_on_blas_threads(tmp_path, name, q,
                                                          radius):
-    """Only the residual of the dense product P @ P may read differently
-    with one and with two OpenBLAS threads."""
+    """The whole report, residual included, reads the same bytes with one,
+    two and four OpenBLAS threads, and those are the pinned bytes."""
     argv = ["zeta-check", "--group", str(GROUPS / f"{name}.json"), "--q", q,
             "--radius", str(radius), "--format", "json"]
-    reports = []
-    for threads in ("1", "2"):
+    pin = _zeta_check_pin(name, q, radius)
+    for threads in ("1", "2", "4"):
         got, out, err, _, _ = run_subprocess(argv, tmp_path,
                                              OPENBLAS_NUM_THREADS=threads)
         assert (got, err) == (0, "")
-        report = json.loads(out)
-        del report["projection_residual"]
-        reports.append(report)
-    assert reports[0] == reports[1]
+        assert pin in (out, hashlib.sha256(out.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name,q,radius", [
+    ("pentagon", "1/100", 8), ("free3", "1/35", 10),
+    ("pentagon", "1/1000000", 4)])
+def test_zeta_check_passes_where_float_residual_topped_bound(tmp_path, name,
+                                                             q, radius):
+    """Valid certificates that a float test of the residual against the
+    bound once failed: residual and bound agreed to 6-8 digits (at q = 1e-6
+    the float bound read 0.0)."""
+    got, out, err, _, _ = run_subprocess(
+        ["zeta-check", "--group", str(GROUPS / f"{name}.json"), "--q", q,
+         "--radius", str(radius), "--format", "json"], tmp_path)
+    report = json.loads(out)
+    assert (got, err, report["passed"]) == (0, "", True)
+    assert 0 < report["projection_residual"] < report["projection_bound"]
+
+
+def test_zeta_check_passes_on_q_sweep(capsys):
+    """Every q = 1/k below rho, k = 3..59 and six larger k, on the three
+    named systems at radius 4 to 10: passed, and the printed residual is
+    no greater than the printed bound."""
+    runs = 0
+    for name, system in named_systems().items():
+        info = rho_info(system)
+        for k in [*range(3, 60), 100, 200, 500, 1000, 10**4, 10**6]:
+            if not info.q_below_rho(Fraction(1, k)):
+                continue
+            for radius in (4, 6, 8, 10):
+                code, out, _ = run(capsys, [
+                    "zeta-check", "--group", str(GROUPS / f"{name}.json"),
+                    "--q", f"1/{k}", "--radius", str(radius),
+                    "--format", "json"])
+                report = json.loads(out)
+                assert (code, report["passed"]) == (0, True), (name, k, radius)
+                assert (report["projection_residual"]
+                        <= report["projection_bound"])
+                runs += 1
+    assert runs == 756

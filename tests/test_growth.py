@@ -897,6 +897,38 @@ def test_commutators_match_dense_oracle(monkeypatch):
         assert rep.commutator_max == pytest.approx(expected, rel=1e-12)
 
 
+def test_exact_fields_match_dense_oracle(monkeypatch):
+    """The residual ||P @ P - P||_2 and the Rayleigh quotient
+    zeta^T M zeta / zeta^T zeta, taken in floats on the real M_h as the
+    certificate once did, agree with the fields read off x = W_h / W(q)."""
+    real, drawn = growth._table_phases, []
+
+    def keep_m_h(*args):
+        out = real(*args)
+        drawn.append(out[2].copy())
+        return out
+
+    monkeypatch.setattr(growth, "_table_phases", keep_m_h)
+    rng, graphs = random.Random(33), []
+    while len(graphs) < 20:
+        system = random_system(rng)
+        if system.irreducible and system.n >= 3:
+            graphs.append((system, 4 + len(graphs) % 3))
+    named = [(system, radius) for system in named_systems().values()
+             for radius in range(4, 10)]
+    for system, radius in named + graphs:
+        q = Fraction(rho(system) / 2).limit_denominator(1000)
+        rep = verify_central_projection(system, q, radius)
+        m_h = drawn[-1]
+        p_mat, zeta = m_h / rep.w_q, m_h[:, 0]      # column of the identity
+        residual = float(np.linalg.norm(p_mat @ p_mat - p_mat, 2))
+        rayleigh = float(zeta @ (m_h @ zeta)) / float(zeta @ zeta)
+        assert rep.scaling_identity_exact
+        assert rep.projection_residual == pytest.approx(residual, rel=1e-12)
+        assert rep.rayleigh_estimate == pytest.approx(rayleigh, rel=1e-12)
+        assert rep.projection_residual < rep.projection_bound
+
+
 def test_projection_residual_decreases(z2sq_z2):
     q = Fraction(3, 10)
     r6 = verify_central_projection(z2sq_z2, q, 6)
@@ -935,7 +967,7 @@ def test_projection_scaling_checks_count(named_systems):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_projection_scaling_identity_detects_flipped_descent(
-        monkeypatch, free3, s):
+        monkeypatch, capsys, tmp_path, free3, s):
     # word 's' has s as its only right descent: flip a true and a false flag
     build = CoxeterSystem.ball_table
 
@@ -950,6 +982,14 @@ def test_projection_scaling_identity_detects_flipped_descent(
     monkeypatch.setattr(CoxeterSystem, "ball_table", flipped)
     rep = verify_central_projection(free3, Fraction(1, 4), 6)
     assert not rep.scaling_identity_exact
+    path = tmp_path / "free3.json"
+    path.write_text(json.dumps({"generators": list(free3.names),
+                                "commuting_pairs": []}))
+    code = main(["zeta-check", "--group", str(path), "--q", "1/4",
+                 "--radius", "6", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (report["scaling_identity_exact"], report["passed"]) == (False, False)
 
 
 def test_projection_cap_below_one_is_input_error(pentagon):
