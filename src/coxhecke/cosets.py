@@ -374,8 +374,9 @@ def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     special = [graph.index(w) for w in inside]
     labels = graph.component_label
     sizes = np.bincount(labels)
-    core = [i for i, w in enumerate(graph.vertices)
-            if len(w) <= radius - slack and i not in special]
+    end = bisect.bisect_left(graph.vertices, (radius - slack + 1,),
+                             key=Element.sort_key)
+    core = [i for i in range(end) if i not in special]  # to level r - slack
     big_label = labels[core[0]] if core else None
     failures = [graph.vertices[i] for i in core if labels[i] != big_label]
     # expected isolated: a singleton component, with no edges in the ball

@@ -407,7 +407,7 @@ class CoxeterSystem:
         descent = np.zeros((self.n, len(lengths)), dtype=bool)
         commutes = ((np.array(self._comm, dtype=np.int64)[:, None]
                      >> np.arange(self.n)) & 1).astype(bool)
-        for lo, hi in _level_rows(lengths, len(lengths)):
+        for lo, hi in _level_rows(lengths):
             child = np.arange(lo, hi)
             up, t = parent[lo:hi], last[lo:hi]
             for s in range(self.n):
@@ -501,32 +501,22 @@ class CoxeterSystem:
 
         # Deletion: a non-reduced word equals itself with two letters removed.
         deletion_applies = len(elem) < n
-        deletion_holds = not deletion_applies
-        deletion_witness = None
-        if deletion_applies:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    shorter = letters[:i] + letters[i + 1:j] + letters[j + 1:]
-                    if self.normalize(shorter) == elem:
-                        deletion_witness = (i, j)
-                        deletion_holds = True
-                        break
-                if deletion_holds:
-                    break
+        deletion_witness = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n)
+             if self.normalize(letters[:i] + letters[i + 1:j] + letters[j + 1:])
+             == elem), None) if deletion_applies else None
+        deletion_holds = not deletion_applies or deletion_witness is not None
 
         # Exchange: if the word is reduced and s shortens it on the left,
         # then sw equals the word with one letter removed.
         reduced = len(elem) == n
         sw = self.multiply(self.normalize((s,)), elem)
         exchange_applies = reduced and len(sw) < n + 1
-        exchange_holds = not exchange_applies
-        exchange_witness = None
-        if exchange_applies:
-            for i in range(n):
-                if self.normalize(letters[:i] + letters[i + 1:]) == sw:
-                    exchange_witness = i
-                    exchange_holds = True
-                    break
+        exchange_witness = next(
+            (i for i in range(n)
+             if self.normalize(letters[:i] + letters[i + 1:]) == sw),
+            None) if exchange_applies else None
+        exchange_holds = not exchange_applies or exchange_witness is not None
 
         # Folding: if sw and wt are reduced, then swt = w or swt is reduced.
         wt = self.multiply(elem, self.normalize((t,)))
@@ -569,12 +559,17 @@ class CoxeterSystem:
                 f"commuting={pairs})")
 
 
-def _level_rows(lengths: np.ndarray, end: int) -> Iterator[tuple[int, int]]:
-    """Row ranges ``(lo, hi)`` of levels 1, 2, ... among the first ``end``
-    rows of a ball in ball order."""
-    starts = np.searchsorted(lengths[:end],
-                             np.arange(1, int(lengths[end - 1]) + 2)).tolist()
-    return zip(starts, starts[1:])
+def _level_ends(lengths: np.ndarray) -> np.ndarray:
+    """The end row of each level 0..lengths[-1] of a ball in ball order, or
+    of a prefix of one: level k holds rows ends[k - 1]:ends[k]."""
+    top = lengths[-1] + 1 if len(lengths) else 0
+    return np.searchsorted(lengths, np.arange(top), side="right")
+
+
+def _level_rows(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Row ranges ``(lo, hi)`` of levels 1, 2, ... of a ball or its prefix."""
+    ends = _level_ends(lengths).tolist()
+    return zip(ends, ends[1:])
 
 
 def _tree_words(parent: np.ndarray, last: np.ndarray) -> list[Word]:
@@ -612,9 +607,8 @@ class BallTable(NamedTuple):
         ``descent[s, i]`` the left descents.  For z = z't, sz = (sz')t is
         read from the right table at the row of sz', which lies in the ball
         since |sz'| <= |z|."""
-        end = len(self.lengths) if end is None else end
         left = self.right[:, :end].copy()   # row 0: se = es; levels follow
-        for lo, hi in _level_rows(self.lengths, end):
+        for lo, hi in _level_rows(self.lengths[:end]):
             left[:, lo:hi] = self.right[self.last[lo:hi],
                                         left[:, self.parent[lo:hi]]]
         descent = (left >= 0) & (self.lengths[left] < self.lengths[:end])
@@ -623,7 +617,7 @@ class BallTable(NamedTuple):
     def supports(self) -> np.ndarray:
         """Support bitmasks, level by level: supp(z't) = supp(z') | bit(t)."""
         supp = np.zeros(len(self.lengths), dtype=np.int64)
-        for lo, hi in _level_rows(self.lengths, len(self.lengths)):
+        for lo, hi in _level_rows(self.lengths):
             supp[lo:hi] = supp[self.parent[lo:hi]] | (1 << self.last[lo:hi])
         return supp
 

@@ -39,7 +39,7 @@ from functools import cache
 import numpy as np
 
 from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
-                      _component, _level_rows)
+                      _component, _level_ends, _tree_words)
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
 from .laurent import (LaurentPoly, _has_root_up_to, _poly_add, _poly_eval,
@@ -122,15 +122,11 @@ def growth_series(system: CoxeterSystem) -> RationalSeries:
     if cached is not None:
         return cached
     cliques = _clique_polynomial(system)
-    omega = len(cliques) - 1                    # the clique number
-    powers = [[1]]                              # (1 + t)^0 .. (1 + t)^omega
-    for _ in range(omega):
-        powers.append(_poly_mul(powers[-1], [1, 1]))
-    den = []
-    for k, c in enumerate(cliques):
-        term = [(-1) ** k * c * x for x in powers[omega - k]]
-        den = _poly_add(den, [0] * k + term)
-    series = RationalSeries(tuple(powers[omega]), tuple(den))
+    num, den = [1], [cliques[0]]    # (1+t)^k, Q_k = Q_{k-1} (1+t) + c_k (-t)^k
+    for k, c in enumerate(cliques[1:], 1):
+        num = _poly_mul(num, [1, 1])
+        den = _poly_add(_poly_mul(den, [1, 1]), [0] * k + [(-1) ** k * c])
+    series = RationalSeries(tuple(num), tuple(den))
 
     # hard postcondition: closed form must reproduce the automaton's counts
     observed = list(system._sphere_sizes(VALIDATION_DEPTH))
@@ -401,18 +397,23 @@ def zeta_symbol(system: CoxeterSystem, q, radius: int,
             "zeta needs q <= 1; apply the duality isomorphism and classify "
             "at 1/q instead")
     sq = float_q(q)[1]
-    ball = system.ball(radius, max_elements)
-    values = np.array([sq ** len(w) for w in ball])
-    partials = []
-    acc = 0.0
-    cur_len = 0
-    for w, v in zip(ball, values):
-        if len(w) != cur_len:
-            partials.append(acc)
-            cur_len = len(w)
-        acc += v * v
-    partials.append(acc)
-    return ZetaVector(system, q, radius, tuple(ball), values, tuple(partials))
+    lengths, parent, last = system._ball_levels(radius, max_elements)
+    values = np.array([sq ** k for k in range(int(lengths[-1]) + 1)])[lengths]
+    partials = tuple(np.cumsum(values * values)[_level_ends(lengths) - 1])
+    elements = tuple(Element(system, w) for w in _tree_words(parent, last))
+    return ZetaVector(system, q, radius, elements, values, partials)
+
+
+def _symbol_radius(system: CoxeterSystem, xi: dict) -> int:
+    """The longest key of the symbol xi (0 for none), each one checked to
+    be an element of ``system`` in the same pass, with no call per key."""
+    radius = 0
+    for w in xi:
+        if w.system is not system:
+            raise InputError("element belongs to a different Coxeter system")
+        if len(w.word) > radius:
+            radius = len(w.word)
+    return radius
 
 
 def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
@@ -426,8 +427,7 @@ def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
     than the longest key minus 2 is skipped: its sws is outside xi.
     """
     s = system.generator_index(s)
-    system._check_own(*xi)
-    cut = max((len(w.word) for w in xi), default=0) - 2
+    cut = _symbol_radius(system, xi) - 2
     witnesses = []
     for w in xi:
         if len(w.word) > cut:
@@ -455,7 +455,8 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
     Every coset element dwd' in the domain of xi must carry the value
     xi(w0) u^{|dwd'| - |w0|}, where w0 is the shortest representative;
     values are Laurent polynomials in u and are compared exactly.  The
-    coset is walked on words up to the length of the longest key.
+    coset is walked on words up to the length of the longest key; a key
+    of another system raises ``InputError``.
     """
     info = shortest_rep(system, pair, w)
     if not info.nondegenerate:
@@ -465,8 +466,7 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
     w0 = info.w0
     if w0 not in xi:
         raise InputError("the coset's shortest element is outside the symbol")
-    radius = max(len(v.word) for v in xi)
-    base = xi[w0]
+    radius, base = _symbol_radius(system, xi), xi[w0]
     witnesses = [v for v in coset_elements(system, info, radius)
                  if v in xi
                  and xi[v] != base * LaurentPoly.u_power(len(v) - len(w0))]
@@ -563,11 +563,12 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
     of its first rows only, and (c) its left table of ball(h - 1)."""
     table = system.ball_table(radius, max_elements)
     lengths, parent, last, idx, desc = table
+    ends = _level_ends(lengths).tolist()
 
     # (a) formal scaling identity on interior vertices, a generator row at a
     # time: for xi = u^{|w|} and p = u - 1/u, xi(ws) + [s descent] p xi(w) =
     # u xi(w) iff ws is in the ball with |ws| = |w| - 1 on a descent, else + 1
-    n_in = int(np.count_nonzero(lengths <= radius - 1))
+    n_in = ends[radius - 1]
     exact_ok = all(np.all((idx[s, :n_in] >= 0) & (lengths[idx[s, :n_in]]
                    == lengths[:n_in] + np.where(desc[s, :n_in], -1, 1)))
                    for s in range(system.n))
@@ -576,16 +577,15 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
     # The column of w = w't is its parent's column times t, needed up to
     # length 2h - |w|; M_h is filled from one level of columns at a time.
     h = radius // 2
-    ends = np.searchsorted(lengths, np.arange(2 * h + 1), side="right")
-    n_h, n_b = int(ends[h]), int(ends[2 * h - 1])
+    n_h, n_b = ends[h], ends[2 * h - 1]
     zeta = sq ** lengths[:ends[2 * h]].astype(float)
-    left = table.left(int(ends[h - 1]))
+    left = table.left(ends[h - 1])
     idx, desc = idx[:, :n_b].copy(), desc[:, :n_b].copy()
-    lengths, parent, last = (a[:n_h].copy() for a in (lengths, parent, last))
-    del table
+    parent, last = parent[:n_h].copy(), last[:n_h].copy()
+    del table, lengths
     m_h, above = np.empty((n_h, n_h)), zeta[None, :]
     m_h[:, 0] = zeta[:n_h]
-    for k, (lo, hi) in enumerate(_level_rows(lengths, n_h), 1):
+    for k, (lo, hi) in enumerate(zip(ends[:h], ends[1:h + 1]), 1):
         end = ends[2 * h - k]
         level = np.empty((hi - lo, end))
         for j in range(lo, hi):     # the level above ends at row lo
@@ -594,7 +594,7 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
                              + p * above[i, :end] * desc[last[j], :end])
         m_h[:, lo:hi] = level[:, :n_h].T
         above = level
-    spheres = np.bincount(lengths[:n_h], minlength=h + 1).tolist()
+    spheres = np.diff(ends[:h + 1], prepend=0).tolist()
     return exact_ok, n_in, m_h, spheres, *left
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import random
 
+import numpy as np
 import pytest
 
 from coxhecke import (CoxeterSystem, DomainError, DoubleCosetInfo, Element,
@@ -12,9 +13,9 @@ from coxhecke import (CoxeterSystem, DomainError, DoubleCosetInfo, Element,
                       check_symbol_commutation, double_coset_symbol_check,
                       gamma_neighbors, shortest_rep,
                       verify_component_structure)
-from coxhecke.cosets import (_component_report, coset_elements,
-                             coset_nondegenerate, dihedral_words,
-                             edge_generators)
+from coxhecke.cosets import (ComponentReport, _component_report,
+                             coset_elements, coset_nondegenerate,
+                             dihedral_words, edge_generators)
 from coxhecke.verify import random_system, suite_cosets
 
 from conftest import oracle_symbol_commutation
@@ -395,6 +396,39 @@ def test_isolation_read_from_component_labels(named_systems):
         rep = _component_report(unread, 2)
         assert rep.big_component_size == max(
             map(len, g.components()))
+
+
+def oracle_component_report(graph, slack):
+    """_component_report as it found its core before it bisected the ball
+    order, by testing every vertex's length; kept as its oracle."""
+    system, radius = graph.system, graph.radius
+    exceptional = [system.identity]
+    z2gen = system.free_z2_factor_generator()
+    if z2gen is not None:
+        exceptional.append(system.element([z2gen]))
+    inside = [w for w in exceptional if len(w) <= radius]
+    special = [graph.index(w) for w in inside]
+    labels = graph.component_label
+    sizes = np.bincount(labels)
+    core = [i for i, w in enumerate(graph.vertices)
+            if len(w) <= radius - slack and i not in special]
+    big_label = labels[core[0]] if core else None
+    failures = [graph.vertices[i] for i in core if labels[i] != big_label]
+    failures += [w for w, i in zip(inside, special) if sizes[labels[i]] > 1]
+    return ComponentReport(
+        radius=radius, slack=slack, passed=not failures,
+        exceptional=tuple(exceptional), n_components=graph.n_components,
+        big_component_size=int(sizes[big_label]) if core else 0,
+        core_size=len(core), failures=tuple(failures))
+
+
+def test_component_report_matches_length_scan_oracle(named_systems):
+    for sys in named_systems.values():
+        for radius in range(9):
+            graph = build_gamma_ball(sys, radius)
+            for slack in range(6):
+                assert _component_report(graph, slack) == \
+                    oracle_component_report(graph, slack)
 
 
 def test_shortest_rep_steps_without_descent_sets(named_systems, monkeypatch):

@@ -561,6 +561,17 @@ def test_ball_table_int32_random_graphs():
 
 
 
+def test_level_ends_match_sphere_count_cumsum():
+    """The end row of each level is the running total of the sphere
+    counts, on 60 seeded balls and on a prefix of each."""
+    rng = random.Random(34)
+    for _ in range(60):
+        lengths = random_system(rng, 9).ball_table(rng.randint(0, 5)).lengths
+        for end in (len(lengths), rng.randint(1, len(lengths))):
+            expected = np.cumsum(np.bincount(lengths[:end]))
+            assert (coxeter._level_ends(lengths[:end]) == expected).all()
+
+
 def assert_left_table_matches_mult_gen(sys, radius):
     """Left table (index and descent) and support masks against mult_gen,
     on the whole ball and on a prefix."""
@@ -580,6 +591,7 @@ def assert_left_table_matches_mult_gen(sys, radius):
     prefix, prefix_descent = table.left(end)
     assert (prefix == left[:, :end]).all()
     assert (prefix_descent == descent[:, :end]).all()
+    assert [a.shape for a in table.left(0)] == [(sys.n, 0)] * 2
 
 
 @pytest.mark.parametrize("name,radius",

@@ -19,8 +19,8 @@ from coxhecke import coxeter, growth
 from coxhecke.cli import main
 from coxhecke.growth import (RationalSeries, _clique_polynomial, _locate_root,
                              component_rhos)
-from coxhecke.laurent import (_has_root_up_to, _poly_mul, _poly_trim,
-                              _sturm_chain, float_q)
+from coxhecke.laurent import (_has_root_up_to, _poly_add, _poly_mul,
+                              _poly_trim, _sturm_chain, float_q)
 from coxhecke.verify import named_systems, random_system, suite_growth
 
 from conftest import oracle_classify, oracle_symbol_commutation
@@ -102,6 +102,32 @@ def test_growth_series_lowest_terms_on_random_graphs():
                            for i, c in enumerate(series.denominator))
         assert at_minus_one != 0 or m == 0, sys
         assert m == len(_poly_trim(enumerated_clique_counts(sys))) - 1, sys
+
+
+def power_table_series(system):
+    """Numerator and denominator as the growth series was built before
+    its Horner loop, kept as an oracle: a table of (1 + t)^k, and Q as the
+    sum of the terms c_k (-t)^k (1 + t)^(omega - k)."""
+    cliques = _clique_polynomial(system)
+    omega = len(cliques) - 1
+    powers = [[1]]
+    for _ in range(omega):
+        powers.append(_poly_mul(powers[-1], [1, 1]))
+    den = []
+    for k, c in enumerate(cliques):
+        term = [(-1) ** k * c * x for x in powers[omega - k]]
+        den = _poly_add(den, [0] * k + term)
+    return tuple(powers[omega]), tuple(den)
+
+
+def test_growth_series_matches_power_table_oracle(named_systems):
+    rng = random.Random(34)
+    systems = list(named_systems.values())
+    systems += [random_system(rng, 9) for _ in range(200)]
+    for sys in systems:
+        series = growth_series(sys)
+        assert (series.numerator, series.denominator) == \
+            power_table_series(sys), sys
 
 
 def enumerated_clique_counts(system):
@@ -266,6 +292,62 @@ def test_rho_matches_grid_scan_oracle(named_systems):
     for den, info in infos.items():
         assert (info.value, info.bracket_low, info.bracket_high) == \
             grid_scan_root(den), den
+
+
+def transfer_matrix(system):
+    """The transfer matrix of the canonical-word automaton, built from the
+    commutation relation alone.  A state is the set of letters that may
+    come next; after a letter t, a letter s may follow iff s != t and
+    either s and t do not commute, or t < s and s could follow before t
+    (else s would move in front of t: a shorter or lex-smaller word)."""
+    n = system.n
+    start = frozenset(range(n))
+    index, states, edges = {start: 0}, [start], []
+    for state in states:                    # grows while it is walked
+        for t in sorted(state):
+            nxt = frozenset(s for s in range(n) if s != t and (
+                not system.commutes(s, t) or (t < s and s in state)))
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            edges.append((index[state], index[nxt]))
+    a = np.zeros((len(states), len(states)))
+    for i, j in edges:
+        a[i, j] += 1
+    return a
+
+
+def spectral_radius(a):
+    """Largest eigenvalue modulus of a nonnegative matrix, taken over its
+    strongly connected blocks: each block's Perron root is a simple
+    eigenvalue, where one of the whole matrix may sit in a Jordan block."""
+    reach = (a > 0) | np.eye(len(a), dtype=bool)
+    while True:                             # close under paths
+        nxt = (reach.astype(float) @ reach) > 0
+        if (nxt == reach).all():
+            break
+        reach = nxt
+    blocks = {tuple(np.flatnonzero(row)) for row in reach & reach.T}
+    return max(np.abs(np.linalg.eigvals(a[np.ix_(b, b)])).max()
+               for b in blocks)
+
+
+def test_rho_matches_transfer_matrix(named_systems):
+    """rho is 1 / lambda_max of the automaton's transfer matrix, on every
+    infinite component of the named systems and of 60 seeded graphs."""
+    systems = list(named_systems.values())
+    rng = random.Random(34)
+    systems += [random_system(rng, 9) for _ in range(60)]
+    checked = 0
+    for sys in systems:
+        for comp in sys.components:
+            if len(comp) == 1:
+                continue
+            sub = sys.subsystem(comp)[0]
+            lam = spectral_radius(transfer_matrix(sub))
+            assert rho_info(sub).value == pytest.approx(1 / lam, abs=1e-9), sub
+            checked += 1
+    assert checked > 40
 
 
 def test_rho_root_of_even_multiplicity():
@@ -611,6 +693,44 @@ def test_zeta_radius_zero(free3):
     assert list(zv.values) == [1.0]
 
 
+def oracle_zeta_symbol(system, q, radius):
+    """zeta_symbol's per-element loops before it read the level ends, kept
+    as its oracle: (values, partial_norm_sq, words)."""
+    sq = float_q(q)[1]
+    ball = system.ball(radius)
+    values = np.array([sq ** len(w) for w in ball])
+    partials, acc, cur_len = [], 0.0, 0
+    for w, v in zip(ball, values):
+        if len(w) != cur_len:
+            partials.append(acc)
+            cur_len = len(w)
+        acc += v * v
+    partials.append(acc)
+    return values, tuple(partials), [w.word for w in ball]
+
+
+def test_zeta_symbol_matches_per_element_oracle(named_systems, z2xz2):
+    """Bit for bit by float.hex, with the dtype and the element types, on
+    the named systems, a finite group and 60 seeded graphs, from radius 0
+    and at q = 1."""
+    rng = random.Random(34)
+    systems = [*named_systems.values(), z2xz2]
+    systems += [random_system(rng, 9) for _ in range(60)]
+
+    def hexes(xs):
+        return [(type(x), float(x).hex()) for x in xs]
+
+    for sys in systems:
+        for q in (Fraction(1), Fraction(1, 5), Fraction(19, 100)):
+            for radius in (0, 1, 3, 5 if sys.n <= 5 else 4):
+                zv = zeta_symbol(sys, q, radius)
+                values, partials, words = oracle_zeta_symbol(sys, q, radius)
+                assert zv.values.dtype == values.dtype
+                assert hexes(zv.values) == hexes(values)
+                assert hexes(zv.partial_norm_sq) == hexes(partials)
+                assert [w.word for w in zv.elements] == words
+
+
 def test_zeta_norm_converges_to_series_value(free3):
     zv = zeta_symbol(free3, Fraction(1, 4), 12)
     # W(1/4) = 1.25 / 0.5 = 2.5; geometric tail 3 (q 2)^n
@@ -706,6 +826,15 @@ def test_symbol_commutation_rejects_foreign_keys(free3):
     with pytest.raises(InputError, match="out of range"):
         check_symbol_commutation(free3, 3, {}, P_SYMBOL)
     assert check_symbol_commutation(free3, "s", {}, P_SYMBOL) == []
+
+
+def test_double_coset_check_rejects_foreign_keys(free3):
+    other = CoxeterSystem(free3.names)
+    xi = {w: LaurentPoly.u_power(len(w)) for w in free3.ball(4)}
+    xi[other.element("s t")] = LaurentPoly.u_power(2)
+    pair = InfinitePair.of(free3, "s", "t")
+    with pytest.raises(InputError, match="different Coxeter system"):
+        double_coset_symbol_check(free3, pair, free3.element("u"), xi)
 
 
 def test_double_coset_check_zeta(named_systems):
