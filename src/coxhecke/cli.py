@@ -100,14 +100,11 @@ def cmd_ball(args) -> int:
     counts = [0] * (args.radius + 1)
     for w in ball:
         counts[len(w)] += 1
-    payload = {
-        "command": "ball", "radius": args.radius,
-        "size": len(ball), "sphere_counts": counts,
-        "elements": [str(w) for w in ball],
-    }
+    names = [str(w) for w in ball]
+    payload = {"command": "ball", "radius": args.radius, "size": len(ball),
+               "sphere_counts": counts, "elements": names}
     text = "\n".join([f"ball of radius {args.radius}: {len(ball)} elements",
-                      f"sphere counts: {counts}"]
-                     + [str(w) for w in ball])
+                      f"sphere counts: {counts}"] + names)
     _emit(args, payload, text)
     return 0
 
@@ -192,14 +189,14 @@ def cmd_gamma(args) -> int:
             raise InputError(f"cannot write edge list: {exc}") from None
     payload = {
         "command": "gamma", "radius": args.radius, "slack": args.slack,
-        "vertices": len(graph.vertices), "edges": len(graph.edges),
+        "vertices": len(graph.component_label), "edges": len(graph.edges),
         "components": graph.n_components,
         "passed": report.passed,
         "exceptional": [str(w) for w in report.exceptional],
         "big_component_size": report.big_component_size,
     }
     text = "\n".join([
-        f"graph on ball of radius {args.radius}: {len(graph.vertices)} "
+        f"graph on ball of radius {args.radius}: {len(graph.component_label)} "
         f"vertices, {len(graph.edges)} edges, {graph.n_components} components",
         report.summary(),
     ])

@@ -24,14 +24,14 @@ inside E_s.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
-                      _bits)
+from .coxeter import (LEFT, RIGHT, BallTable, CoxeterSystem, Element,
+                      DEFAULT_MAX_BALL, _bits)
 from .errors import CapacityError, DomainError, InputError
 
 
@@ -235,26 +235,32 @@ def _component_labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class GammaBallGraph:
     """The interaction graph restricted to a metric ball.
 
-    Vertices are the ball elements in canonical order; edges are unordered
-    index pairs, kept only when both endpoints lie in the ball.  Component
-    labels are contiguous integers in order of first appearance.
+    Vertices are the rows of the ball's table, spelled as elements when
+    first read; edges are unordered index pairs, kept only when both
+    endpoints lie in the ball.  Component labels are contiguous integers
+    in order of first appearance.
     """
     system: CoxeterSystem
     radius: int
-    vertices: tuple[Element, ...]
+    table: BallTable = field(repr=False, compare=False)
     edges: frozenset[tuple[int, int]]
     component_label: tuple[int, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[Element, ...]:
+        return tuple(Element(self.system, w) for w in self.table.words())
 
     @property
     def n_components(self) -> int:
         return max(self.component_label) + 1 if self.component_label else 0
 
     def index(self, w: Element) -> int:
-        """Position of w among the vertices, by bisection on their
-        (length, ShortLex) order; ValueError if w is not a vertex."""
-        i = bisect.bisect_left(self.vertices, w.sort_key(),
-                               key=Element.sort_key)
-        if i == len(self.vertices) or self.vertices[i] != w:
+        """Row of w in the table, by the right steps of its letters from
+        the identity's row; ValueError if w is not a vertex."""
+        i = 0 if w.system is self.system else -1
+        for s in w.word:
+            i = int(self.table.right[s, i]) if i >= 0 else -1
+        if i < 0:
             raise ValueError(f"{w} is not a vertex of the ball")
         return i
 
@@ -276,8 +282,9 @@ class GammaBallGraph:
 
     def write_edge_list(self, stream):
         """One 'u v' pair per line using canonical word strings."""
+        names = [self.system.word_str(w) for w in self.table.words()]
         for i, j in sorted(self.edges):
-            stream.write(f"{self.vertices[i]} {self.vertices[j]}\n")
+            stream.write(f"{names[i]} {names[j]}\n")
 
 
 def build_gamma_ball(system: CoxeterSystem, radius: int,
@@ -306,8 +313,7 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
     keys = np.unique(np.concatenate(keys))
     lo, hi = keys // size, keys % size
     labels = _component_labels(size, lo, hi)
-    return GammaBallGraph(system, radius,
-                          tuple(Element(system, w) for w in table.words()),
+    return GammaBallGraph(system, radius, table,
                           frozenset(zip(lo.tolist(), hi.tolist())),
                           tuple(labels.tolist()))
 
@@ -374,8 +380,7 @@ def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     special = [graph.index(w) for w in inside]
     labels = graph.component_label
     sizes = np.bincount(labels)
-    end = bisect.bisect_left(graph.vertices, (radius - slack + 1,),
-                             key=Element.sort_key)
+    end = np.searchsorted(graph.table.lengths, radius - slack, side="right")
     core = [i for i in range(end) if i not in special]  # to level r - slack
     big_label = labels[core[0]] if core else None
     failures = [graph.vertices[i] for i in core if labels[i] != big_label]

@@ -179,14 +179,9 @@ class CoxeterSystem:
         """
         if self.n < 2:
             return None
-        for s in range(self.n):
-            if self._comm[s] != 0:
-                continue
-            rest = [i for i in range(self.n) if i != s]
-            if all(self.commutes(i, j) for k, i in enumerate(rest)
-                   for j in rest[k + 1:]):
-                return s
-        return None
+        return next((s for s in range(self.n) if self._comm[s] == 0
+                     and all(self._cmask[i] == self._full ^ (1 << s)
+                             for i in range(self.n) if i != s)), None)
 
     def subsystem(self, indices: Sequence[int]) -> tuple["CoxeterSystem", tuple[int, ...]]:
         """Restriction to a subset of generators, with the index embedding.

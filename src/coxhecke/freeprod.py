@@ -274,7 +274,7 @@ def cross_validate_with_rho(spec: FreeFactorSpec, q) -> CrossValidation:
     the atomic part is a single point iff the classification reports a
     factor plus a one-dimensional summand.
     """
-    q = Fraction(q)
+    q = positive_q(q)
     system = spec.system()
     condition = closed_form_condition(spec, q)
     report = classify(system, q)

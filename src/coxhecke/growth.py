@@ -161,7 +161,7 @@ class RhoInfo:
         """Exact decision of q < rho for rational q > 0: the denominator
         has no root in (0, q].  The bracket decides q outside its cell; the
         Sturm chain counts q inside it, or any q when rho is inf."""
-        q = Fraction(q)
+        q = positive_q(q)
         if self.bracket_low is not None and not \
                 self.bracket_low < q < self.bracket_high:
             return q <= self.bracket_low

@@ -489,9 +489,10 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     if side not in (LEFT, RIGHT):
         raise InputError(f"side must be {LEFT!r} or {RIGHT!r}")
     sys = a.system
-    if any(w.system is not sys for w in ball):
+    words = [w.word for w in ball if w.system is sys]
+    if len(words) < len(ball):
         raise InputError("elements live over different Coxeter systems")
-    r = max((len(w) for w in ball), default=0)
+    r = max(map(len, words), default=0)
     m = max(map(len, a._num), default=0)
     entry = _action_table(sys, r + m)
     if entry is None:
@@ -501,7 +502,7 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
 
     n = len(ball)
     cols = np.arange(n)
-    where = np.array([index[w.word] for w in ball], dtype=np.int64)
+    where = np.array([index[w] for w in words], dtype=np.int64)
     if side == LEFT:
         parts = [(cols[:0], cols[:0], np.zeros(0))]     # for the zero element
         for v, c in a._num.items():

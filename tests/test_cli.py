@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from coxhecke.cli import main, parse_q
+from coxhecke.coxeter import CoxeterSystem, Element
 from coxhecke.groupfile import load_system
 from coxhecke.growth import rho_info
 from coxhecke.verify import named_systems
@@ -110,6 +111,23 @@ def test_ball(capsys):
     assert code == 0
     assert "10 elements" in out
     assert "s.t" in out
+
+
+def test_ball_spells_each_element_once(capsys, monkeypatch):
+    """The payload and the text share one list of names, so each format
+    formats every element once."""
+    size = len(load_system(PENTAGON).ball(4))
+    calls = []
+    word_str = CoxeterSystem.word_str
+    monkeypatch.setattr(CoxeterSystem, "word_str",
+                        lambda self, word: calls.append(word)
+                        or word_str(self, word))
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, ["ball", "--group", PENTAGON, "--radius",
+                                    "4", "--format", fmt])
+        assert code == 0 and f"{size}" in out
+        assert len(calls) == size
 
 
 # Recorded before the sphere counts were read off the ball: a finite
@@ -537,6 +555,25 @@ def test_gamma_rejects_negative_slack(capsys):
                                   "--slack", "-1"])
     assert code == 2 and out == ""
     assert "slack must be nonnegative" in err
+
+
+def test_gamma_builds_no_element_per_vertex(capsys, monkeypatch, tmp_path):
+    """gamma counts its vertices by their labels and writes the edge list
+    from the table's words: the only elements it builds are the expected
+    isolated ones."""
+    built = []
+    init = Element.__init__
+    monkeypatch.setattr(Element, "__init__", lambda self, *args:
+                        built.append(args) or init(self, *args))
+    edges = tmp_path / "edges.txt"
+    for path in (PENTAGON, Z2SQ_Z2, FREE3):
+        built.clear()
+        code, out, _ = run(capsys, ["gamma", "--group", path, "--radius", "6",
+                                    "--format", "json",
+                                    "--edges-out", str(edges)])
+        doc = json.loads(out)
+        assert code == 0 and doc["vertices"] > 50
+        assert len(built) <= len(doc["exceptional"])
 
 
 # hecke stdout byte for byte, text and JSON: a rational multi-term product,

@@ -355,6 +355,35 @@ def test_gamma_vertex_index(z2sq_z2):
         g.index(z2sq_z2.element("s t s t s"))
 
 
+def test_gamma_index_follows_the_right_table(named_systems):
+    """index(w) is the row w's letters reach by right steps from the
+    identity's row: every vertex of the named systems at radius 0-6 and of
+    20 seeded graphs at radius 4."""
+    cases = [(sys, r) for sys in named_systems.values() for r in range(7)]
+    rng = random.Random(36)
+    cases += [(random_system(rng), 4) for _ in range(20)]
+    for sys, radius in cases:
+        g = build_gamma_ball(sys, radius)
+        for i, w in enumerate(sys.ball(radius)):
+            assert g.index(w) == i
+        assert "vertices" not in g.__dict__     # spelled only when read
+
+
+def test_gamma_index_refuses_outside_and_foreign_elements(named_systems,
+                                                          free3):
+    for sys in named_systems.values():
+        g = build_gamma_ball(sys, 3)
+        for w in sys.ball(5)[len(sys.ball(3)):]:
+            with pytest.raises(ValueError, match="not a vertex"):
+                g.index(w)
+    g = build_gamma_ball(free3, 3)
+    twin = CoxeterSystem(free3.names)           # same words, another system
+    wide = CoxeterSystem([f"g{i}" for i in range(9)])
+    for w in (twin.identity, twin.element([0, 1]), wide.element([8])):
+        with pytest.raises(ValueError, match="not a vertex"):
+            g.index(w)
+
+
 def test_verify_suite_checks_support_rule():
     for seed in (0, 1):
         result = suite_cosets(seed)

@@ -284,3 +284,9 @@ def test_freeness_partition_validation(z2sq_z2, free3):
         freeness_test(free3, [("s",), ("t",)], 3)
     with pytest.raises(InputError):
         freeness_test(free3, [("s", "t"), ("t", "u")], 3)
+
+
+@pytest.mark.parametrize("q", [0, -1, math.nan, math.inf])
+def test_cross_validation_takes_q_through_positive_q(q):
+    with pytest.raises(InputError, match="q must be positive"):
+        cross_validate_with_rho(FreeFactorSpec((2, 1)), q)

@@ -1140,3 +1140,12 @@ def test_projection_peak_below_twice_the_table(pentagon):
     finally:
         tracemalloc.stop()
     assert peak < 2 * table_bytes
+
+
+@pytest.mark.parametrize("q", [0, -1, Fraction(-1, 3), math.nan, math.inf,
+                               -math.inf])
+def test_q_below_rho_takes_q_through_positive_q(pentagon, q):
+    """q <= 0 and non-finite floats are refused as every exact reader of q
+    refuses them, not answered or raised from Fraction."""
+    with pytest.raises(InputError, match="q must be positive"):
+        rho_info(pentagon).q_below_rho(q)
