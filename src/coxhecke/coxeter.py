@@ -283,7 +283,8 @@ class CoxeterSystem:
             out = self._fold((s,), word)
             return out, len(out) - len(word)
         comm = self._comm[s]
-        i = len(word) - 1
+        n = len(word)
+        i = n - 1
         while i >= 0:
             t = word[i]
             if t == s:
@@ -293,8 +294,10 @@ class CoxeterSystem:
                 break
             i -= 1
         i += 1
-        while i < len(word) and word[i] < s:
+        while i < n and word[i] < s:
             i += 1
+        if i == n:
+            return word + (s,), +1
         return word[:i] + (s,) + word[i:], +1
 
     def _fold(self, word: Word, letters: Iterable[int]) -> Word:

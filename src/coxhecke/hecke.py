@@ -16,10 +16,12 @@ all, so equal elements are held alike; arithmetic works on that form, and
 ``terms`` ({Element: LaurentPoly}) is built from it on first read.
 
 Both modes peel with right steps on canonical words:
-T_x T_s = T_{xs}, plus p T_x on a descent.  Exact products peel each
-word of b, in one pass, on the right of all of a's numerators; they take
-no adjoint, because inverting the inputs and every output word costs
-more steps than peeling the shorter factor saves (descents are rare).
+T_x T_s = T_{xs}, plus p T_x on a descent; a lone term is stepped alone
+until its first descent, in the same steps, so :func:`mul`'s count
+stands.  Exact products peel each word of b, in one pass, on the right
+of all of a's numerators; they take no adjoint, because inverting the
+inputs and every output word costs more steps than peeling the shorter
+factor saves (descents are rare).
 Numeric products peel each term's v^-1 on the right of b^*, through the
 adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*: it maps each intermediate sum
 onto that of peeling v on the left of b, and a step gives a target at
@@ -87,7 +89,7 @@ class HeckeElement:
         """{Element: coefficient}, built on the first read and kept."""
         if self._terms is None:
             d, exact = self._den, self.q is None
-            object.__setattr__(self, "_terms", {
+            _set_terms(self, {
                 Element(self.system, w): _from_numerators(c, d) if exact else c
                 for w, c in self._num.items()})
         return self._terms
@@ -213,14 +215,19 @@ class HeckeElement:
         return f"HeckeElement[{self.mode}]({self})"
 
 
+#: The slots' setters, which bypass the refusing ``__setattr__``.
+_set_system, _set_q, _set_den, _set_num, _set_terms = (
+    HeckeElement.__dict__[k].__set__ for k in HeckeElement.__slots__)
+
+
 def _make(system: CoxeterSystem, q, den, num) -> HeckeElement:
     """The element with the coefficients ``num`` over ``den``, unchecked."""
-    out, put = object.__new__(HeckeElement), object.__setattr__
-    put(out, "system", system)
-    put(out, "q", q)
-    put(out, "_den", den)
-    put(out, "_num", num)
-    put(out, "_terms", None)
+    out = object.__new__(HeckeElement)
+    _set_system(out, system)
+    _set_q(out, q)
+    _set_den(out, den)
+    _set_num(out, num)
+    _set_terms(out, None)
     return out
 
 
@@ -230,7 +237,7 @@ def _canonical(den: int, num: dict) -> tuple[int, dict]:
     the entries runs only when one is zero or the factor is not 1."""
     g = 1 if den == 1 else math.gcd(den, *(n for c in num.values()
                                            for n in c.values()))
-    if g != 1 or not all(c and 0 not in c.values() for c in num.values()):
+    if g != 1 or any(not c or 0 in c.values() for c in num.values()):
         num = {w: c for w, c in ((w, {e: n // g for e, n in c.items() if n})
                                  for w, c in num.items()) if c}
     return den // g, num
@@ -272,8 +279,21 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> di
     """Multiply {canonical word: coefficient} on the right by T_s for each
     s in ``letters``: T_x T_s = T_xs, plus times_p(c) T_x on a descent.  A
     step gives a target at most two contributions, so with a commutative
-    ``add`` the result does not depend on the order of the terms."""
-    step = system._step
+    ``add`` the result does not depend on the order of the terms.  A lone
+    term is stepped alone, with no dict per letter, until its first
+    descent; it takes the same steps and sums as the per-letter loop, so
+    the step count in :func:`mul` stands."""
+    step, letters = system._step, iter(letters)
+    if len(terms) == 1:
+        (x, c), = terms.items()
+        for s in letters:
+            xs, delta = step(x, s, RIGHT)
+            if delta < 0:
+                terms = {xs: c, x: times_p(c)}
+                break
+            x = xs
+        else:
+            return {x: c}
     for s in letters:
         nxt = {}
         for x, c in terms.items():
@@ -295,14 +315,21 @@ def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement
     """The exact product on the numerators of a and b: for each word w of
     b, a's numerators peeled by the letters of w, times b's numerator at
     w, are summed into one exponent dict per target, over the denominator
-    d_a d_b.  A rational p keeps its ``Fraction`` values through the same
-    sums, and the result is cleared to integers once at the end."""
+    d_a d_b; a numerator 1 at w adds the peeled ones as they are.  A
+    rational p keeps its ``Fraction`` values through the same sums, and
+    the result is cleared to integers once at the end."""
     pt = p.terms
+    times_p = lambda c: _sparse_mul_into({}, c, pt)
     result: dict[Word, dict[int, int]] = {}
     for w, cw in b._num.items():
-        for x, c in _right_peel(a.system, a._num, w, _sparse_add,
-                                lambda c: _sparse_mul_into({}, c, pt)).items():
-            _sparse_mul_into(result.setdefault(x, {}), c, cw)
+        peeled = _right_peel(a.system, a._num, w, _sparse_add, times_p)
+        if cw == {0: 1}:
+            for x, c in peeled.items():
+                acc = result.get(x)     # a copy: later words add in place
+                result[x] = dict(c) if acc is None else _sparse_add(acc, c)
+        else:
+            for x, c in peeled.items():
+                _sparse_mul_into(result.setdefault(x, {}), c, cw)
     d = a._den * b._den
     if any(type(x) is not int for x in pt.values()):
         dp, result = _numerators(result)

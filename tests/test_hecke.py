@@ -161,6 +161,20 @@ def test_copy_and_pickle(pentagon):
         assert pickle.loads(pickle.dumps(c)) == c
 
 
+def test_elements_refuse_assignment(pentagon):
+    """Exact and numeric elements, built by the constructor or as results,
+    refuse assignment to every slot and to any other name."""
+    a = parse_expression(pentagon, "2/3*T(p q) + T(r)*T(r s)")
+    numeric = HeckeElement(pentagon, {pentagon.element("p"): 0.5}, 0.37)
+    for x in (a, a.specialize(0.37), numeric, mul(numeric, numeric),
+              HeckeElement(pentagon, {pentagon.element("q"): 2})):
+        before = str(x)
+        for name in (*HeckeElement.__slots__, "terms", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        assert str(x) == before and x.terms is x.terms
+
+
 def assert_basis_product_matches_oracle(sys, v, w):
     """T_v T_w against the unnormalized recursion, through the rescaling
     T~_x = u^{|x|} T_x."""
@@ -213,6 +227,19 @@ def test_oracle_equivalence_unequal_lengths():
                 assert_basis_product_matches_oracle(sys, v, w)
 
 
+def count_steps(monkeypatch) -> list:
+    """The sides of the ``_step`` calls made from now on."""
+    sides = []
+    step = CoxeterSystem._step
+
+    def counted(self, word, s, side):
+        sides.append(side)
+        return step(self, word, s, side)
+
+    monkeypatch.setattr(CoxeterSystem, "_step", counted)
+    return sides
+
+
 def test_exact_products_take_right_steps_only(monkeypatch):
     """Exact products peel the right factor on the right of the left one
     and take no left step; neither do numeric products, which peel every
@@ -223,14 +250,7 @@ def test_exact_products_take_right_steps_only(monkeypatch):
         sys = random_system(rng)
         pairs.append((random_element_of_length(rng, sys, rng.randint(1, 3)),
                       random_element_of_length(rng, sys, rng.randint(4, 8))))
-    sides = []
-    step = CoxeterSystem._step
-
-    def counted(self, word, s, side):
-        sides.append(side)
-        return step(self, word, s, side)
-
-    monkeypatch.setattr(CoxeterSystem, "_step", counted)
+    sides = count_steps(monkeypatch)
     for v, w in pairs:
         mul(t_basis(v), t_basis(w))
         mul(t_basis(v, q=0.7), t_basis(w, q=0.7))
@@ -264,6 +284,84 @@ def test_exact_products_take_no_adjoint(monkeypatch):
         for p in (None, -P_SYMBOL, Fraction(2, 3)):
             mul(a, b, p_override=p)
     assert folds == []
+
+
+def descent_place(sys, word, letters):
+    """Which letter first shortens the word on the right as the letters
+    are applied in turn: "first", "middle", "last" or "nowhere"."""
+    for i, s in enumerate(letters):
+        word, delta = sys._step(word, s, RIGHT)
+        if delta < 0:
+            return ("first" if i == 0 else "last" if i == len(letters) - 1
+                    else "middle")
+    return "nowhere"
+
+
+def dict_peel(sys, terms, letters, p):
+    """The numeric right peel with one dict per letter, whatever the number
+    of terms."""
+    for s in letters:
+        nxt = {}
+        for x, c in terms.items():
+            xs, delta = sys._step(x, s, RIGHT)
+            nxt[xs] = c if xs not in nxt else nxt[xs] + c
+            if delta < 0:
+                nxt[x] = p * c if x not in nxt else nxt[x] + p * c
+        terms = nxt
+    return terms
+
+
+def lone_term_cases(mode):
+    """Basis pairs (v, w) on seeded random graphs, four of each place of
+    the first descent of the lone term peeled: v by w's letters in exact
+    mode, w^-1 by v's letters from the end in numeric mode."""
+    rng = random.Random(139)
+    cases = {"first": [], "middle": [], "last": [], "nowhere": []}
+    while min(map(len, cases.values())) < 4:
+        sys = random_system(rng)
+        v, w = (random_element_of_length(rng, sys, rng.randint(1, 6))
+                for _ in range(2))
+        word, letters = ((v.word, w.word) if mode == "exact" else
+                         (sys.inverse(w).word, v.word[::-1]))
+        place = cases[descent_place(sys, word, letters)]
+        if len(place) < 4 and len(letters) >= 3:
+            place.append((sys, v, w))
+    return cases
+
+
+def test_lone_term_products_at_the_first_descent(monkeypatch):
+    """One-term products whose lone term first descends on the first, a
+    middle or the last letter, or on none: exact ones equal the oracle
+    and take its steps, numeric ones match a letter-by-letter dict peel
+    float for float."""
+    sides = count_steps(monkeypatch)
+    for cases in lone_term_cases("exact").values():
+        for (sys, v, w), (ca, cb) in zip(cases, itertools.product(
+                (1, LaurentPoly({-1: Fraction(2, 3)})), (1, Fraction(-3, 2)))):
+            for p in (None, -P_SYMBOL, Fraction(2, 3)):
+                twin_a, twin_b = (OracleElement(sys, {x: c})
+                                  for x, c in ((v, ca), (w, cb)))
+                del sides[:]
+                expected = oracle_exact_mul(twin_a, twin_b, p)
+                oracle_steps = len(sides)
+                del sides[:]
+                got = mul(HeckeElement(sys, {v: ca}), HeckeElement(sys, {w: cb}),
+                          p_override=p)
+                assert len(sides) == oracle_steps
+                assert_like_oracle(got, expected, ())
+    for cases in lone_term_cases("numeric").values():
+        for sys, v, w in cases:
+            for q, p in ((0.7, None), (2.5, -1.25)):
+                a = HeckeElement(sys, {v: -0.3}, q)
+                b = HeckeElement(sys, {w: 1.7}, q)
+                pf = a._p() if p is None else p
+                peeled = dict_peel(sys, {sys.inverse(w).word: 1.7},
+                                   v.word[::-1], pf)
+                expected = {sys.inverse(Element(sys, x)): -0.3 * c
+                            for x, c in peeled.items() if c}
+                got = mul(a, b, p_override=p)
+                assert {x: c.hex() for x, c in got.terms.items()} == \
+                    {x: c.hex() for x, c in expected.items()}
 
 
 def expected_product(a, b):
@@ -465,7 +563,8 @@ def test_canonical_form_matches_oracle():
     """On 60 seeded random graphs, exact elements in the numerator form
     read, compare and hash as the {Element: LaurentPoly} oracle says:
     sums in two orders, a - a, a scale undone, j twice, the adjoint, and
-    products with every structure constant of exact_pin_products."""
+    products with every structure constant of exact_pin_products and
+    with a copy of u - 1/u built in the other order."""
     rng = random.Random(113)
     for _ in range(60):
         sys = random_system(rng)
@@ -500,7 +599,8 @@ def test_canonical_form_matches_oracle():
         assert_same(j_iso(j_iso(a)), a)
         assert_like_oracle(a.star(), a_twin.star(), ball)
 
-        for p in (None, -P_SYMBOL, Fraction(2, 3), 3):
+        for p in (None, -P_SYMBOL, Fraction(2, 3), 3,
+                  LaurentPoly({-1: -1, 1: 1})):
             product = mul(a, b + a.star(), p_override=p)
             expected = oracle_exact_mul(a_twin, b_twin + a_twin.star(), p)
             assert_like_oracle(product, expected, ball)
