@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem
+from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem, _tree_words
 from .cosets import _check_component_domain, _component_report, build_gamma_ball
 from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
@@ -96,14 +96,13 @@ def cmd_info(args) -> int:
 
 def cmd_ball(args) -> int:
     sys_ = _load(args)
-    ball = sys_.ball(args.radius, args.max_ball)
-    counts = [0] * (args.radius + 1)
-    for w in ball:
-        counts[len(w)] += 1
-    names = [str(w) for w in ball]
-    payload = {"command": "ball", "radius": args.radius, "size": len(ball),
+    lengths, parent, last = sys_._ball_levels(args.radius, args.max_ball)
+    ends = lengths.searchsorted(range(-1, args.radius + 1), "right")
+    counts = (ends[1:] - ends[:-1]).tolist()
+    names = [sys_.word_str(w) for w in _tree_words(parent, last)]
+    payload = {"command": "ball", "radius": args.radius, "size": len(names),
                "sphere_counts": counts, "elements": names}
-    text = "\n".join([f"ball of radius {args.radius}: {len(ball)} elements",
+    text = "\n".join([f"ball of radius {args.radius}: {len(names)} elements",
                       f"sphere counts: {counts}"] + names)
     _emit(args, payload, text)
     return 0
@@ -114,11 +113,14 @@ def cmd_growth(args) -> int:
     if args.radius < 0:
         raise InputError("radius must be nonnegative")
     series = growth_series(sys_)
-    coefficients = series.taylor(args.radius)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(coefficients) >= 10 ** limit:
-        raise CapacityError(f"growth coefficients to degree {args.radius} pass "
-                            f"Python's int-to-str limit of {limit} digits")
+    cap = 10 ** limit if limit else math.inf
+    coefficients = []
+    for _, c in zip(range(args.radius + 1), series.coefficients()):
+        if c >= cap:        # stop here: the rest would cost quadratic time
+            raise CapacityError(f"growth coefficients to degree {args.radius} "
+                                f"pass Python's int-to-str limit of {limit} digits")
+        coefficients.append(c)
     payload = {
         "command": "growth",
         "numerator": list(series.numerator),

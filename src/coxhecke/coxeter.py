@@ -18,6 +18,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -94,7 +95,10 @@ class CoxeterSystem:
         comm = [0] * self.n
         seen = set()
         for pair in commuting_pairs:
-            a, b = pair
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise InputError(f"{pair!r} is not a pair of generators") from None
             i = self.generator_index(a)
             j = self.generator_index(b)
             if i == j:
@@ -130,13 +134,11 @@ class CoxeterSystem:
     # -- basic structure ----------------------------------------------------
 
     def generator_index(self, g) -> int:
-        """Resolve a generator given by index or name."""
-        if isinstance(g, str):
-            try:
-                return self._index[g]
-            except KeyError:
-                raise InputError(f"unknown generator {g!r}") from None
-        i = int(g)
+        """Resolve a generator given by name or by an integer index."""
+        try:
+            i = self._index[g] if isinstance(g, str) else operator.index(g)
+        except (KeyError, TypeError):
+            raise InputError(f"unknown generator {g!r}") from None
         if not 0 <= i < self.n:
             raise InputError(f"generator index {i} out of range")
         return i
@@ -419,41 +421,34 @@ class CoxeterSystem:
         return BallTable(lengths, parent, last, right, descent)
 
     def sphere_counts(self, n: int, max_total: int = DEFAULT_MAX_BALL) -> list[int]:
-        """Counts a_0..a_n of elements of each length, a_k = #{w : |w| = k},
-        counted by the canonical-word automaton; raises ``CapacityError``
-        when the ball of radius n would exceed ``max_total`` elements."""
+        """Counts a_k = #{w : |w| = k} for k = 0..n by the canonical-word
+        automaton (the ShortLex automatic structure of Brink-Howlett): a
+        level maps each state, a mask of :meth:`_ball_levels`, to the words
+        reaching it.  ``CapacityError`` past ``max_total`` elements
+        (``math.inf``: no cap) or ``DEFAULT_MAX_BALL`` states on a level,
+        checked after each parent state (so never more than cap + n)."""
         if n < 0:
             raise InputError("n must be nonnegative")
-        counts, total = [], 0
-        for count in self._sphere_sizes(n):
-            total += count
+        nc, cgt = self._noncomm, self._ext_cgt
+        level, counts, total = {self._full: 1}, [], 0
+        for k in range(n + 1):
+            if k:
+                nxt: dict[int, int] = {}
+                for mask, count in level.items():
+                    for s in _bits(mask):
+                        state = nc[s] | (cgt[s] & mask)
+                        nxt[state] = nxt.get(state, 0) + count
+                    if len(nxt) > DEFAULT_MAX_BALL:
+                        raise CapacityError(
+                            f"sphere automaton level {k} has at least {len(nxt)}"
+                            f" states, more than the cap of {DEFAULT_MAX_BALL}")
+                level = nxt
+            counts.append(sum(level.values()))
+            total += counts[-1]
             if total > max_total:
                 raise CapacityError(
                     f"ball of radius {n} would exceed {max_total} elements")
-            counts.append(count)
         return counts
-
-    def _sphere_sizes(self, depth: int) -> Iterator[int]:
-        """Sphere sizes a_0..a_depth by the canonical-word automaton (the
-        ShortLex automatic structure of Brink-Howlett): each level maps a
-        state, the mask of :meth:`_ball_levels`, to the words reaching it.
-        The state cap is checked after each parent state, so a level never
-        holds more than cap + n states."""
-        nc, cgt = self._noncomm, self._ext_cgt
-        level = {self._full: 1}
-        yield 1
-        for k in range(1, depth + 1):
-            nxt: dict[int, int] = {}
-            for mask, count in level.items():
-                for s in _bits(mask):
-                    state = nc[s] | (cgt[s] & mask)
-                    nxt[state] = nxt.get(state, 0) + count
-                if len(nxt) > DEFAULT_MAX_BALL:
-                    raise CapacityError(
-                        f"sphere automaton level {k} has at least {len(nxt)} "
-                        f"states, more than the cap of {DEFAULT_MAX_BALL}")
-            level = nxt
-            yield sum(level.values())
 
     # -- length-additive joins ------------------------------------------------
 

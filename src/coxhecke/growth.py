@@ -31,10 +31,12 @@ is square-summable with norm^2 = W(q) and spans the extra central summand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Iterator
 
 import numpy as np
 
@@ -57,11 +59,15 @@ class RationalSeries:
 
     def taylor(self, n: int) -> list[int]:
         """First n + 1 Taylor coefficients at zero (exact integers)."""
+        return list(itertools.islice(self.coefficients(), max(n + 1, 0)))
+
+    def coefficients(self) -> Iterator[int]:
+        """All Taylor coefficients at zero, each computed when it is read."""
         den = self.denominator
         if not den or den[0] == 0:
             raise DomainError("series is not regular at zero")
         coeffs: list[int] = []
-        for k in range(n + 1):
+        for k in itertools.count():
             acc = self.numerator[k] if k < len(self.numerator) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * coeffs[k - j]
@@ -69,7 +75,7 @@ class RationalSeries:
             if rem:
                 raise ConsistencyError("non-integer Taylor coefficient")
             coeffs.append(c)
-        return coeffs
+            yield c
 
     def evaluate(self, x: Fraction) -> Fraction:
         den = _poly_eval(self.denominator, Fraction(x))
@@ -129,7 +135,7 @@ def growth_series(system: CoxeterSystem) -> RationalSeries:
     series = RationalSeries(tuple(num), tuple(den))
 
     # hard postcondition: closed form must reproduce the automaton's counts
-    observed = list(system._sphere_sizes(VALIDATION_DEPTH))
+    observed = system.sphere_counts(VALIDATION_DEPTH, math.inf)
     predicted = series.taylor(VALIDATION_DEPTH)
     if predicted != observed:
         raise ConsistencyError(

@@ -454,12 +454,14 @@ def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
     """The ball table of :func:`action_matrix`, one per system and rebuilt
     only at a larger radius: (radius, table, {word: row}, left, descent).
     A ball is a prefix of any larger one, so it reads the same in it.
-    Before a build at a new radius the canonical-word automaton counts
-    ball(radius); past ``DEFAULT_MAX_BALL`` elements it returns None and
-    caches nothing."""
+    Before a build at a new radius ``sphere_counts`` counts ball(radius);
+    past ``DEFAULT_MAX_BALL`` elements, or as many states on one level of
+    the automaton, it returns None and caches nothing."""
     entry = system._ball_cache
     if entry is None or entry[0] < radius:
-        if sum(system._sphere_sizes(radius)) > DEFAULT_MAX_BALL:
+        try:
+            system.sphere_counts(radius, DEFAULT_MAX_BALL)
+        except CapacityError:
             return None
         table = system.ball_table(radius)
         index = {w: i for i, w in enumerate(table.words())}
@@ -505,11 +507,9 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     bit those of per-column products.  The table comes from
     :func:`_action_table`, the one keeper of the system's table: grown on
     demand and never shrunk, since a smaller ball is a prefix of it with
-    the same rows and the same sums.  Where it declines, ball(r + m) having
-    more than ``DEFAULT_MAX_BALL`` elements, the columns are computed one
+    the same rows and the same sums.  Where it declines, past the element
+    or the state cap of the ball's count, the columns are computed one
     product at a time, indexed by canonical word, and nothing is cached.
-    The only ``CapacityError`` comes from the automaton's count of the
-    ball, when one of its levels has more than ``DEFAULT_MAX_BALL`` states.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")

@@ -11,6 +11,7 @@ concrete sqrt(q).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -156,12 +157,16 @@ class LaurentPoly:
         clean = {}
         if terms:
             for k, c in terms.items():
+                try:
+                    k = operator.index(k)
+                except TypeError:
+                    raise InputError(f"exponent {k!r} is not an integer") from None
                 if type(c) is not int:
                     c = Fraction(c)
                     if c.denominator == 1:
                         c = c.numerator
                 if c:
-                    clean[int(k)] = c
+                    clean[k] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):

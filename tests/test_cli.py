@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from coxhecke import coxeter
 from coxhecke.cli import main, parse_q
 from coxhecke.coxeter import CoxeterSystem, Element
 from coxhecke.groupfile import load_system
-from coxhecke.growth import rho_info
+from coxhecke.growth import RationalSeries, rho_info
 from coxhecke.verify import named_systems
 from fractions import Fraction
 
@@ -115,19 +116,29 @@ def test_ball(capsys):
 
 def test_ball_spells_each_element_once(capsys, monkeypatch):
     """The payload and the text share one list of names, so each format
-    formats every element once."""
+    formats every element once; the words are spelled from the ball's
+    tree, with no ``Element`` built but the loaded system's identity."""
     size = len(load_system(PENTAGON).ball(4))
-    calls = []
+    calls, built = [], []
     word_str = CoxeterSystem.word_str
     monkeypatch.setattr(CoxeterSystem, "word_str",
                         lambda self, word: calls.append(word)
                         or word_str(self, word))
+
+    class Counted(Element):
+        def __init__(self, system, word):
+            built.append(word)
+            super().__init__(system, word)
+
+    monkeypatch.setattr(coxeter, "Element", Counted)
     for fmt in ("text", "json"):
         calls.clear()
+        built.clear()
         code, out, _ = run(capsys, ["ball", "--group", PENTAGON, "--radius",
                                     "4", "--format", fmt])
         assert code == 0 and f"{size}" in out
         assert len(calls) == size
+        assert built == [()]
 
 
 # Recorded before the sphere counts were read off the ball: a finite
@@ -772,6 +783,28 @@ def test_input_ends_in_named_error(tmp_path, argv, code, message):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err and message in err
     assert elapsed < 5 and peak_mb < 500
+
+
+def test_growth_stops_at_the_first_coefficient_past_the_digit_limit(
+        capsys, monkeypatch):
+    """``growth --radius 1000000`` reads the pentagon's coefficients only up
+    to the first one past the limit, not to the requested degree."""
+    if not DIGIT_LIMIT:
+        pytest.skip("this interpreter converts ints of any length")
+    read = []
+    coefficients = RationalSeries.coefficients
+
+    def counted(self):
+        for c in coefficients(self):
+            read.append(c)
+            yield c
+
+    monkeypatch.setattr(RationalSeries, "coefficients", counted)
+    code, out, err = run(capsys, ["growth", "--group", PENTAGON,
+                                  "--radius", "1000000"])
+    assert (code, out) == (1, "")
+    assert "degree 1000000 pass Python's int-to-str limit" in err
+    assert read[-1] >= 10 ** DIGIT_LIMIT > max(read[:-1])  # 10,288 at 4,300
 
 
 ZEROS_4000 = "1" + "0" * 4000

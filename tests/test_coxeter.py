@@ -8,9 +8,11 @@ and the canonical form must be the ShortLex-least member.
 """
 
 import itertools
+import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +171,29 @@ def test_normalize_rejects_bad_letters(free3):
         free3.normalize([0, 7])
     with pytest.raises(InputError):
         free3.normalize("s x")
+
+
+@pytest.mark.parametrize("index", [1.7, 2.9, 1.0, Fraction(1), None])
+def test_generator_door_refuses_non_integral_indices(free3, index):
+    """An index must be an integer: ``int(1.7)`` used to make s and t
+    commute, and ``element([0, 2.9, 1.2])`` gave s.u.t."""
+    with pytest.raises(InputError, match="unknown generator"):
+        CoxeterSystem("stu", [(0, index)])
+    with pytest.raises(InputError, match="unknown generator"):
+        free3.element([0, index, 1])
+
+
+@pytest.mark.parametrize("pair", [(0,), (0, 1, 2), 5, None])
+def test_commuting_pair_must_be_two_generators(pair):
+    with pytest.raises(InputError, match="is not a pair of generators"):
+        CoxeterSystem("stu", [pair])
+
+
+def test_generator_door_takes_numpy_integers(free3):
+    sys = CoxeterSystem("stu", [(np.int64(0), np.int32(1))])
+    assert sys.commutes(0, 1) and not sys.commutes(0, 2)
+    assert str(sys.element([np.int64(1), np.uint8(2), 0])) == "t.u.s"
+    assert free3.generator_index(np.int16(2)) == 2
 
 
 def test_local_swap_fixpoint_is_not_canonical():
@@ -708,7 +733,7 @@ def test_sphere_automaton_state_cap_fails_fast(monkeypatch):
     pairs = [p for p in itertools.combinations(range(14), 2)
              if rng.random() < 0.7]
     sys = CoxeterSystem([f"g{i}" for i in range(14)], pairs)
-    assert len(list(sys._sphere_sizes(5))) == 6
+    assert len(sys.sphere_counts(5, math.inf)) == 6
     monkeypatch.setattr(coxeter, "DEFAULT_MAX_BALL", 30)
     with pytest.raises(CapacityError, match="level 3 has at least") as info:
         sys.sphere_counts(5)

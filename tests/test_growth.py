@@ -58,6 +58,16 @@ def test_growth_series_taylor_matches_enumeration(named_systems):
         assert series.taylor(12) == sys.sphere_counts(12)
 
 
+def test_growth_series_taylor_past_validation_depth():
+    """The closed form against the automaton to depth 24, twice the depth
+    that construction checks, on the named systems and 40 seeded graphs."""
+    rng = random.Random(38)
+    systems = [*named_systems().values(),
+               *(random_system(rng) for _ in range(40))]
+    for sys in systems:
+        assert growth_series(sys).taylor(24) == sys.sphere_counts(24, math.inf)
+
+
 def test_growth_series_checked_to_depth_12_beyond_ball_cap(monkeypatch):
     """The free product of 6 involutions has 6 * 5^11 elements of length
     12, far beyond the ball cap; its series is still checked to depth 12,
@@ -65,14 +75,14 @@ def test_growth_series_checked_to_depth_12_beyond_ball_cap(monkeypatch):
     series = growth_series(CoxeterSystem("pqrstu"))
     assert (series.numerator, series.denominator) == ((1, 1), (1, -5))
     assert series.taylor(12)[12] == 6 * 5 ** 11
-    sizes = CoxeterSystem._sphere_sizes
+    sizes = CoxeterSystem.sphere_counts
 
-    def corrupted(self, depth):
-        counts = list(sizes(self, depth))
+    def corrupted(self, n, max_total=coxeter.DEFAULT_MAX_BALL):
+        counts = sizes(self, n, max_total)
         counts[12] += 1
-        return iter(counts)
+        return counts
 
-    monkeypatch.setattr(CoxeterSystem, "_sphere_sizes", corrupted)
+    monkeypatch.setattr(CoxeterSystem, "sphere_counts", corrupted)
     with pytest.raises(ConsistencyError):
         growth_series(CoxeterSystem("pqrstu"))
 

@@ -22,7 +22,7 @@ from coxhecke import (CoxeterSystem, Element, InputError, LEFT, RIGHT,
                       l2_norm, mul, parse_expression, state_phi, t_basis,
                       t_tilde, unit)
 from coxhecke.hecke import HeckeElement
-from coxhecke import hecke, verify
+from coxhecke import coxeter, hecke, verify
 from coxhecke.verify import random_system, suite_hecke
 
 from conftest import OracleElement, oracle_exact_mul, oracle_unnormalized_mul
@@ -692,6 +692,19 @@ def test_laurent_integral_coefficients():
     assert type((third * 3).terms[1]) is int
 
 
+@pytest.mark.parametrize("terms", [{0.5: 1}, {0.5: 1, 0: 2},
+                                   {Fraction(3, 2): 1}, {"2": 1}, {1.0: 0}])
+def test_laurent_refuses_non_integral_exponents(terms):
+    """An exponent used to pass through ``int``: {0.5: 1, 0: 2} was the
+    constant 2 and {"2": 1} was u^2."""
+    with pytest.raises(InputError, match="is not an integer"):
+        LaurentPoly(terms)
+
+
+def test_laurent_takes_numpy_integer_exponents():
+    assert LaurentPoly({np.int64(2): 3, np.int8(-1): 1}).terms == {2: 3, -1: 1}
+
+
 def test_laurent_evaluate_independent_of_term_order():
     """Equal polynomials evaluate to the same float, even where their
     terms cancel and come in another order."""
@@ -1064,13 +1077,13 @@ def test_action_matrix_counts_only_at_a_new_radius(monkeypatch, pentagon):
     """The automaton counts the ball before a table is built; a radius the
     cached table covers is served with no count."""
     counts = []
-    sizes = CoxeterSystem._sphere_sizes
+    sizes = CoxeterSystem.sphere_counts
 
-    def counted(self, depth):
-        counts.append(depth)
-        return sizes(self, depth)
+    def counted(self, n, max_total):
+        counts.append(n)
+        return sizes(self, n, max_total)
 
-    monkeypatch.setattr(CoxeterSystem, "_sphere_sizes", counted)
+    monkeypatch.setattr(CoxeterSystem, "sphere_counts", counted)
     a = HeckeElement(pentagon, {pentagon.element("p r"): 1.25}, q=0.37)
     action_matrix(a, pentagon.ball(3), LEFT)
     assert counts == [5]
@@ -1083,6 +1096,18 @@ def test_action_matrix_past_cap_caches_nothing(monkeypatch, free3):
     """Past the cap the columns come from single products, as before, and
     the system keeps no table."""
     monkeypatch.setattr(hecke, "DEFAULT_MAX_BALL", 20)
+    assert_falls_back(monkeypatch, free3)
+
+
+def test_action_matrix_past_state_cap_falls_back(monkeypatch, free3):
+    """Past the automaton's state cap the count raises ``CapacityError``,
+    which ``action_matrix`` answers by the same fallback, not by raising:
+    level 1 of free3's automaton has 3 states."""
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_BALL", 2)
+    assert_falls_back(monkeypatch, free3)
+
+
+def assert_falls_back(monkeypatch, free3):
     fallback = []
     by_products = hecke._action_by_products
 
