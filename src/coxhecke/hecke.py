@@ -16,23 +16,22 @@ all, so equal elements are held alike; arithmetic works on that form, and
 ``terms`` ({Element: LaurentPoly}) is built from it on first read.
 
 Both modes peel with right steps on canonical words:
-T_x T_s = T_{xs}, plus p T_x on a descent; a lone term is stepped alone
-until its first descent, in the same steps, so :func:`mul`'s count
-stands.  Exact products peel each word of b, in one pass, on the right
-of all of a's numerators; they take no adjoint, because inverting the
-inputs and every output word costs more steps than peeling the shorter
-factor saves (descents are rare).
+T_x T_s = T_{xs}, plus p T_x on a descent.  Exact products peel each
+term of a alone, depth first, by each word of b, and sum the branches
+where they end; they take no adjoint, because inverting the inputs and
+every output word costs more steps than peeling the shorter factor
+saves (descents are rare).
 Numeric products peel each term's v^-1 on the right of b^*, through the
-adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*: it maps each intermediate sum
-onto that of peeling v on the left of b, and a step gives a target at
-most two contributions, so the float sums are those of the left
-recursion (:func:`action_matrix` follows the same order).
+adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*, one dict per letter: it maps
+each intermediate sum onto that of peeling v on the left of b, and a
+step gives a target at most two contributions, so the float sums are
+those of the left recursion (:func:`action_matrix` follows the same
+order); summing branches where they end would round otherwise.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,12 +41,12 @@ import numpy as np
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element, Word
 from .errors import CapacityError, InputError, ParseError
 from .laurent import (LaurentPoly, P_SYMBOL, _coerce, _from_numerators,
-                      _numerators, _sparse_add, _sparse_mul_into, float_q)
+                      _numerators, _sparse_mul_into, float_q)
 
 EXACT = "exact"
 
-#: Caps on a product's terms after each letter of a peel (about 1 KB and 10 us
-#: an exact term) and on parenthesis depth (three parser frames a level).
+#: Caps on a product's terms as they come (about 1 KB and 10 us an exact
+#: term) and on parenthesis depth (three parser frames a level).
 MAX_PRODUCT_TERMS = 10**5
 MAX_EXPR_DEPTH = 200
 
@@ -275,21 +274,20 @@ def t_tilde(w: Element, q: float | None = None) -> HeckeElement:
 # -- multiplication ------------------------------------------------------------------
 
 
-def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> dict:
-    """Multiply {canonical word: coefficient} on the right by T_s for each
-    s in ``letters``: T_x T_s = T_xs, plus times_p(c) T_x on a descent.  A
-    step gives a target at most two contributions, so with a commutative
-    ``add`` the result does not depend on the order of the terms.  A lone
-    term is stepped alone, with no dict per letter, until its first
-    descent; it takes the same steps and sums as the per-letter loop, so
-    the step count in :func:`mul` stands."""
+def _right_peel(system: CoxeterSystem, terms: dict, letters, p: float) -> dict:
+    """Multiply {canonical word: float} on the right by T_s for each s in
+    ``letters``: T_x T_s = T_xs, plus p c T_x on a descent, one dict per
+    letter.  A step gives a target at most two contributions, so the sums
+    do not depend on the order of the terms.  A lone term is stepped
+    alone, with no dict, until its first descent, in the same steps and
+    sums."""
     step, letters = system._step, iter(letters)
     if len(terms) == 1:
         (x, c), = terms.items()
         for s in letters:
             xs, delta = step(x, s, RIGHT)
             if delta < 0:
-                terms = {xs: c, x: times_p(c)}
+                terms = {xs: c, x: p * c}
                 break
             x = xs
         else:
@@ -298,12 +296,9 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> di
         nxt = {}
         for x, c in terms.items():
             xs, delta = step(x, s, RIGHT)
-            old = nxt.get(xs)
-            nxt[xs] = c if old is None else add(old, c)
+            nxt[xs] = nxt[xs] + c if xs in nxt else c
             if delta < 0:
-                c = times_p(c)
-                old = nxt.get(x)
-                nxt[x] = c if old is None else add(old, c)
+                nxt[x] = nxt[x] + p * c if x in nxt else p * c
         if len(nxt) > MAX_PRODUCT_TERMS:
             raise CapacityError(f"a Hecke product reached {len(nxt)} terms, "
                                 f"more than the cap of {MAX_PRODUCT_TERMS}")
@@ -313,23 +308,36 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, add, times_p) -> di
 
 def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
     """The exact product on the numerators of a and b: for each word w of
-    b, a's numerators peeled by the letters of w, times b's numerator at
-    w, are summed into one exponent dict per target, over the denominator
-    d_a d_b; a numerator 1 at w adds the peeled ones as they are.  A
-    rational p keeps its ``Fraction`` values through the same sums, and
-    the result is cleared to integers once at the end."""
-    pt = p.terms
-    times_p = lambda c: _sparse_mul_into({}, c, pt)
+    b, each term c_x T_x of a steps alone, depth first, by the letters of
+    w; a descent leaves a branch at x with one more factor p, and a branch
+    with k of them adds c_x p^k (built once per term) times b's numerator
+    at w into one exponent dict per target, over d_a d_b.  A rational p
+    keeps its ``Fraction`` values through the sums, and the result is
+    cleared to integers once at the end."""
+    pt, step, tables = p.terms, a.system._step, {}
     result: dict[Word, dict[int, int]] = {}
     for w, cw in b._num.items():
-        peeled = _right_peel(a.system, a._num, w, _sparse_add, times_p)
-        if cw == {0: 1}:
-            for x, c in peeled.items():
-                acc = result.get(x)     # a copy: later words add in place
-                result[x] = dict(c) if acc is None else _sparse_add(acc, c)
-        else:
-            for x, c in peeled.items():
-                _sparse_mul_into(result.setdefault(x, {}), c, cw)
+        one, n = cw == {0: 1}, len(w)
+        for x0, c0 in a._num.items():
+            table, branches = tables.setdefault(x0, [c0]), [(x0, 0, 0)]
+            while branches:
+                x, i, k = branches.pop()
+                for i in range(i, n):
+                    xs, delta = step(x, w[i], RIGHT)
+                    if delta < 0:
+                        if k + 1 == len(table):
+                            table.append(_sparse_mul_into({}, table[k], pt))
+                        branches.append((x, i + 1, k + 1))
+                    x = xs
+                c, acc = table[k], result.get(x)
+                if acc is not None:
+                    _sparse_mul_into(acc, c, cw)
+                elif len(result) < MAX_PRODUCT_TERMS:   # a copy: c is shared
+                    result[x] = dict(c) if one else _sparse_mul_into({}, c, cw)
+                else:
+                    raise CapacityError(
+                        f"a Hecke product reached {len(result) + 1} terms, "
+                        f"more than the cap of {MAX_PRODUCT_TERMS}")
     d = a._den * b._den
     if any(type(x) is not int for x in pt.values()):
         dp, result = _numerators(result)
@@ -340,17 +348,18 @@ def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement
 def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     """The Hecke product ab.
 
-    In exact mode a's integer numerators are peeled, one generator at a
-    time on the right, by the letters of each word of b, with no adjoint:
-    on one seed-1 round of the ``hecke`` bench workload that takes 537,959
-    right steps, where peeling the shorter factor through the adjoint
-    took 1,002,510.  ``p_override`` substitutes a different structure
-    constant (used for the sign-twisted target algebra of the duality
-    isomorphism); in exact mode it must be exact (a LaurentPoly or a
-    rational), in numeric mode a real number.  In numeric mode
-    each term c_a T_v of a in turn peels v^-1 on the right of b^*, on the
-    float coefficients themselves, and adds c_a times the inverted output;
-    the float sums are those of peeling v on the left of b (see above).
+    In exact mode each term of a is peeled alone, depth first, on the
+    right by the letters of each word of b, with no adjoint: on one
+    seed-1 round of the ``hecke`` bench workload that takes 542,552 right
+    steps, where peeling the shorter factor through the adjoint took
+    1,002,510.  ``p_override``
+    substitutes a different structure constant (used for the sign-twisted
+    target algebra of the duality isomorphism); in exact mode it must be
+    exact (a LaurentPoly or a rational), in numeric mode a real number.
+    In numeric mode each term c_a T_v of a in turn peels v^-1 on the right
+    of b^*, one dict per letter, on the float coefficients themselves, and
+    adds c_a times the inverted output; the float sums are those of
+    peeling v on the left of b (see above).
     """
     a._check_compat(b)
     p = (a._p() if p_override is None
@@ -361,8 +370,7 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     adjoint = {fold((), reversed(w)): c for w, c in b._num.items()}
     result: dict[Word, float] = {}
     for v, ca in a._num.items():
-        for x, c in _right_peel(sys, adjoint, reversed(v), operator.add,
-                                lambda c: p * c).items():
+        for x, c in _right_peel(sys, adjoint, reversed(v), p).items():
             x = fold((), reversed(x))
             result[x] = result.get(x, 0.0) + ca * c
     return _make(sys, a.q, 1, {x: c for x, c in result.items() if c})

@@ -13,19 +13,23 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coxhecke import (CoxeterSystem, Element, InputError, LEFT, RIGHT,
-                      LaurentPoly, P_SYMBOL, action_matrix, inner, j_iso,
-                      l2_norm, mul, parse_expression, state_phi, t_basis,
-                      t_tilde, unit)
+from coxhecke import (CapacityError, CoxeterSystem, Element, InputError,
+                      LEFT, RIGHT, LaurentPoly, P_SYMBOL, action_matrix, inner,
+                      j_iso, l2_norm, mul, parse_expression, state_phi,
+                      t_basis, t_tilde, unit)
 from coxhecke.hecke import HeckeElement
 from coxhecke import coxeter, hecke, verify
+from coxhecke.cli import main
 from coxhecke.verify import random_system, suite_hecke
 
 from conftest import OracleElement, oracle_exact_mul, oracle_unnormalized_mul
+
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
 
 def random_exact_element(rng, sys, ball, n_terms=3, min_terms=1):
@@ -362,6 +366,159 @@ def test_lone_term_products_at_the_first_descent(monkeypatch):
                 got = mul(a, b, p_override=p)
                 assert {x: c.hex() for x, c in got.terms.items()} == \
                     {x: c.hex() for x, c in expected.items()}
+
+
+def record_steps(monkeypatch) -> list:
+    """(word, target, delta) of the ``_step`` calls made from now on."""
+    calls = []
+    step = CoxeterSystem._step
+
+    def recorded(self, word, s, side):
+        out = step(self, word, s, side)
+        calls.append((word, *out))
+        return out
+
+    monkeypatch.setattr(CoxeterSystem, "_step", recorded)
+    return calls
+
+
+def oracle_merges(calls, n_terms, words) -> int:
+    """How many targets the oracle's per-letter dicts merged, rebuilt from
+    its ``_step`` calls: its n_terms words are peeled by each of ``words``
+    in turn, one call per term and letter, and a call sends x to xs, and
+    to x as well on a descent."""
+    merges = 0
+    for w in words:
+        n = n_terms
+        for _ in w:
+            block, calls = calls[:n], calls[n:]
+            targets = [xs for _, xs, _ in block]
+            targets += [x for x, _, delta in block if delta < 0]
+            n = len(set(targets))
+            merges += len(targets) - n
+    assert calls == []
+    return merges
+
+
+def random_poly(rng):
+    """A Laurent polynomial with 1-3 nonzero rational coefficients."""
+    return LaurentPoly({e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                    rng.randint(1, 3))
+                        for e in rng.sample(range(-2, 3), rng.randint(1, 3))})
+
+
+def test_single_term_products_take_the_oracles_steps(monkeypatch):
+    """2,000 one-term products c_v T_v * c_w T_w on seeded random graphs,
+    words of length 0-9 in both orders, for three structure constants:
+    each equals the oracle and takes its ``_step`` count, and the oracle's
+    per-letter dicts never merge two terms, so a term peeled alone, depth
+    first, makes the same sums."""
+    rng = random.Random(149)
+    cases = []
+    for _ in range(200):
+        sys = random_system(rng)
+        for _ in range(5):
+            v, w = (random_element_of_length(rng, sys, rng.randint(0, 9))
+                    for _ in range(2))
+            cv, cw = (rng.choice((1, random_poly(rng))) for _ in range(2))
+            cases += [(sys, v, cv, w, cw), (sys, w, cw, v, cv)]
+    calls = record_steps(monkeypatch)
+    for sys, v, cv, w, cw in cases:
+        for p in (None, -P_SYMBOL, Fraction(2, 3)):
+            del calls[:]
+            expected = oracle_exact_mul(OracleElement(sys, {v: cv}),
+                                        OracleElement(sys, {w: cw}), p)
+            assert oracle_merges(calls, 1, [w.word]) == 0
+            oracle_steps = len(calls)
+            del calls[:]
+            got = mul(HeckeElement(sys, {v: cv}), HeckeElement(sys, {w: cw}),
+                      p_override=p)
+            assert len(calls) == oracle_steps
+            assert_like_oracle(got, expected, ())
+
+
+def test_cross_term_merges_match_the_oracle(monkeypatch):
+    """a holds x and xs, s the first letter of a word w of b and |xs| >
+    |x|: at s the oracle's dict merges x s with the descent branch of xs,
+    while mul peels each term alone.  The products equal the oracle's,
+    each coefficient's exponents in the oracle's order."""
+    rng = random.Random(151)
+    calls = record_steps(monkeypatch)
+    for _ in range(80):
+        sys = random_system(rng)
+        ball = sys.ball(3)
+        w = random_element_of_length(rng, sys, rng.randint(1, 6))
+        x = random_element_of_length(rng, sys, rng.randint(0, 5))
+        xs, delta = sys.mult_gen(x, w.word[0], RIGHT)
+        pair = [x, xs] if delta > 0 else [xs, x]
+        support_a = rng.sample(pair, 2) + rng.sample(ball, rng.randint(0, 2))
+        support_b = [w] + rng.sample(ball, rng.randint(0, 2))
+        a_terms = {u: random_poly(rng) for u in support_a}
+        b_terms = {u: rng.choice((1, random_poly(rng))) for u in support_b}
+        a, b = HeckeElement(sys, a_terms), HeckeElement(sys, b_terms)
+        a_twin, b_twin = OracleElement(sys, a_terms), OracleElement(sys, b_terms)
+        for p in (None, -P_SYMBOL, Fraction(2, 3)):
+            del calls[:]
+            expected = oracle_exact_mul(a_twin, b_twin, p)
+            assert oracle_merges(calls, len(a_terms),
+                                 [u.word for u in b_terms]) > 0
+            got = mul(a, b, p_override=p)
+            assert_like_oracle(got, expected, ())
+            assert ({u: list(c.terms) for u, c in got.terms.items()}
+                    == {u: list(c.terms) for u, c in expected.terms.items()})
+
+
+def test_products_past_the_term_cap(monkeypatch, capsys, free3):
+    """Exact and numeric products with one term more than
+    ``MAX_PRODUCT_TERMS`` raise ``CapacityError`` naming the cap, and at
+    the cap they do not; ``hecke --expr`` then exits 1 with nothing on
+    stdout.  Exact products count the terms of the result, so four terms
+    times 1 pass a cap of 3 no more."""
+    v, w = free3.element("s t u"), free3.element("u t s")
+    sizes = {q: len(mul(t_basis(v, q), t_basis(w, q)).terms)
+             for q in (None, 0.7)}
+    for q, n in sizes.items():
+        assert n > 3
+        monkeypatch.setattr(hecke, "MAX_PRODUCT_TERMS", n)
+        assert len(mul(t_basis(v, q), t_basis(w, q)).terms) == n
+        monkeypatch.setattr(hecke, "MAX_PRODUCT_TERMS", n - 1)
+        with pytest.raises(CapacityError, match=f"the cap of {n - 1}$"):
+            mul(t_basis(v, q), t_basis(w, q))
+    monkeypatch.setattr(hecke, "MAX_PRODUCT_TERMS", 3)
+    four = HeckeElement(free3, {free3.element(x): 1
+                                for x in ("s", "t", "u", "s t")})
+    with pytest.raises(CapacityError, match="the cap of 3$"):
+        mul(four, unit(free3))
+    assert main(["hecke", "--group", str(GROUPS / "free3.json"),
+                 "--expr", "T(s t u)*T(u t s)"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "cap of 3" in err
+
+
+def test_products_leave_their_factors_alone():
+    """mul starts each term's powers c_x p^k from a's own numerator dicts,
+    and the adjoint and j share dicts with their argument: no product,
+    sum, scale, adjoint or j writes into an operand's numerators, exact
+    (with numerators 1 on b, which are added as they are, or not) or
+    numeric."""
+    rng = random.Random(157)
+    for _ in range(30):
+        sys = random_system(rng)
+        ball = sys.ball(3)
+        a, b = (random_exact_element(rng, sys, ball, 5) for _ in range(2))
+        ones = HeckeElement(sys, {u: 1 for u in [sys.identity] + rng.sample(
+            ball, min(6, len(ball)))})
+        exact = [a, b, ones, a.star(), j_iso(a)]
+        numeric = [x.specialize(0.7) for x in exact]
+        before = [copy.deepcopy(x._num) for x in exact + numeric]
+        for x, y in itertools.product(exact, repeat=2):
+            mul(x, y), mul(x, y, p_override=Fraction(2, 3)), x + y
+            x.scale(LaurentPoly({1: 2})), x.star(), j_iso(x)
+        for x, y in itertools.product(numeric, repeat=2):
+            mul(x, y), mul(x, y, p_override=-0.5), x + y
+            x.scale(0.5), x.star()
+        for x, num in zip(exact + numeric, before):     # order included
+            assert repr(x._num) == repr(num)
 
 
 def expected_product(a, b):
