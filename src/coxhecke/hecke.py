@@ -15,12 +15,12 @@ positive denominator, with no zero entry and no common factor of them
 all, so equal elements are held alike; arithmetic works on that form, and
 ``terms`` ({Element: LaurentPoly}) is built from it on first read.
 
-Both modes peel with right steps on canonical words:
-T_x T_s = T_{xs}, plus p T_x on a descent.  Exact products peel each
-term of a alone, depth first, by each word of b, and sum the branches
-where they end; they take no adjoint, because inverting the inputs and
-every output word costs more steps than peeling the shorter factor
-saves (descents are rare).
+Both modes peel with right steps on canonical words: T_x T_s = T_{xs},
+plus p T_x on a descent.  Exact products peel each term of a alone,
+depth first, by each word of b, placing letters inline by the right
+step's rule, and sum the branches where they end; they take no adjoint,
+because inverting the inputs and every output word costs more steps
+than peeling the shorter factor saves (descents are rare).
 Numeric products peel each term's v^-1 on the right of b^*, through the
 adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*, one dict per letter: it maps
 each intermediate sum onto that of peeling v on the left of b, and a
@@ -65,7 +65,8 @@ class HeckeElement:
 
     def __new__(cls, system: CoxeterSystem, terms=None, q: float | None = None):
         q = None if q is None else float_q(q)[0]
-        terms = terms or {}
+        if not terms:
+            return _make(system, q, 1, {})
         if any(w.system is not system for w in terms):
             raise InputError("basis element from a different system")
         if q is None:
@@ -122,11 +123,13 @@ class HeckeElement:
                 out[w] = out.get(w, 0.0) + c
             return _make(self.system, self.q, 1,
                          {w: c for w, c in out.items() if c})
-        d, out = math.lcm(self._den, other._den), {}
-        for x in (self, other):
-            k = {0: d // x._den}
-            for w, c in x._num.items():
-                out[w] = _sparse_mul_into(out.get(w, {}), c, k)
+        d = math.lcm(self._den, other._den)
+        f, g = d // self._den, d // other._den
+        out = {w: {e: n * f for e, n in c.items()} for w, c in self._num.items()}
+        for w, c in other._num.items():
+            acc = out.setdefault(w, {})
+            for e, n in c.items():
+                acc[e] = acc.get(e, 0) + n * g
         return _make(self.system, None, *_canonical(d, out))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
@@ -143,9 +146,12 @@ class HeckeElement:
             return _make(self.system, self.q, 1,
                          {w: f for w, x in self._num.items() if (f := x * c)})
         d, k = _numerators({(): c.terms})
-        return _make(self.system, None, *_canonical(
-            self._den * d, {w: _sparse_mul_into({}, x, k[()])
-                            for w, x in self._num.items()}))
+        if len(k[()]) != 1:
+            return _make(self.system, None, *_canonical(self._den * d, {
+                w: _sparse_mul_into({}, x, k[()]) for w, x in self._num.items()}))
+        (s, f), = k[()].items()         # a monomial shifts and multiplies
+        return _make(self.system, None, *_canonical(self._den * d, {
+            w: {e + s: n * f for e, n in x.items()} for w, x in self._num.items()}))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, float, LaurentPoly)):
@@ -232,14 +238,18 @@ def _make(system: CoxeterSystem, q, den, num) -> HeckeElement:
 
 def _canonical(den: int, num: dict) -> tuple[int, dict]:
     """Exact numerators over den without zero entries or empty words, and
-    divided by the common factor of den and all of them.  The pass over
-    the entries runs only when one is zero or the factor is not 1."""
-    g = 1 if den == 1 else math.gcd(den, *(n for c in num.values()
-                                           for n in c.values()))
-    if g != 1 or any(not c or 0 in c.values() for c in num.values()):
-        num = {w: c for w, c in ((w, {e: n // g for e, n in c.items() if n})
-                                 for w, c in num.items()) if c}
-    return den // g, num
+    divided by the common factor of den and all of them (a gcd taken
+    only while it is not 1)."""
+    g, out = den, {}
+    for w, c in num.items():
+        if 0 in c.values():
+            c = {e: n for e, n in c.items() if n}
+        if c:
+            out[w] = c
+            g = 1 if g == 1 else math.gcd(g, *c.values())
+    if g != 1:
+        out = {w: {e: n // g for e, n in c.items()} for w, c in out.items()}
+    return den // g, out
 
 
 def _scalar(q: float | None, c, what: str):
@@ -274,6 +284,11 @@ def t_tilde(w: Element, q: float | None = None) -> HeckeElement:
 # -- multiplication ------------------------------------------------------------------
 
 
+def _past_cap(n: int) -> CapacityError:
+    return CapacityError(f"a Hecke product reached {n} terms, "
+                         f"more than the cap of {MAX_PRODUCT_TERMS}")
+
+
 def _right_peel(system: CoxeterSystem, terms: dict, letters, p: float) -> dict:
     """Multiply {canonical word: float} on the right by T_s for each s in
     ``letters``: T_x T_s = T_xs, plus p c T_x on a descent, one dict per
@@ -300,48 +315,66 @@ def _right_peel(system: CoxeterSystem, terms: dict, letters, p: float) -> dict:
             if delta < 0:
                 nxt[x] = nxt[x] + p * c if x in nxt else p * c
         if len(nxt) > MAX_PRODUCT_TERMS:
-            raise CapacityError(f"a Hecke product reached {len(nxt)} terms, "
-                                f"more than the cap of {MAX_PRODUCT_TERMS}")
+            raise _past_cap(len(nxt))
         terms = nxt
     return terms
 
 
 def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
     """The exact product on the numerators of a and b: for each word w of
-    b, each term c_x T_x of a steps alone, depth first, by the letters of
-    w; a descent leaves a branch at x with one more factor p, and a branch
-    with k of them adds c_x p^k (built once per term) times b's numerator
-    at w into one exponent dict per target, over d_a d_b.  A rational p
-    keeps its ``Fraction`` values through the sums, and the result is
-    cleared to integers once at the end."""
-    pt, step, tables = p.terms, a.system._step, {}
+    b, each term c_x T_x of a walks alone, depth first, by the letters of
+    w, placed inline by the right step of ``CoxeterSystem._step``; a
+    descent leaves a branch at x with one more factor p, and a branch with
+    k of them adds c_x p^k (built once per term) times b's numerator at w
+    into one exponent dict per target, over d_a d_b.  A rational p keeps
+    its ``Fraction`` values through the sums, cleared to integers at the
+    end.  With no descent, no two branches on one target, numerators 1 on
+    b and d_a d_b = 1, the result is canonical as it stands."""
+    pt, comm, tables, clean = p.terms, a.system._comm, {}, True
     result: dict[Word, dict[int, int]] = {}
     for w, cw in b._num.items():
         one, n = cw == {0: 1}, len(w)
+        clean = clean and one
         for x0, c0 in a._num.items():
-            table, branches = tables.setdefault(x0, [c0]), [(x0, 0, 0)]
-            while branches:
-                x, i, k = branches.pop()
+            x, i, k, branches = x0, 0, 0, None
+            while True:
                 for i in range(i, n):
-                    xs, delta = step(x, w[i], RIGHT)
-                    if delta < 0:
+                    s = w[i]
+                    m, j = comm[s], len(x) - 1
+                    if j >= 0 and (t := x[j]) != s and not m >> t & 1:
+                        x += (s,)           # the last letter blocks s
+                        continue
+                    while j >= 0 and (t := x[j]) != s and m >> t & 1:
+                        j -= 1
+                    if j >= 0 and t == s:               # a descent
+                        if branches is None:     # the term's first descent
+                            clean, branches, table = False, [], tables.setdefault(x0, [c0])
                         if k + 1 == len(table):
                             table.append(_sparse_mul_into({}, table[k], pt))
                         branches.append((x, i + 1, k + 1))
-                    x = xs
-                c, acc = table[k], result.get(x)
+                        x = x[:j] + x[j + 1:]
+                    else:                   # before the first larger letter
+                        j, end = j + 1, len(x)
+                        while j < end and x[j] < s:
+                            j += 1
+                        x = x[:j] + (s,) + x[j:]
+                c, acc = table[k] if k else c0, result.get(x)
                 if acc is not None:
+                    clean = False
                     _sparse_mul_into(acc, c, cw)
                 elif len(result) < MAX_PRODUCT_TERMS:   # a copy: c is shared
                     result[x] = dict(c) if one else _sparse_mul_into({}, c, cw)
                 else:
-                    raise CapacityError(
-                        f"a Hecke product reached {len(result) + 1} terms, "
-                        f"more than the cap of {MAX_PRODUCT_TERMS}")
+                    raise _past_cap(len(result) + 1)
+                if not branches:
+                    break
+                x, i, k = branches.pop()
     d = a._den * b._den
-    if any(type(x) is not int for x in pt.values()):
+    if p is not P_SYMBOL and any(type(x) is not int for x in pt.values()):
         dp, result = _numerators(result)
         d *= dp
+    elif clean and d == 1:
+        return _make(a.system, None, 1, result)
     return _make(a.system, None, *_canonical(d, result))
 
 
@@ -349,23 +382,23 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
     """The Hecke product ab.
 
     In exact mode each term of a is peeled alone, depth first, on the
-    right by the letters of each word of b, with no adjoint: on one
-    seed-1 round of the ``hecke`` bench workload that takes 542,552 right
-    steps, where peeling the shorter factor through the adjoint took
-    1,002,510.  ``p_override``
-    substitutes a different structure constant (used for the sign-twisted
-    target algebra of the duality isomorphism); in exact mode it must be
-    exact (a LaurentPoly or a rational), in numeric mode a real number.
+    right by the letters of each word of b, placed inline, with no
+    adjoint: on one seed-1 round of the ``hecke`` bench workload that
+    places 542,552 letters, where peeling the shorter factor through the
+    adjoint took 1,002,510 right steps.  ``p_override`` substitutes a
+    different structure constant (used for the sign-twisted target
+    algebra of the duality isomorphism); in exact mode it must be exact
+    (a LaurentPoly or a rational), in numeric mode a real number.
     In numeric mode each term c_a T_v of a in turn peels v^-1 on the right
     of b^*, one dict per letter, on the float coefficients themselves, and
     adds c_a times the inverted output; the float sums are those of
     peeling v on the left of b (see above).
     """
     a._check_compat(b)
-    p = (a._p() if p_override is None
-         else _scalar(a.q, p_override, "p_override"))
     if a.q is None:
-        return _exact_mul(a, b, p)
+        return _exact_mul(a, b, P_SYMBOL if p_override is None else
+                          _scalar(None, p_override, "p_override"))
+    p = a._p() if p_override is None else _scalar(a.q, p_override, "p_override")
     sys, fold = a.system, a.system._fold
     adjoint = {fold((), reversed(w)): c for w, c in b._num.items()}
     result: dict[Word, float] = {}
@@ -373,6 +406,8 @@ def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
         for x, c in _right_peel(sys, adjoint, reversed(v), p).items():
             x = fold((), reversed(x))
             result[x] = result.get(x, 0.0) + ca * c
+    if len(result) > MAX_PRODUCT_TERMS:
+        raise _past_cap(len(result))
     return _make(sys, a.q, 1, {x: c for x, c in result.items() if c})
 
 

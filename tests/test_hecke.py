@@ -333,25 +333,44 @@ def lone_term_cases(mode):
     return cases
 
 
+def count_placements(monkeypatch, systems) -> list:
+    """A one-item list: the letters placed in the given systems from now
+    on.  ``_step`` reads one commutation mask per right step, and the exact
+    product's walk one per letter it places inline, so the masks count
+    their reads."""
+    placed = [0]
+
+    class CountedMasks(tuple):
+        def __getitem__(self, i):
+            placed[0] += 1
+            return super().__getitem__(i)
+
+    for sys in systems:
+        monkeypatch.setattr(sys, "_comm", CountedMasks(sys._comm))
+    return placed
+
+
 def test_lone_term_products_at_the_first_descent(monkeypatch):
     """One-term products whose lone term first descends on the first, a
     middle or the last letter, or on none: exact ones equal the oracle
-    and take its steps, numeric ones match a letter-by-letter dict peel
-    float for float."""
-    sides = count_steps(monkeypatch)
-    for cases in lone_term_cases("exact").values():
+    and place as many letters as it steps, numeric ones match a
+    letter-by-letter dict peel float for float."""
+    exact_cases = lone_term_cases("exact")
+    placed = count_placements(monkeypatch, {sys for cases in exact_cases.values()
+                                            for sys, _, _ in cases})
+    for cases in exact_cases.values():
         for (sys, v, w), (ca, cb) in zip(cases, itertools.product(
                 (1, LaurentPoly({-1: Fraction(2, 3)})), (1, Fraction(-3, 2)))):
             for p in (None, -P_SYMBOL, Fraction(2, 3)):
                 twin_a, twin_b = (OracleElement(sys, {x: c})
                                   for x, c in ((v, ca), (w, cb)))
-                del sides[:]
+                placed[0] = 0
                 expected = oracle_exact_mul(twin_a, twin_b, p)
-                oracle_steps = len(sides)
-                del sides[:]
+                oracle_steps = placed[0]
+                placed[0] = 0
                 got = mul(HeckeElement(sys, {v: ca}), HeckeElement(sys, {w: cb}),
                           p_override=p)
-                assert len(sides) == oracle_steps
+                assert placed[0] == oracle_steps
                 assert_like_oracle(got, expected, ())
     for cases in lone_term_cases("numeric").values():
         for sys, v, w in cases:
@@ -410,9 +429,9 @@ def random_poly(rng):
 def test_single_term_products_take_the_oracles_steps(monkeypatch):
     """2,000 one-term products c_v T_v * c_w T_w on seeded random graphs,
     words of length 0-9 in both orders, for three structure constants:
-    each equals the oracle and takes its ``_step`` count, and the oracle's
-    per-letter dicts never merge two terms, so a term peeled alone, depth
-    first, makes the same sums."""
+    each equals the oracle and places as many letters as it steps, and
+    the oracle's per-letter dicts never merge two terms, so a term peeled
+    alone, depth first, makes the same sums."""
     rng = random.Random(149)
     cases = []
     for _ in range(200):
@@ -423,17 +442,20 @@ def test_single_term_products_take_the_oracles_steps(monkeypatch):
             cv, cw = (rng.choice((1, random_poly(rng))) for _ in range(2))
             cases += [(sys, v, cv, w, cw), (sys, w, cw, v, cv)]
     calls = record_steps(monkeypatch)
+    placed = count_placements(monkeypatch, {sys for sys, *_ in cases})
     for sys, v, cv, w, cw in cases:
         for p in (None, -P_SYMBOL, Fraction(2, 3)):
             del calls[:]
+            placed[0] = 0
             expected = oracle_exact_mul(OracleElement(sys, {v: cv}),
                                         OracleElement(sys, {w: cw}), p)
             assert oracle_merges(calls, 1, [w.word]) == 0
             oracle_steps = len(calls)
-            del calls[:]
+            assert placed[0] == oracle_steps
+            placed[0] = 0
             got = mul(HeckeElement(sys, {v: cv}), HeckeElement(sys, {w: cw}),
                       p_override=p)
-            assert len(calls) == oracle_steps
+            assert placed[0] == oracle_steps
             assert_like_oracle(got, expected, ())
 
 
@@ -468,12 +490,54 @@ def test_cross_term_merges_match_the_oracle(monkeypatch):
                     == {u: list(c.terms) for u, c in expected.terms.items()})
 
 
+def clean_shortcut_cases():
+    """(system, a's terms, b's terms) of exact products near the clean
+    result of ``_exact_mul``: a power c_x p with a zero exponent (c_x =
+    u + 1/u, one descent), two leaves on one word (cancelling, after a
+    descent for p = u - 1/u or with no descent at all), a zero exponent
+    from b's numerator, denominators 1 and above, and sums of basis terms
+    with coefficients 1 or a monomial on seeded random graphs, which
+    often take the shortcut."""
+    free3 = verify.named_systems()["free3"]
+    s, t, st, e = (free3.element(x) for x in ("s", "t", "s t", ""))
+    u_sum, u_diff = LaurentPoly({1: 1, -1: 1}), LaurentPoly({1: 1, -1: -1})
+    yield free3, {s: u_sum}, {s: 1}
+    yield free3, {e: -u_diff, s: 1}, {s: 1}
+    yield free3, {e: 1, st: -1}, {st: 1, e: 1}      # meeting with no descent
+    yield free3, {s: u_sum}, {t: u_diff}
+    yield free3, {s: Fraction(1, 2)}, {t: 2}
+    yield free3, {s: Fraction(1, 2), t: LaurentPoly({1: 1})}, {st: 1, t: 1}
+    yield free3, {s: Fraction(1, 2) * u_sum}, {s: Fraction(2, 3)}
+    rng = random.Random(163)
+    for _ in range(40):
+        sys = random_system(rng)
+        ball = sys.ball(3)
+        yield sys, *({x: rng.choice((1, 1, -1, LaurentPoly({1: 2})))
+                      for x in rng.sample(ball, min(len(ball),
+                                                    rng.randint(1, 4)))}
+                     for _ in range(2))
+
+
+def test_clean_shortcut_results_are_canonical():
+    """Whether or not ``_exact_mul`` skips the canonical pass, its result
+    holds no zero numerator, is its own canonical form, and equals the
+    oracle's, for every structure constant."""
+    for sys, a_terms, b_terms in clean_shortcut_cases():
+        a, b = HeckeElement(sys, a_terms), HeckeElement(sys, b_terms)
+        a_twin, b_twin = OracleElement(sys, a_terms), OracleElement(sys, b_terms)
+        for p in (None, -P_SYMBOL, Fraction(2, 3)):
+            got = mul(a, b, p_override=p)
+            assert all(c and 0 not in c.values() for c in got._num.values())
+            assert (got._den, got._num) == hecke._canonical(got._den, got._num)
+            assert_like_oracle(got, oracle_exact_mul(a_twin, b_twin, p), ())
+
+
 def test_products_past_the_term_cap(monkeypatch, capsys, free3):
     """Exact and numeric products with one term more than
     ``MAX_PRODUCT_TERMS`` raise ``CapacityError`` naming the cap, and at
     the cap they do not; ``hecke --expr`` then exits 1 with nothing on
-    stdout.  Exact products count the terms of the result, so four terms
-    times 1 pass a cap of 3 no more."""
+    stdout.  Both modes count the terms of the summed result, so four
+    terms times 1 pass a cap of 3, though no peel holds more than one."""
     v, w = free3.element("s t u"), free3.element("u t s")
     sizes = {q: len(mul(t_basis(v, q), t_basis(w, q)).terms)
              for q in (None, 0.7)}
@@ -485,10 +549,11 @@ def test_products_past_the_term_cap(monkeypatch, capsys, free3):
         with pytest.raises(CapacityError, match=f"the cap of {n - 1}$"):
             mul(t_basis(v, q), t_basis(w, q))
     monkeypatch.setattr(hecke, "MAX_PRODUCT_TERMS", 3)
-    four = HeckeElement(free3, {free3.element(x): 1
-                                for x in ("s", "t", "u", "s t")})
-    with pytest.raises(CapacityError, match="the cap of 3$"):
-        mul(four, unit(free3))
+    for q in (None, 0.7):
+        four = HeckeElement(free3, {free3.element(x): 1
+                                    for x in ("s", "t", "u", "s t")}, q)
+        with pytest.raises(CapacityError, match="the cap of 3$"):
+            mul(four, unit(free3, q))
     assert main(["hecke", "--group", str(GROUPS / "free3.json"),
                  "--expr", "T(s t u)*T(u t s)"]) == 1
     out, err = capsys.readouterr()
