@@ -11,10 +11,10 @@ order in which a greedy emits the letters, each time the smallest one
 that commutes with every letter before it.  Every word operation builds
 it by one rule, the right step of :meth:`CoxeterSystem.mult_gen`; even a
 left step sw takes the right steps of the letters of w, starting from s.
-Its second site is the exact Hecke product's walk, which places each
-letter inline; the product tests against ``oracle_exact_mul``, which steps
-with ``_step`` (``test_canonical_form_matches_oracle``, the step counts
-of ``test_single_term_products_take_the_oracles_steps``), pin the two.
+Its second site is the walk of every Hecke product, exact or numeric,
+which places each letter inline; the product tests against
+``oracle_exact_mul`` and a numeric depth-first reference, both stepping
+with ``_step``, pin the two.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -274,7 +274,7 @@ class CoxeterSystem:
         greater than s among the trailing letters that commute with s, and
         a shortening one deletes s.  A left step folds the word onto (s,):
         it takes the right steps of the letters of a in order, from s.
-        Its second site is the exact Hecke product (see the module).
+        Its second site is the Hecke product's walk (see the module).
         """
         self._check_own(a)
         s = self.generator_index(s)

@@ -15,18 +15,14 @@ positive denominator, with no zero entry and no common factor of them
 all, so equal elements are held alike; arithmetic works on that form, and
 ``terms`` ({Element: LaurentPoly}) is built from it on first read.
 
-Both modes peel with right steps on canonical words: T_x T_s = T_{xs},
-plus p T_x on a descent.  Exact products peel each term of a alone,
-depth first, by each word of b, placing letters inline by the right
-step's rule, and sum the branches where they end; they take no adjoint,
-because inverting the inputs and every output word costs more steps
-than peeling the shorter factor saves (descents are rare).
-Numeric products peel each term's v^-1 on the right of b^*, through the
-adjoint T_v T_w = (T_{w^-1} T_{v^-1})^*, one dict per letter: it maps
-each intermediate sum onto that of peeling v on the left of b, and a
-step gives a target at most two contributions, so the float sums are
-those of the left recursion (:func:`action_matrix` follows the same
-order); summing branches where they end would round otherwise.
+Both modes walk with right steps on canonical words: T_x T_s = T_{xs},
+plus p T_x on a descent.  A product walks each term of a alone, depth
+first, by each word of b, placing letters inline by the right step's
+rule, and sums the branches where they end, in the walk's order; it takes
+no adjoint, because inverting the inputs and every output word costs more
+steps than peeling the shorter factor saves (descents are rare).
+:func:`action_matrix` takes the same walk on a ball's table, in the same
+order, so its float sums are those of the products.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element, Word
+from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
 from .errors import CapacityError, InputError, ParseError
 from .laurent import (LaurentPoly, P_SYMBOL, _coerce, _from_numerators,
                       _numerators, _sparse_mul_into, float_q)
@@ -289,49 +285,21 @@ def _past_cap(n: int) -> CapacityError:
                          f"more than the cap of {MAX_PRODUCT_TERMS}")
 
 
-def _right_peel(system: CoxeterSystem, terms: dict, letters, p: float) -> dict:
-    """Multiply {canonical word: float} on the right by T_s for each s in
-    ``letters``: T_x T_s = T_xs, plus p c T_x on a descent, one dict per
-    letter.  A step gives a target at most two contributions, so the sums
-    do not depend on the order of the terms.  A lone term is stepped
-    alone, with no dict, until its first descent, in the same steps and
-    sums."""
-    step, letters = system._step, iter(letters)
-    if len(terms) == 1:
-        (x, c), = terms.items()
-        for s in letters:
-            xs, delta = step(x, s, RIGHT)
-            if delta < 0:
-                terms = {xs: c, x: p * c}
-                break
-            x = xs
-        else:
-            return {x: c}
-    for s in letters:
-        nxt = {}
-        for x, c in terms.items():
-            xs, delta = step(x, s, RIGHT)
-            nxt[xs] = nxt[xs] + c if xs in nxt else c
-            if delta < 0:
-                nxt[x] = nxt[x] + p * c if x in nxt else p * c
-        if len(nxt) > MAX_PRODUCT_TERMS:
-            raise _past_cap(len(nxt))
-        terms = nxt
-    return terms
-
-
-def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement:
-    """The exact product on the numerators of a and b: for each word w of
+def _walk(a: HeckeElement, b: HeckeElement, p) -> HeckeElement:
+    """The product ab on the coefficients of a and b: for each word w of
     b, each term c_x T_x of a walks alone, depth first, by the letters of
     w, placed inline by the right step of ``CoxeterSystem._step``; a
     descent leaves a branch at x with one more factor p, and a branch with
-    k of them adds c_x p^k (built once per term) times b's numerator at w
-    into one exponent dict per target, over d_a d_b.  A rational p keeps
-    its ``Fraction`` values through the sums, cleared to integers at the
-    end.  With no descent, no two branches on one target, numerators 1 on
-    b and d_a d_b = 1, the result is canonical as it stands."""
-    pt, comm, tables, clean = p.terms, a.system._comm, {}, True
-    result: dict[Word, dict[int, int]] = {}
+    k of them adds c_x p^k (built once per term, each power the one before
+    times p) times b's coefficient at w into its target, in the walk's
+    order.  Numeric coefficients are floats.  Exact ones are numerators,
+    one exponent dict per target over d_a d_b; a rational p keeps its
+    ``Fraction`` values through the sums, cleared to integers at the end.
+    With no descent, no two branches on one target, numerators 1 on b and
+    d_a d_b = 1, the exact result is canonical as it stands."""
+    exact = a.q is None
+    pt, comm, tables, clean = p.terms if exact else p, a.system._comm, {}, True
+    result = {}
     for w, cw in b._num.items():
         one, n = cw == {0: 1}, len(w)
         clean = clean and one
@@ -350,7 +318,8 @@ def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement
                         if branches is None:     # the term's first descent
                             clean, branches, table = False, [], tables.setdefault(x0, [c0])
                         if k + 1 == len(table):
-                            table.append(_sparse_mul_into({}, table[k], pt))
+                            table.append(_sparse_mul_into({}, table[k], pt)
+                                         if exact else table[k] * p)
                         branches.append((x, i + 1, k + 1))
                         x = x[:j] + x[j + 1:]
                     else:                   # before the first larger letter
@@ -361,14 +330,17 @@ def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement
                 c, acc = table[k] if k else c0, result.get(x)
                 if acc is not None:
                     clean = False
-                    _sparse_mul_into(acc, c, cw)
+                    result[x] = _sparse_mul_into(acc, c, cw) if exact else acc + c * cw
                 elif len(result) < MAX_PRODUCT_TERMS:   # a copy: c is shared
-                    result[x] = dict(c) if one else _sparse_mul_into({}, c, cw)
+                    result[x] = (c * cw if not exact else dict(c) if one
+                                 else _sparse_mul_into({}, c, cw))
                 else:
                     raise _past_cap(len(result) + 1)
                 if not branches:
                     break
                 x, i, k = branches.pop()
+    if not exact:
+        return _make(a.system, a.q, 1, {x: c for x, c in result.items() if c})
     d = a._den * b._den
     if p is not P_SYMBOL and any(type(x) is not int for x in pt.values()):
         dp, result = _numerators(result)
@@ -379,36 +351,16 @@ def _exact_mul(a: HeckeElement, b: HeckeElement, p: LaurentPoly) -> HeckeElement
 
 
 def mul(a: HeckeElement, b: HeckeElement, p_override=None) -> HeckeElement:
-    """The Hecke product ab.
+    """The Hecke product ab, by the walk of :func:`_walk` in either mode.
 
-    In exact mode each term of a is peeled alone, depth first, on the
-    right by the letters of each word of b, placed inline, with no
-    adjoint: on one seed-1 round of the ``hecke`` bench workload that
-    places 542,552 letters, where peeling the shorter factor through the
-    adjoint took 1,002,510 right steps.  ``p_override`` substitutes a
-    different structure constant (used for the sign-twisted target
-    algebra of the duality isomorphism); in exact mode it must be exact
-    (a LaurentPoly or a rational), in numeric mode a real number.
-    In numeric mode each term c_a T_v of a in turn peels v^-1 on the right
-    of b^*, one dict per letter, on the float coefficients themselves, and
-    adds c_a times the inverted output; the float sums are those of
-    peeling v on the left of b (see above).
+    ``p_override`` substitutes a different structure constant (used for
+    the sign-twisted target algebra of the duality isomorphism); in exact
+    mode it must be exact (a LaurentPoly or a rational), in numeric mode
+    a real number.
     """
     a._check_compat(b)
-    if a.q is None:
-        return _exact_mul(a, b, P_SYMBOL if p_override is None else
-                          _scalar(None, p_override, "p_override"))
-    p = a._p() if p_override is None else _scalar(a.q, p_override, "p_override")
-    sys, fold = a.system, a.system._fold
-    adjoint = {fold((), reversed(w)): c for w, c in b._num.items()}
-    result: dict[Word, float] = {}
-    for v, ca in a._num.items():
-        for x, c in _right_peel(sys, adjoint, reversed(v), p).items():
-            x = fold((), reversed(x))
-            result[x] = result.get(x, 0.0) + ca * c
-    if len(result) > MAX_PRODUCT_TERMS:
-        raise _past_cap(len(result))
-    return _make(sys, a.q, 1, {x: c for x, c in result.items() if c})
+    return _walk(a, b, a._p() if p_override is None
+                 else _scalar(a.q, p_override, "p_override"))
 
 
 def j_iso(a: HeckeElement) -> HeckeElement:
@@ -495,7 +447,7 @@ def _action_by_products(a: HeckeElement, ball: list[Element],
 
 def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
     """The ball table of :func:`action_matrix`, one per system and rebuilt
-    only at a larger radius: (radius, table, {word: row}, left, descent).
+    only at a larger radius: (radius, table, {word: row}).
     A ball is a prefix of any larger one, so it reads the same in it.
     Before a build at a new radius ``sphere_counts`` counts ball(radius);
     past ``DEFAULT_MAX_BALL`` elements, or as many states on one level of
@@ -508,7 +460,7 @@ def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
             return None
         table = system.ball_table(radius)
         index = {w: i for i, w in enumerate(table.words())}
-        entry = system._ball_cache = (radius, table, index, *table.left())
+        entry = system._ball_cache = (radius, table, index)
     return entry
 
 
@@ -522,32 +474,55 @@ def _merge(col, at, val, size):
     return keys[keep] // size, keys[keep] % size, val[keep]
 
 
-def _left_step(terms, s, left, descent, p):
-    """Multiply the terms on the left by T_s, a generator per term (-1
-    leaves a term as it is): T_s T_x = T_sx, plus p T_x on a descent."""
-    col, at, val = terms
-    go = s >= 0
-    x, sx = at[go], s[go]
-    down = descent[sx, x]
-    return _merge(np.concatenate([col[~go], col[go], col[go][down]]),
-                  np.concatenate([at[~go], left[sx, x], x[down]]),
-                  np.concatenate([val[~go], val[go], p * val[go][down]]),
-                  left.shape[1])
+def _letters(table, rows, width: int) -> np.ndarray:
+    """The letters of the words at ``rows`` of the ball table, one row
+    each, padded with -1 to ``width``, read from each word's end."""
+    out = np.full((len(rows), width), -1, dtype=np.int64)
+    pos = table.lengths[rows] - 1
+    for _ in range(width):
+        ok = np.flatnonzero(pos >= 0)
+        out[ok, pos[ok]] = table.last[rows[ok]]
+        rows, pos = table.parent[rows], pos - 1
+    return out
+
+
+def _table_walk(at, val, letters, table, p):
+    """The walk of :func:`_walk` on ball rows, many walks at once: walk j
+    starts at row ``at[j]`` with value ``val[j]`` and goes by the letters
+    of ``letters[j]`` (-1 for none) through ``table.right``.  A descent
+    splits a row in place into the row of xs and, after it, the row of x
+    times p, so the rows stay in the order of the walk's leaves.  Returns
+    the rows as (walk, ball row, value)."""
+    src, size = np.arange(len(at)), table.right.shape[1]
+    right, descent = table.right.ravel(), table.descent.ravel()
+    for s in letters.T:
+        s = s[src]
+        go = s >= 0
+        flat = s * size + at            # s = -1 reads the last row, unused
+        down = go & descent[flat]
+        xs = np.where(go, right[flat], at)
+        d = np.flatnonzero(down)
+        keep = np.repeat(np.arange(len(at)), down + 1)
+        src, val, xs = src[keep], val[keep], xs[keep]
+        x_rows = d + np.arange(1, len(d) + 1)       # each after its row of xs
+        xs[x_rows] = at[d]
+        val[x_rows] *= p
+        at = xs
+    return src, at, val
 
 
 def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> ActionMatrix:
     """Truncation of the multiplication operator of ``a`` to a metric ball.
 
-    ``ball`` may be any list of elements.  This runs the one-generator
-    recursion T_s T_x on the left-multiplication table of ball(r + m), r
-    and m the longest words in ``ball`` and in ``a``, for all columns at
-    once.  Every intermediate term lies in ball(r + m), so images leaving
-    ``ball`` keep their identities.  Side "left" peels each term of ``a``
-    from its end on the left of the columns and sums the terms in order;
-    side "right" peels each column's word from the end on the left of
-    ``a``.  :func:`mul` takes the same steps mirrored by the adjoint, and a
-    step gives a term at most two contributions, so the entries are bit for
-    bit those of per-column products.  The table comes from
+    ``ball`` may be any list of elements.  This takes the walk of
+    :func:`mul` on the right-multiplication table of ball(r + m), r and m
+    the longest words in ``ball`` and in ``a``, for all columns at once.
+    Every intermediate term lies in ball(r + m), so images leaving
+    ``ball`` keep their identities.  Side "left" walks each term of ``a``
+    by each column's word, side "right" each column's word by each term of
+    ``a``; the terms of ``a`` come in order and the rows of each in the
+    walk's order, and one merge sums them in that order, so the entries
+    are bit for bit those of per-column products.  The table comes from
     :func:`_action_table`, the one keeper of the system's table: grown on
     demand and never shrunk, since a smaller ball is a prefix of it with
     the same rows and the same sums.  Where it declines, past the element
@@ -567,30 +542,23 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     entry = _action_table(sys, r + m)
     if entry is None:
         return _action_by_products(a, ball, side)
-    _, table, index, left, descent = entry
+    _, table, index = entry
     p = a._p()
 
     n = len(ball)
-    cols = np.arange(n)
     where = np.array([index[w] for w in words], dtype=np.int64)
-    if side == LEFT:
-        parts = [(cols[:0], cols[:0], np.zeros(0))]     # for the zero element
-        for v, c in a._num.items():
-            terms = (cols, where, np.ones(n))
-            for s in reversed(v):
-                terms = _left_step(terms, np.full(len(terms[0]), s),
-                                   left, descent, p)
-            parts.append((terms[0], terms[1], c * terms[2]))
-        col, at, val = _merge(*map(np.concatenate, zip(*parts)), len(index))
-    else:
-        start = np.array([index[v] for v in a._num], dtype=np.int64)
-        col, at, val = (np.repeat(cols, len(start)), np.tile(start, n),
-                        np.tile(list(a._num.values()), n))
-        peel = where
-        for _ in range(r):              # each column's letters from the end
-            col, at, val = _left_step((col, at, val), table.last[peel][col],
-                                      left, descent, p)
-            peel = table.parent[peel]
+    terms = np.array([index[v] for v in a._num], dtype=np.int64)
+    coefs = np.array(list(a._num.values()), dtype=float)
+    if side == LEFT:        # each term of a, in order, by each column's word
+        src, at, val = _table_walk(
+            np.repeat(terms, n), np.repeat(coefs, n),
+            np.tile(_letters(table, where, r), (len(terms), 1)), table, p)
+    else:                   # each column's word by each term of a, in order
+        src, at, val = _table_walk(
+            np.tile(where, len(terms)), np.ones(len(terms) * n),
+            np.repeat(_letters(table, terms, m), n, axis=0), table, p)
+        val = val * coefs[src // n]
+    col, at, val = _merge(src % n, at, val, len(index))
 
     row = np.full(len(index), -1, dtype=np.int64)
     kept, first = np.unique(where[::-1], return_index=True)

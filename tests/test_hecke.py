@@ -245,9 +245,9 @@ def count_steps(monkeypatch) -> list:
 
 
 def test_exact_products_take_right_steps_only(monkeypatch):
-    """Exact products peel the right factor on the right of the left one
-    and take no left step; neither do numeric products, which peel every
-    left factor through the adjoint, on the right."""
+    """Exact and numeric products, with a short or a long left factor,
+    place each letter of the right factor inline by the rule of the right
+    step: they take no left step, and no ``_step`` call on either side."""
     rng = random.Random(83)
     pairs = []
     for _ in range(10):
@@ -259,12 +259,14 @@ def test_exact_products_take_right_steps_only(monkeypatch):
         mul(t_basis(v), t_basis(w))
         mul(t_basis(v, q=0.7), t_basis(w, q=0.7))
         mul(t_basis(w, q=0.7), t_basis(v, q=0.7))
-    assert sides and LEFT not in sides
+    assert LEFT not in sides and RIGHT not in sides
 
 
 def test_exact_products_take_no_adjoint(monkeypatch):
-    """Exact products invert no word: no ``_fold`` call, for a long left
-    factor, a long right factor, or many terms on each side."""
+    """Products in both modes, with every structure constant, place each
+    letter inline and invert no word: no ``_step`` and no ``_fold`` call,
+    for a long left factor, a long right factor, or many terms on each
+    side."""
     rng = random.Random(89)
     pairs = []
     for _ in range(10):
@@ -276,18 +278,20 @@ def test_exact_products_take_no_adjoint(monkeypatch):
                   (t_basis(short), t_basis(long)),
                   tuple(random_exact_element(rng, sys, ball, 8, 4)
                         for _ in range(2))]
-    folds = []
-    fold = CoxeterSystem._fold
+    pairs = [(a, b, (None, -P_SYMBOL, Fraction(2, 3))) for a, b in pairs] + [
+        (a.specialize(0.7), b.specialize(0.7), (None, -1.25, Fraction(2, 3)))
+        for a, b in pairs]
+    calls = []
+    for name in ("_step", "_fold"):
+        def counted(self, *args, name=name, method=getattr(CoxeterSystem, name)):
+            calls.append(name)
+            return method(self, *args)
 
-    def counted(self, word, letters):
-        folds.append(word)
-        return fold(self, word, letters)
-
-    monkeypatch.setattr(CoxeterSystem, "_fold", counted)
-    for a, b in pairs:
-        for p in (None, -P_SYMBOL, Fraction(2, 3)):
+        monkeypatch.setattr(CoxeterSystem, name, counted)
+    for a, b, ps in pairs:
+        for p in ps:
             mul(a, b, p_override=p)
-    assert folds == []
+    assert calls == []
 
 
 def descent_place(sys, word, letters):
@@ -492,7 +496,7 @@ def test_cross_term_merges_match_the_oracle(monkeypatch):
 
 def clean_shortcut_cases():
     """(system, a's terms, b's terms) of exact products near the clean
-    result of ``_exact_mul``: a power c_x p with a zero exponent (c_x =
+    result of ``hecke._walk``: a power c_x p with a zero exponent (c_x =
     u + 1/u, one descent), two leaves on one word (cancelling, after a
     descent for p = u - 1/u or with no descent at all), a zero exponent
     from b's numerator, denominators 1 and above, and sums of basis terms
@@ -519,7 +523,7 @@ def clean_shortcut_cases():
 
 
 def test_clean_shortcut_results_are_canonical():
-    """Whether or not ``_exact_mul`` skips the canonical pass, its result
+    """Whether or not ``hecke._walk`` skips the canonical pass, its result
     holds no zero numerator, is its own canonical form, and equals the
     oracle's, for every structure constant."""
     for sys, a_terms, b_terms in clean_shortcut_cases():
@@ -709,18 +713,19 @@ def test_generic_p_override_associative_and_dual():
 
 
 #: SHA-256 over the words and the ``float.hex`` of the coefficients of the
-#: products of :func:`numeric_pin_products`, recorded on the parent of the
-#: change that peels numeric products through the adjoint (commit a5b0f42,
-#: where the left factor was peeled with left steps).
-NUMERIC_PRODUCTS_PIN = ("f81c151f87861b3ba12f6e1e039c3fc1"
-                        "dfcc00f5895ee0dac8fa3c200806f00f")
+#: products of :func:`numeric_pin_cases`, recorded when numeric products
+#: took the exact product's depth-first walk: each term of a walks alone by
+#: each word of b, and each target sums its leaves in the walk's order
+#: (:func:`depth_first_product`).
+NUMERIC_PRODUCTS_PIN = ("aff5b88a6ca16cd17ffc2ea1e05b778c"
+                        "2ee9c54398ad19c2cc6f955ad3bf7509")
 
 
-def numeric_pin_products():
-    """920 numeric products ab on the named systems and 20 seeded random
-    graphs, at random q in (0.05, 4) and with p_override None and a random
-    float.  a has 1-4 float terms on a ball of random radius up to 5, and
-    b adds to a's adjoint 1-4 such terms on another ball."""
+def numeric_pin_cases():
+    """920 numeric factors (a, b, p_override) on the named systems and 20
+    seeded random graphs, at random q in (0.05, 4) and with p_override None
+    and a random float.  a has 1-4 float terms on a ball of random radius
+    up to 5, and b adds to a's adjoint 1-4 such terms on another ball."""
     rng = random.Random(89)
     systems = list(verify.named_systems().values())
     systems += [random_system(rng) for _ in range(20)]
@@ -732,19 +737,55 @@ def numeric_pin_products():
                                        for _ in range(rng.randint(1, 4))}, q)
                     for ball in (rng.choice(balls), rng.choice(balls)))
             for p in (None, rng.uniform(-2, 2)):
-                yield mul(a, b + a.star(), p_override=p)
+                yield a, b + a.star(), p
 
 
 def test_numeric_products_pinned():
     digest = hashlib.sha256()
     count = 0
-    for product in numeric_pin_products():
+    for a, b, p in numeric_pin_cases():
+        product = mul(a, b, p_override=p)
         for w in product.support():
             digest.update(f"{w.word} {product.terms[w].hex()}\n".encode())
         digest.update(b"\n")
         count += 1
     assert count == 920
     assert digest.hexdigest() == NUMERIC_PRODUCTS_PIN
+
+
+def depth_first_product(a, b, p=None) -> dict:
+    """The numeric product ab as {canonical word: float}, stepped with
+    ``CoxeterSystem._step``: for each word w of b and each term c_x T_x of
+    a, x walks by the letters of w; at a descent the branch of xs goes
+    first and that of x, times p, after it.  Each leaf adds c_x p^k (each
+    power the one before times p) times b's coefficient at w into its
+    target, so a target sums its leaves in depth-first order."""
+    sys, out = a.system, {}
+    p = a._p() if p is None else p
+
+    def walk(x, letters, c, cw):
+        for i, s in enumerate(letters):
+            xs, delta = sys._step(x, s, RIGHT)
+            if delta < 0:
+                walk(xs, letters[i + 1:], c, cw)
+                walk(x, letters[i + 1:], c * p, cw)
+                return
+            x = xs
+        out[x] = out[x] + c * cw if x in out else c * cw
+
+    for w, cw in b._num.items():
+        for x, c in a._num.items():
+            walk(x, w, c, cw)
+    return {x: c for x, c in out.items() if c}
+
+
+def test_numeric_products_match_the_depth_first_reference():
+    """Every product of the numeric pin equals the depth-first reference
+    float for float."""
+    for a, b, p in numeric_pin_cases():
+        got = mul(a, b, p_override=p)._num
+        assert {x: c.hex() for x, c in got.items()} == \
+            {x: c.hex() for x, c in depth_first_product(a, b, p).items()}
 
 
 def oracle_twins(rng, sys, ball, n_terms=3, min_terms=1):
@@ -1213,19 +1254,32 @@ def test_action_matrix_cancellation_outside_ball():
 
 
 def test_action_matrix_matches_products_on_random_graphs():
+    """Bit for bit the per-column products, on seeded random graphs at a
+    random q and at q = 1, where p = 0.0 and every branch a descent keeps
+    is +-0.0, and for terms of length 4 on ball(4) of free3 and z2sq-z2,
+    whose rows split several times."""
     rng = random.Random(2019)
+    cases = []
     for _ in range(30):
         sys = random_system(rng, 6)
         ball = sys.ball(3)
         q = rng.uniform(0.05, 4.0)
-        a = HeckeElement(sys, {rng.choice(ball): rng.uniform(-2.0, 2.0)
-                               for _ in range(rng.randint(0, 3))}, q=q)
+        terms = {rng.choice(ball): rng.uniform(-2.0, 2.0)
+                 for _ in range(rng.randint(0, 3))}
         lists = (ball, [rng.choice(ball) for _ in range(rng.randint(0, 12))])
-        for lst, side in itertools.product(lists, (LEFT, RIGHT)):
-            am = action_matrix(a, lst, side)
-            mat, exact = action_by_products(a, lst, side)
-            assert np.array_equal(am.matrix, mat)
-            assert np.array_equal(am.exact_columns, exact)
+        cases += [(HeckeElement(sys, terms, q=x), lst)
+                  for x in (q, 1.0) for lst in lists]
+    for sys in (verify.named_systems()[name] for name in ("free3", "z2sq-z2")):
+        ball = sys.ball(4)
+        length4 = [w for w in ball if len(w) == 4]
+        terms = {w: rng.uniform(-2.0, 2.0) for w in rng.sample(length4, 3)}
+        cases += [(HeckeElement(sys, terms, q=x), ball)
+                  for x in (rng.uniform(0.05, 4.0), 1.0)]
+    for (a, lst), side in itertools.product(cases, (LEFT, RIGHT)):
+        am = action_matrix(a, lst, side)
+        mat, exact = action_by_products(a, lst, side)
+        assert np.array_equal(am.matrix, mat)
+        assert np.array_equal(am.exact_columns, exact)
 
 
 def test_action_matrix_beyond_table_cap(free3):
