@@ -361,23 +361,25 @@ class CoxeterSystem:
         Canonical words are closed under prefixes, so each element is
         produced exactly once by extending its parent with its last letter;
         no deduplication is needed.  A level is one automaton step on the
-        array of its states: children by parent, then letter (ShortLex).
+        array of its states, sized by their mask bits against the cap before
+        it is built: children by parent, then letter (ShortLex).
         """
         if radius < 0:
             raise InputError("radius must be nonnegative")
         if max_elements < 1:
             raise InputError("ball cap must be at least 1: a ball holds e")
         parents, lasts = [np.zeros(1, np.int64)], [np.full(1, -1, np.int64)]
-        masks = np.array([self._full], dtype=np.int64)
-        bits = np.left_shift(1, np.arange(self.n, dtype=np.int64))
-        nc, cgt = np.array([self._noncomm, self._ext_cgt], dtype=np.int64)
+        masks = np.array([self._full], dtype="<i8")  # uint8 view: low bits first
+        nc, cgt = np.array([self._noncomm, self._ext_cgt], dtype="<i8")
         start, size = 0, 1
         for _ in range(radius):
-            parent, last = np.nonzero(masks[:, None] & bits)
-            if size + len(parent) > max_elements:
+            bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1,
+                                 count=self.n, bitorder="little")
+            if size + np.count_nonzero(bits) > max_elements:
                 raise CapacityError(
                     f"ball would exceed {max_elements} elements; raise the cap "
                     "to enumerate further")
+            parent, last = np.nonzero(bits)
             if not len(parent):
                 break
             masks = nc[last] | (cgt[last] & masks[parent])
@@ -404,7 +406,8 @@ class CoxeterSystem:
         zs = (z's)t is read from the row of z's, two levels down.  Each
         lengthening entry is the reverse of a descent entry of the level
         above, so a level's row is complete once the next level is built.
-        ``right`` is int32, so the cap is at most 2^31 - 1 rows.
+        ``right`` is int32, so the cap, checked before a level or a table
+        is built, is at most 2^31 - 1 rows.
         """
         lengths, parent, last = self._ball_levels(
             radius, min(max_elements, np.iinfo(np.int32).max))

@@ -127,15 +127,15 @@ def growth_series(system: CoxeterSystem) -> RationalSeries:
     cached = getattr(system, "_growth_series", None)
     if cached is not None:
         return cached
+    # hard postcondition: closed form must reproduce the automaton's counts,
+    # counted first so that a count that raises costs no cliques
+    observed = system.sphere_counts(VALIDATION_DEPTH, math.inf)
     cliques = _clique_polynomial(system)
     num, den = [1], [cliques[0]]    # (1+t)^k, Q_k = Q_{k-1} (1+t) + c_k (-t)^k
     for k, c in enumerate(cliques[1:], 1):
         num = _poly_mul(num, [1, 1])
         den = _poly_add(_poly_mul(den, [1, 1]), [0] * k + [(-1) ** k * c])
     series = RationalSeries(tuple(num), tuple(den))
-
-    # hard postcondition: closed form must reproduce the automaton's counts
-    observed = system.sphere_counts(VALIDATION_DEPTH, math.inf)
     predicted = series.taylor(VALIDATION_DEPTH)
     if predicted != observed:
         raise ConsistencyError(

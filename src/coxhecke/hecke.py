@@ -18,11 +18,11 @@ all, so equal elements are held alike; arithmetic works on that form, and
 Both modes walk with right steps on canonical words: T_x T_s = T_{xs},
 plus p T_x on a descent.  A product walks each term of a alone, depth
 first, by each word of b, placing letters inline by the right step's
-rule, and sums the branches where they end, in the walk's order; it takes
-no adjoint, because inverting the inputs and every output word costs more
-steps than peeling the shorter factor saves (descents are rare).
-:func:`action_matrix` takes the same walk on a ball's table, in the same
-order, so its float sums are those of the products.
+rule, and sums the branches where they end; it takes no adjoint, because
+inverting the inputs and every output word costs more steps than peeling
+the shorter factor saves (descents are rare).  One walk's branches end on
+distinct words, so a float sum reads only the order of the walks, which
+:func:`action_matrix` keeps on a ball's table.
 """
 
 from __future__ import annotations
@@ -291,10 +291,11 @@ def _walk(a: HeckeElement, b: HeckeElement, p) -> HeckeElement:
     w, placed inline by the right step of ``CoxeterSystem._step``; a
     descent leaves a branch at x with one more factor p, and a branch with
     k of them adds c_x p^k (built once per term, each power the one before
-    times p) times b's coefficient at w into its target, in the walk's
-    order.  Numeric coefficients are floats.  Exact ones are numerators,
-    one exponent dict per target over d_a d_b; a rational p keeps its
-    ``Fraction`` values through the sums, cleared to integers at the end.
+    times p) times b's coefficient at w into its target, which no other
+    branch of the walk reaches.  Numeric coefficients are floats.  Exact
+    ones are numerators, one exponent dict per target over d_a d_b; a
+    rational p keeps its ``Fraction`` values through the sums, cleared to
+    integers at the end.
     With no descent, no two branches on one target, numerators 1 on b and
     d_a d_b = 1, the exact result is canonical as it stands."""
     exact = a.q is None
@@ -449,16 +450,14 @@ def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
     """The ball table of :func:`action_matrix`, one per system and rebuilt
     only at a larger radius: (radius, table, {word: row}).
     A ball is a prefix of any larger one, so it reads the same in it.
-    Before a build at a new radius ``sphere_counts`` counts ball(radius);
-    past ``DEFAULT_MAX_BALL`` elements, or as many states on one level of
-    the automaton, it returns None and caches nothing."""
+    Past ``DEFAULT_MAX_BALL`` elements ``ball_table`` refuses before it
+    allocates a level; then this returns None and caches nothing."""
     entry = system._ball_cache
     if entry is None or entry[0] < radius:
         try:
-            system.sphere_counts(radius, DEFAULT_MAX_BALL)
+            table = system.ball_table(radius, DEFAULT_MAX_BALL)
         except CapacityError:
             return None
-        table = system.ball_table(radius)
         index = {w: i for i, w in enumerate(table.words())}
         entry = system._ball_cache = (radius, table, index)
     return entry
@@ -489,26 +488,22 @@ def _letters(table, rows, width: int) -> np.ndarray:
 def _table_walk(at, val, letters, table, p):
     """The walk of :func:`_walk` on ball rows, many walks at once: walk j
     starts at row ``at[j]`` with value ``val[j]`` and goes by the letters
-    of ``letters[j]`` (-1 for none) through ``table.right``.  A descent
-    splits a row in place into the row of xs and, after it, the row of x
-    times p, so the rows stay in the order of the walk's leaves.  Returns
-    the rows as (walk, ball row, value)."""
+    of ``letters[j]`` (-1 for none, read from an identity row appended to
+    ``table.right``).  A descent moves a row to xs and appends the row of
+    x times p, which goes on by the walk's later letters.  The leaves of
+    one walk have distinct targets, so only the order of the walks reaches
+    a sum; the rows are returned in walk order, as (walk, ball row, value)."""
     src, size = np.arange(len(at)), table.right.shape[1]
-    right, descent = table.right.ravel(), table.descent.ravel()
+    right = np.concatenate((table.right.ravel(), np.arange(size)))
+    descent = np.concatenate((table.descent.ravel(), np.zeros(size, bool)))
     for s in letters.T:
-        s = s[src]
-        go = s >= 0
-        flat = s * size + at            # s = -1 reads the last row, unused
-        down = go & descent[flat]
-        xs = np.where(go, right[flat], at)
-        d = np.flatnonzero(down)
-        keep = np.repeat(np.arange(len(at)), down + 1)
-        src, val, xs = src[keep], val[keep], xs[keep]
-        x_rows = d + np.arange(1, len(d) + 1)       # each after its row of xs
-        xs[x_rows] = at[d]
-        val[x_rows] *= p
-        at = xs
-    return src, at, val
+        flat = s[src] * size + at
+        d = np.flatnonzero(descent[flat])
+        src = np.concatenate((src, src[d]))
+        val = np.concatenate((val, val[d] * p))
+        at = np.concatenate((right[flat], at[d]))
+    order = np.argsort(src, kind="stable")
+    return src[order], at[order], val[order]
 
 
 def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> ActionMatrix:
@@ -520,14 +515,14 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     Every intermediate term lies in ball(r + m), so images leaving
     ``ball`` keep their identities.  Side "left" walks each term of ``a``
     by each column's word, side "right" each column's word by each term of
-    ``a``; the terms of ``a`` come in order and the rows of each in the
-    walk's order, and one merge sums them in that order, so the entries
+    ``a``; one merge sums each column's walks in the order of the terms of
+    ``a`` (the leaves of one walk have distinct targets), so the entries
     are bit for bit those of per-column products.  The table comes from
     :func:`_action_table`, the one keeper of the system's table: grown on
     demand and never shrunk, since a smaller ball is a prefix of it with
-    the same rows and the same sums.  Where it declines, past the element
-    or the state cap of the ball's count, the columns are computed one
-    product at a time, indexed by canonical word, and nothing is cached.
+    the same rows and the same sums.  Where ``ball_table`` refuses, past
+    its element cap, the columns are computed one product at a time,
+    indexed by canonical word, and nothing is cached.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")

@@ -582,6 +582,25 @@ def test_ball_allocates_no_table():
     assert peak < sys.n * size * np.dtype(np.int64).itemsize
 
 
+def test_ball_past_the_cap_refuses_before_it_allocates():
+    """Level 5 of 30 free involutions has 21,218,430 words, past the cap:
+    ball() and ball_table() refuse it from the count of its parents' mask
+    bits, with the cap's message and a traced peak far below the level."""
+    sys = CoxeterSystem([f"g{i}" for i in range(30)])
+    for call in (sys.ball, sys.ball_table):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as err:
+                call(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"ball would exceed {coxeter.DEFAULT_MAX_BALL} elements; "
+            "raise the cap to enumerate further")
+        assert peak < 100 * 2**20
+
+
 def assert_table_matches_mult_gen(sys, radius):
     """Every entry of the recurrence-built table against mult_gen."""
     table = sys.ball_table(radius)

@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coxhecke import (ConsistencyError, CoxeterSystem, DomainError,
-                      InfinitePair, InputError, LaurentPoly, P_SYMBOL,
-                      PreconditionError, check_symbol_commutation, classify,
-                      coset_recurrence, double_coset_symbol_check,
+from coxhecke import (CapacityError, ConsistencyError, CoxeterSystem,
+                      DomainError, InfinitePair, InputError, LaurentPoly,
+                      P_SYMBOL, PreconditionError, check_symbol_commutation,
+                      classify, coset_recurrence, double_coset_symbol_check,
                       growth_series, rho, rho_info, t_basis,
                       verify_central_projection, zeta_symbol)
 from coxhecke import coxeter, growth
@@ -85,6 +85,25 @@ def test_growth_series_checked_to_depth_12_beyond_ball_cap(monkeypatch):
     monkeypatch.setattr(CoxeterSystem, "sphere_counts", corrupted)
     with pytest.raises(ConsistencyError):
         growth_series(CoxeterSystem("pqrstu"))
+
+
+def test_growth_series_counts_before_its_cliques(monkeypatch):
+    """A count that raises ends the build before the clique polynomial,
+    which is costly on dense graphs, is computed."""
+    cliques = []
+
+    def refused(self, n, max_total=coxeter.DEFAULT_MAX_BALL):
+        raise CapacityError("sphere automaton level 8 has too many states")
+
+    def counted(system):
+        cliques.append(system)
+        return _clique_polynomial(system)
+
+    monkeypatch.setattr(CoxeterSystem, "sphere_counts", refused)
+    monkeypatch.setattr(growth, "_clique_polynomial", counted)
+    with pytest.raises(CapacityError, match="level 8"):
+        growth_series(CoxeterSystem("pqrstu"))
+    assert cliques == []
 
 
 def test_verify_growth_suite_covers_random_graphs():

@@ -23,7 +23,7 @@ from coxhecke import (CapacityError, CoxeterSystem, Element, InputError,
                       j_iso, l2_norm, mul, parse_expression, state_phi,
                       t_basis, t_tilde, unit)
 from coxhecke.hecke import HeckeElement
-from coxhecke import coxeter, hecke, verify
+from coxhecke import hecke, verify
 from coxhecke.cli import main
 from coxhecke.verify import random_system, suite_hecke
 
@@ -305,34 +305,17 @@ def descent_place(sys, word, letters):
     return "nowhere"
 
 
-def dict_peel(sys, terms, letters, p):
-    """The numeric right peel with one dict per letter, whatever the number
-    of terms."""
-    for s in letters:
-        nxt = {}
-        for x, c in terms.items():
-            xs, delta = sys._step(x, s, RIGHT)
-            nxt[xs] = c if xs not in nxt else nxt[xs] + c
-            if delta < 0:
-                nxt[x] = p * c if x not in nxt else nxt[x] + p * c
-        terms = nxt
-    return terms
-
-
-def lone_term_cases(mode):
+def lone_term_cases():
     """Basis pairs (v, w) on seeded random graphs, four of each place of
-    the first descent of the lone term peeled: v by w's letters in exact
-    mode, w^-1 by v's letters from the end in numeric mode."""
+    the first descent of the walk of v by w's letters."""
     rng = random.Random(139)
     cases = {"first": [], "middle": [], "last": [], "nowhere": []}
     while min(map(len, cases.values())) < 4:
         sys = random_system(rng)
         v, w = (random_element_of_length(rng, sys, rng.randint(1, 6))
                 for _ in range(2))
-        word, letters = ((v.word, w.word) if mode == "exact" else
-                         (sys.inverse(w).word, v.word[::-1]))
-        place = cases[descent_place(sys, word, letters)]
-        if len(place) < 4 and len(letters) >= 3:
+        place = cases[descent_place(sys, v.word, w.word)]
+        if len(place) < 4 and len(w.word) >= 3:
             place.append((sys, v, w))
     return cases
 
@@ -357,13 +340,13 @@ def count_placements(monkeypatch, systems) -> list:
 def test_lone_term_products_at_the_first_descent(monkeypatch):
     """One-term products whose lone term first descends on the first, a
     middle or the last letter, or on none: exact ones equal the oracle
-    and place as many letters as it steps, numeric ones match a
-    letter-by-letter dict peel float for float."""
-    exact_cases = lone_term_cases("exact")
-    placed = count_placements(monkeypatch, {sys for cases in exact_cases.values()
-                                            for sys, _, _ in cases})
-    for cases in exact_cases.values():
-        for (sys, v, w), (ca, cb) in zip(cases, itertools.product(
+    and place as many letters as it steps, numeric ones match the
+    depth-first reference float for float."""
+    cases = lone_term_cases()
+    placed = count_placements(monkeypatch, {sys for place in cases.values()
+                                            for sys, _, _ in place})
+    for place in cases.values():
+        for (sys, v, w), (ca, cb) in zip(place, itertools.product(
                 (1, LaurentPoly({-1: Fraction(2, 3)})), (1, Fraction(-3, 2)))):
             for p in (None, -P_SYMBOL, Fraction(2, 3)):
                 twin_a, twin_b = (OracleElement(sys, {x: c})
@@ -376,19 +359,13 @@ def test_lone_term_products_at_the_first_descent(monkeypatch):
                           p_override=p)
                 assert placed[0] == oracle_steps
                 assert_like_oracle(got, expected, ())
-    for cases in lone_term_cases("numeric").values():
-        for sys, v, w in cases:
+        for sys, v, w in place:
             for q, p in ((0.7, None), (2.5, -1.25)):
                 a = HeckeElement(sys, {v: -0.3}, q)
                 b = HeckeElement(sys, {w: 1.7}, q)
-                pf = a._p() if p is None else p
-                peeled = dict_peel(sys, {sys.inverse(w).word: 1.7},
-                                   v.word[::-1], pf)
-                expected = {sys.inverse(Element(sys, x)): -0.3 * c
-                            for x, c in peeled.items() if c}
-                got = mul(a, b, p_override=p)
-                assert {x: c.hex() for x, c in got.terms.items()} == \
-                    {x: c.hex() for x, c in expected.items()}
+                got = mul(a, b, p_override=p)._num
+                assert {x: c.hex() for x, c in got.items()} == \
+                    {x: c.hex() for x, c in depth_first_product(a, b, p).items()}
 
 
 def record_steps(monkeypatch) -> list:
@@ -786,6 +763,40 @@ def test_numeric_products_match_the_depth_first_reference():
         got = mul(a, b, p_override=p)._num
         assert {x: c.hex() for x, c in got.items()} == \
             {x: c.hex() for x, c in depth_first_product(a, b, p).items()}
+
+
+def walk_leaves(sys, x, letters) -> list:
+    """The targets of the leaves of the walk of x by ``letters``, stepped
+    with ``CoxeterSystem._step``: a descent leaves a branch at x and goes
+    on at xs."""
+    branches, leaves = [(x, 0)], []
+    while branches:
+        x, i = branches.pop()
+        for j in range(i, len(letters)):
+            xs, delta = sys._step(x, letters[j], RIGHT)
+            if delta < 0:
+                branches.append((x, j + 1))
+            x = xs
+        leaves.append(x)
+    return leaves
+
+
+def test_a_walks_leaves_have_distinct_targets(named_systems):
+    """No walk of one word by another reaches a target twice, over every
+    pair of ball(4) of the named systems and of ball(3) of 30 seeded
+    random graphs, so only the order of the walks reaches a float sum."""
+    rng = random.Random(4513)
+    cases = [(sys, 4) for sys in named_systems.values()]
+    cases += [(random_system(rng), 3) for _ in range(30)]
+    branched = 0
+    for sys, radius in cases:
+        words = [w.word for w in sys.ball(radius)]
+        for x in words:
+            for w in words:
+                leaves = walk_leaves(sys, x, w)
+                assert len(set(leaves)) == len(leaves), (sys, x, w)
+                branched += len(leaves) > 1
+    assert branched > 90_000
 
 
 def oracle_twins(rng, sys, ball, n_terms=3, min_terms=1):
@@ -1349,9 +1360,9 @@ def test_action_matrix_builds_one_table_per_growth(monkeypatch):
     assert builds == [5, 6]
 
 
-def test_action_matrix_counts_only_at_a_new_radius(monkeypatch, pentagon):
-    """The automaton counts the ball before a table is built; a radius the
-    cached table covers is served with no count."""
+def test_action_matrix_makes_no_sphere_count(monkeypatch, pentagon):
+    """``ball_table`` checks its own cap, so ``action_matrix`` builds and
+    reuses its table without counting the ball by the automaton."""
     counts = []
     sizes = CoxeterSystem.sphere_counts
 
@@ -1361,25 +1372,17 @@ def test_action_matrix_counts_only_at_a_new_radius(monkeypatch, pentagon):
 
     monkeypatch.setattr(CoxeterSystem, "sphere_counts", counted)
     a = HeckeElement(pentagon, {pentagon.element("p r"): 1.25}, q=0.37)
-    action_matrix(a, pentagon.ball(3), LEFT)
-    assert counts == [5]
-    for ball, side in ((pentagon.ball(3), RIGHT), (pentagon.ball(2), LEFT)):
+    for ball, side in ((pentagon.ball(3), LEFT), (pentagon.ball(3), RIGHT),
+                       (pentagon.ball(2), LEFT), (pentagon.ball(4), RIGHT)):
         action_matrix(a, ball, side)
-    assert counts == [5]
+    assert pentagon._ball_cache[0] == 6
+    assert counts == []
 
 
 def test_action_matrix_past_cap_caches_nothing(monkeypatch, free3):
     """Past the cap the columns come from single products, as before, and
     the system keeps no table."""
     monkeypatch.setattr(hecke, "DEFAULT_MAX_BALL", 20)
-    assert_falls_back(monkeypatch, free3)
-
-
-def test_action_matrix_past_state_cap_falls_back(monkeypatch, free3):
-    """Past the automaton's state cap the count raises ``CapacityError``,
-    which ``action_matrix`` answers by the same fallback, not by raising:
-    level 1 of free3's automaton has 3 states."""
-    monkeypatch.setattr(coxeter, "DEFAULT_MAX_BALL", 2)
     assert_falls_back(monkeypatch, free3)
 
 
