@@ -607,12 +607,14 @@ class BallTable(NamedTuple):
         descent)``, ``left[s, i]`` the row of s z or -1 outside the ball and
         ``descent[s, i]`` the left descents.  For z = z't, sz = (sz')t is
         read from the right table at the row of sz', which lies in the ball
-        since |sz'| <= |z|."""
+        since |sz'| <= |z|; a generator at a time, so temporaries hold one
+        level of one row.  As |sz| = |z| +- 1 and rows ascend in length, sz
+        is shorter exactly when its row comes first."""
         left = self.right[:, :end].copy()   # row 0: se = es; levels follow
         for lo, hi in _level_rows(self.lengths[:end]):
-            left[:, lo:hi] = self.right[self.last[lo:hi],
-                                        left[:, self.parent[lo:hi]]]
-        descent = (left >= 0) & (self.lengths[left] < self.lengths[:end])
+            for row in left:
+                row[lo:hi] = self.right[self.last[lo:hi], row[self.parent[lo:hi]]]
+        descent = (left >= 0) & (left < np.arange(left.shape[1]))
         return left, descent
 
     def supports(self) -> np.ndarray:

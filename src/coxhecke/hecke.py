@@ -21,14 +21,18 @@ first, by each word of b, placing letters inline by the right step's
 rule, and sums the branches where they end; it takes no adjoint, because
 inverting the inputs and every output word costs more steps than peeling
 the shorter factor saves (descents are rare).  One walk's branches end on
-distinct words, so a float sum reads only the order of the walks, which
-:func:`action_matrix` keeps on a ball's table.
+distinct words, so a float sum reads only the order of the walks.
+:func:`action_matrix` takes the walks of all columns at once on a ball's
+tables: right steps on the right table, and on the left the one-generator
+recursion itself, T_v T_w = T_{s1}(..(T_{sm} T_w)), on the left table.
+It adds each term of a by one scatter, in a's order, as products sum.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -446,83 +450,74 @@ def _action_by_products(a: HeckeElement, ball: list[Element],
     return ActionMatrix(tuple(ball), mat, exact, side)
 
 
-def _action_table(system: CoxeterSystem, radius: int) -> tuple | None:
-    """The ball table of :func:`action_matrix`, one per system and rebuilt
-    only at a larger radius: (radius, table, {word: row}).
-    A ball is a prefix of any larger one, so it reads the same in it.
-    Past ``DEFAULT_MAX_BALL`` elements ``ball_table`` refuses before it
-    allocates a level; then this returns None and caches nothing."""
+_ActionTables = namedtuple("_ActionTables", "radius table words index right left")
+
+
+def _action_table(system: CoxeterSystem, radius: int, side: str) -> _ActionTables | None:
+    """The tables of :func:`action_matrix`, one set per system, rebuilt
+    only at a larger radius: the ball table of ``radius``, its words,
+    {word: row}, and each side's (step rows, descent rows), a row per
+    letter.  The right rows are views of the table's; the left ones, from
+    ``BallTable.left()``, are built at the first left call on the table
+    and kept (5 bytes a row and letter).  Past ``DEFAULT_MAX_BALL``
+    elements, where ``ball_table`` refuses, it caches nothing: None."""
     entry = system._ball_cache
-    if entry is None or entry[0] < radius:
+    if entry is None or entry.radius < radius:
         try:
             table = system.ball_table(radius, DEFAULT_MAX_BALL)
         except CapacityError:
             return None
-        index = {w: i for i, w in enumerate(table.words())}
-        entry = system._ball_cache = (radius, table, index)
+        words = table.words()
+        entry = system._ball_cache = _ActionTables(
+            radius, table, words, {w: i for i, w in enumerate(words)},
+            (list(table.right), list(table.descent)), None)
+    if side == LEFT and entry.left is None:
+        entry = system._ball_cache = entry._replace(
+            left=tuple(map(list, entry.table.left())))
     return entry
 
 
-def _merge(col, at, val, size):
-    """Sum the coefficients of equal (column, element) terms in array order
-    and drop zeros.  Keys are int64 whatever the index dtype."""
-    keys, where = np.unique(np.multiply(col, size, dtype=np.int64) + at,
-                            return_inverse=True)
-    val = np.bincount(where, weights=val, minlength=len(keys))
-    keep = val != 0
-    return keys[keep] // size, keys[keep] % size, val[keep]
-
-
-def _letters(table, rows, width: int) -> np.ndarray:
-    """The letters of the words at ``rows`` of the ball table, one row
-    each, padded with -1 to ``width``, read from each word's end."""
-    out = np.full((len(rows), width), -1, dtype=np.int64)
-    pos = table.lengths[rows] - 1
-    for _ in range(width):
-        ok = np.flatnonzero(pos >= 0)
-        out[ok, pos[ok]] = table.last[rows[ok]]
-        rows, pos = table.parent[rows], pos - 1
-    return out
-
-
-def _table_walk(at, val, letters, table, p):
-    """The walk of :func:`_walk` on ball rows, many walks at once: walk j
-    starts at row ``at[j]`` with value ``val[j]`` and goes by the letters
-    of ``letters[j]`` (-1 for none, read from an identity row appended to
-    ``table.right``).  A descent moves a row to xs and appends the row of
-    x times p, which goes on by the walk's later letters.  The leaves of
-    one walk have distinct targets, so only the order of the walks reaches
-    a sum; the rows are returned in walk order, as (walk, ball row, value)."""
-    src, size = np.arange(len(at)), table.right.shape[1]
-    right = np.concatenate((table.right.ravel(), np.arange(size)))
-    descent = np.concatenate((table.descent.ravel(), np.zeros(size, bool)))
-    for s in letters.T:
-        flat = s[src] * size + at
-        d = np.flatnonzero(descent[flat])
-        src = np.concatenate((src, src[d]))
-        val = np.concatenate((val, val[d] * p))
-        at = np.concatenate((right[flat], at[d]))
-    order = np.argsort(src, kind="stable")
-    return src[order], at[order], val[order]
+def _rows_walk(at, val, letters, step, descent, p):
+    """The walks of :func:`_walk` on one side's table rows, one per column,
+    all at once: column j starts at row ``at[j]`` with value ``val[j]`` and
+    steps by ``letters`` on the rows ``step[s]`` and ``descent[s]``.  A
+    descent moves a row to its step and appends the row before it times
+    p.  A walk's leaves have distinct targets, so the returned (column,
+    row) pairs are distinct; they come with their values."""
+    col = np.arange(len(at))
+    for s in letters:
+        d = np.flatnonzero(descent[s][at])
+        nxt = step[s][at]
+        if len(d):
+            col = np.concatenate((col, col[d]))
+            val = np.concatenate((val, val[d] * p))
+            nxt = np.concatenate((nxt, at[d]))
+        at = nxt
+    return col, at, val
 
 
 def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> ActionMatrix:
     """Truncation of the multiplication operator of ``a`` to a metric ball.
 
-    ``ball`` may be any list of elements.  This takes the walk of
-    :func:`mul` on the right-multiplication table of ball(r + m), r and m
-    the longest words in ``ball`` and in ``a``, for all columns at once.
-    Every intermediate term lies in ball(r + m), so images leaving
-    ``ball`` keep their identities.  Side "left" walks each term of ``a``
-    by each column's word, side "right" each column's word by each term of
-    ``a``; one merge sums each column's walks in the order of the terms of
-    ``a`` (the leaves of one walk have distinct targets), so the entries
-    are bit for bit those of per-column products.  The table comes from
-    :func:`_action_table`, the one keeper of the system's table: grown on
-    demand and never shrunk, since a smaller ball is a prefix of it with
-    the same rows and the same sums.  Where ``ball_table`` refuses, past
-    its element cap, the columns are computed one product at a time,
-    indexed by canonical word, and nothing is cached.
+    ``ball`` may be any list of elements.  All columns walk at once on the
+    tables of ball(r + m), r and m the longest words in ``ball`` and in
+    ``a``, which hold every intermediate term.  For each term c T_v of
+    ``a`` the columns' rows walk by v's letters on the right table (side
+    "right", leaves (1 p p ..) c) or by v's letters from the last on the
+    left table (side "left", leaves c p p ..).  A walk's leaves have
+    distinct targets, so a term adds its leaves inside ``ball`` by one
+    scatter; in a's order that gives the sums of per-column products bit
+    for bit.  The first scatter writes 0.0 + v without reading the fresh
+    matrix, whose pages then fault once, not twice.  Only the leaves
+    outside are merged (int64 keys), to flag the columns that leave the
+    ball.  A ball in table order, as ``system.ball(r)``, maps to the first
+    rows at once; another list goes through the word index.  Each term is
+    a walk, so elements with few terms suit it best: on the pentagon's
+    ball(5), two terms take 0.2 ms and sixty of length 3-4 take 5.7 ms.
+    Tables come from :func:`_action_table`, grown on demand and never
+    shrunk, since a smaller ball is a prefix with the same rows and sums.
+    Past the cap the columns come from single products, indexed by
+    canonical word, and nothing is cached.
     """
     if a.q is None:
         raise InputError("action matrices need numeric mode")
@@ -534,36 +529,38 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
         raise InputError("elements live over different Coxeter systems")
     r = max(map(len, words), default=0)
     m = max(map(len, a._num), default=0)
-    entry = _action_table(sys, r + m)
+    entry = _action_table(sys, r + m, side)
     if entry is None:
         return _action_by_products(a, ball, side)
-    _, table, index = entry
-    p = a._p()
+    step, descent = entry.left if side == LEFT else entry.right
+    n, p, rows = len(words), a._p(), entry.words
 
-    n = len(ball)
-    where = np.array([index[w] for w in words], dtype=np.int64)
-    terms = np.array([index[v] for v in a._num], dtype=np.int64)
-    coefs = np.array(list(a._num.values()), dtype=float)
-    if side == LEFT:        # each term of a, in order, by each column's word
-        src, at, val = _table_walk(
-            np.repeat(terms, n), np.repeat(coefs, n),
-            np.tile(_letters(table, where, r), (len(terms), 1)), table, p)
-    else:                   # each column's word by each term of a, in order
-        src, at, val = _table_walk(
-            np.tile(where, len(terms)), np.ones(len(terms) * n),
-            np.repeat(_letters(table, terms, m), n, axis=0), table, p)
-        val = val * coefs[src // n]
-    col, at, val = _merge(src % n, at, val, len(index))
-
-    row = np.full(len(index), -1, dtype=np.int64)
-    kept, first = np.unique(where[::-1], return_index=True)
-    row[kept] = n - 1 - first           # a repeated element takes its last row
-    i = row[at]
-    inside = i >= 0
+    if words == rows[:n]:               # the table's first n rows
+        where, row = np.arange(n), None
+    else:
+        where = np.array([entry.index[w] for w in words], dtype=np.int64)
+        row = np.full(len(rows), n, dtype=np.int64)     # n: outside the ball
+        kept, first = np.unique(where[::-1], return_index=True)
+        row[kept] = n - 1 - first       # a repeated element takes its last row
     mat = np.zeros((n, n))
-    mat[i[inside], col[inside]] = val[inside]
+    flat, outside = mat.ravel(), []
+    for k, (v, c) in enumerate(a._num.items()):     # in a's order
+        if side == LEFT:
+            col, at, val = _rows_walk(where, np.full(n, c), v[::-1], step, descent, p)
+        else:
+            col, at, val = _rows_walk(where, np.ones(n), v, step, descent, p)
+            val = val * c
+        i = at if row is None else row[at]
+        inside = i < n
+        ij = np.multiply(i[inside], n, dtype=np.int64) + col[inside]
+        flat[ij] = (flat[ij] if k else 0.0) + val[inside]
+        outside.append((col[~inside], at[~inside], val[~inside]))
     exact = np.ones(n, dtype=bool)
-    exact[col[~inside]] = False
+    if outside:     # flag the columns where an outside sum, in order, is not 0
+        col, at, val = map(np.concatenate, zip(*outside))
+        keys, key = np.unique(np.multiply(col, len(rows), dtype=np.int64) + at,
+                              return_inverse=True)
+        exact[keys[np.bincount(key, weights=val) != 0] // len(rows)] = False
     return ActionMatrix(tuple(ball), mat, exact, side)
 
 

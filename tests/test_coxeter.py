@@ -601,6 +601,20 @@ def test_ball_past_the_cap_refuses_before_it_allocates():
         assert peak < 100 * 2**20
 
 
+def test_left_table_peak_is_near_its_result():
+    """The left table is filled a generator row at a time and its
+    descents are read from row order, so on 30 free involutions' ball(3)
+    its traced peak stays below 1.5 times the bytes it returns."""
+    table = CoxeterSystem([f"g{i}" for i in range(30)]).ball_table(3)
+    tracemalloc.start()
+    try:
+        out = table.left()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sum(a.nbytes for a in out)
+
+
 def assert_table_matches_mult_gen(sys, radius):
     """Every entry of the recurrence-built table against mult_gen."""
     table = sys.ball_table(radius)

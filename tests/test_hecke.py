@@ -22,6 +22,7 @@ from coxhecke import (CapacityError, CoxeterSystem, Element, InputError,
                       LEFT, RIGHT, LaurentPoly, P_SYMBOL, action_matrix, inner,
                       j_iso, l2_norm, mul, parse_expression, state_phi,
                       t_basis, t_tilde, unit)
+from coxhecke.coxeter import BallTable
 from coxhecke.hecke import HeckeElement
 from coxhecke import hecke, verify
 from coxhecke.cli import main
@@ -765,26 +766,30 @@ def test_numeric_products_match_the_depth_first_reference():
             {x: c.hex() for x, c in depth_first_product(a, b, p).items()}
 
 
-def walk_leaves(sys, x, letters) -> list:
-    """The targets of the leaves of the walk of x by ``letters``, stepped
-    with ``CoxeterSystem._step``: a descent leaves a branch at x and goes
-    on at xs."""
-    branches, leaves = [(x, 0)], []
+def walk_leaves(sys, x, letters, side=RIGHT) -> list:
+    """The leaves of the walk of x by ``letters``, stepped on ``side`` with
+    ``CoxeterSystem._step``, as (target, descents): a descent leaves a
+    branch at x with one more descent and goes on at xs (at sx on the
+    left)."""
+    branches, leaves = [(x, 0, 0)], []
     while branches:
-        x, i = branches.pop()
+        x, i, k = branches.pop()
         for j in range(i, len(letters)):
-            xs, delta = sys._step(x, letters[j], RIGHT)
+            xs, delta = sys._step(x, letters[j], side)
             if delta < 0:
-                branches.append((x, j + 1))
+                branches.append((x, j + 1, k + 1))
             x = xs
-        leaves.append(x)
+        leaves.append((x, k))
     return leaves
 
 
 def test_a_walks_leaves_have_distinct_targets(named_systems):
     """No walk of one word by another reaches a target twice, over every
     pair of ball(4) of the named systems and of ball(3) of 30 seeded
-    random graphs, so only the order of the walks reaches a float sum."""
+    random graphs, so only the order of the walks reaches a float sum.
+    The left walk of w by the letters of x from the last, T_x T_w =
+    T_{s1}(..(T_{sm} T_w)), which ``action_matrix`` takes on the left, has
+    distinct targets too, with the descents of the right walk of x by w."""
     rng = random.Random(4513)
     cases = [(sys, 4) for sys in named_systems.values()]
     cases += [(random_system(rng), 3) for _ in range(30)]
@@ -794,7 +799,11 @@ def test_a_walks_leaves_have_distinct_targets(named_systems):
         for x in words:
             for w in words:
                 leaves = walk_leaves(sys, x, w)
-                assert len(set(leaves)) == len(leaves), (sys, x, w)
+                targets = dict(leaves)
+                assert len(targets) == len(leaves), (sys, x, w)
+                left = walk_leaves(sys, w, x[::-1], LEFT)
+                assert len(left) == len(leaves), (sys, x, w)
+                assert dict(left) == targets, (sys, x, w)
                 branched += len(leaves) > 1
     assert branched > 90_000
 
@@ -1339,25 +1348,98 @@ def test_action_matrix_reuses_cached_table_exactly():
 
 
 def test_action_matrix_builds_one_table_per_growth(monkeypatch):
-    builds = []
-    ball_table = CoxeterSystem.ball_table
+    """One ball table per growth, and its left table only once a left
+    call comes, kept until the table grows."""
+    builds, lefts = [], []
+    ball_table, left = CoxeterSystem.ball_table, BallTable.left
 
     def counted(self, radius, *args):
         builds.append(radius)
         return ball_table(self, radius, *args)
 
+    def counted_left(self, *args):
+        lefts.append(len(self.lengths))
+        return left(self, *args)
+
     monkeypatch.setattr(CoxeterSystem, "ball_table", counted)
+    monkeypatch.setattr(BallTable, "left", counted_left)
     sys = verify.named_systems()["pentagon"]
     a = HeckeElement(sys, {sys.element("p r"): 1.25,
                            sys.element("q s"): -0.8}, q=0.37)
+    for _ in range(3):
+        action_matrix(a, sys.ball(3), RIGHT)
+    assert builds == [5] and lefts == []
     for k in range(10):
         action_matrix(a, sys.ball(3), LEFT if k % 2 else RIGHT)
-    assert builds == [5]
+    assert builds == [5] and lefts == [len(sys.ball(5))]
     action_matrix(a, sys.ball(4), RIGHT)
-    assert builds == [5, 6]
+    assert builds == [5, 6] and len(lefts) == 1
     action_matrix(a, sys.ball(1), LEFT)
     action_matrix(unit(sys, q=0.37), sys.ball(5), LEFT)
-    assert builds == [5, 6]
+    assert builds == [5, 6] and lefts == [len(sys.ball(5)), len(sys.ball(6))]
+
+
+def test_action_matrix_maps_balls_in_table_order(monkeypatch, pentagon):
+    """Ball lists on both sides, bit for bit the per-column products:
+    fresh elements in table order and prefixes of a larger cached table
+    map to the table's first rows with no word lookup; a permuted list
+    with a repeat, and the ball in table order with that repeat appended,
+    go through the word index."""
+    lookups = []
+
+    class Index(dict):
+        def __getitem__(self, word):
+            lookups.append(word)
+            return dict.__getitem__(self, word)
+
+    tables = hecke._action_table
+
+    def counted(*args):
+        entry = tables(*args)
+        return entry._replace(index=Index(entry.index))
+
+    monkeypatch.setattr(hecke, "_action_table", counted)
+    a = HeckeElement(pentagon, {pentagon.element("p r"): 1.25,
+                                pentagon.element("q s t"): -0.8}, q=0.37)
+    fresh = [Element(pentagon, tuple(list(w.word))) for w in pentagon.ball(3)]
+    repeat = pentagon.ball(3) + [pentagon.element("r s")]
+    permuted = repeat[::-1]
+    random.Random(7).shuffle(permuted)
+
+    def check(ball, side, looked_up):
+        lookups.clear()
+        am = action_matrix(a, ball, side)
+        mat, exact = action_by_products(a, ball, side)
+        assert am.matrix.tobytes() == mat.tobytes()
+        assert am.exact_columns.tobytes() == exact.tobytes()
+        assert len(lookups) == looked_up
+
+    for side in (LEFT, RIGHT):
+        pentagon._ball_cache = None
+        check(fresh, side, 0)
+        check(permuted, side, len(permuted))
+        check(repeat, side, len(repeat))
+        assert pentagon._ball_cache.radius == 6
+        action_matrix(unit(pentagon, q=0.37), pentagon.ball(8), side)
+        assert pentagon._ball_cache.radius == 8
+        check(pentagon.ball(4), side, 0)
+        check(pentagon.ball(2)[:5], side, 0)
+
+
+def test_action_matrix_adds_negative_zero_leaves_as_products_do(pentagon):
+    """At q = 1, p = 0, so a descent leaf of a negative term is -0.0; the
+    first term's scatter adds it to 0.0 as the per-column products do,
+    leaving +0.0, bit for bit on both sides."""
+    a = HeckeElement(pentagon, {pentagon.element("p r"): -1.25,
+                                pentagon.element("q s"): -0.8,
+                                pentagon.element("p"): -2.0}, q=1.0)
+    ball = pentagon.ball(3)
+    for side in (LEFT, RIGHT):
+        am = action_matrix(a, ball, side)
+        mat, exact = action_by_products(a, ball, side)
+        assert not np.signbit(am.matrix[am.matrix == 0]).any()
+        assert am.matrix.tobytes() == mat.tobytes()
+        assert am.exact_columns.tobytes() == exact.tobytes()
 
 
 def test_action_matrix_makes_no_sphere_count(monkeypatch, pentagon):
