@@ -45,7 +45,8 @@ from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
 from .laurent import (LaurentPoly, _has_root_up_to, _poly_add, _poly_eval,
-                      _poly_mul, _sturm_chain, float_q, poly_str, positive_q)
+                      _poly_mul, _sparse_mul_into, _sturm_chain, float_q,
+                      poly_str, positive_q)
 
 # -- the rational growth series -------------------------------------------------
 
@@ -422,35 +423,49 @@ def _symbol_radius(system: CoxeterSystem, xi: dict) -> int:
     return radius
 
 
+def _terms(x) -> dict:
+    """A value's {exponent: coefficient} terms, as LaurentPoly coerces it."""
+    return x.terms if type(x) is LaurentPoly else (LaurentPoly.one() * x).terms
+
+
 def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
                              p) -> list[Element]:
     """Check the two-sided constraints a generator imposes on a symbol.
 
     For every w with |sws| = |w| + 2 whose whole quadruple lies in the
     domain of xi, the symbol must satisfy xi(sw) = xi(ws) and
-    xi(sws) = xi(w) + p xi(sw), compared exactly.  Returns the violating
-    w (empty = pass).  The steps run on canonical words, and a w longer
-    than the longest key minus 2 is skipped: its sws is outside xi.
+    xi(sws) = xi(w) + p xi(sw), compared exactly on coefficient dicts.
+    Returns the violating w (empty = pass).  One pass maps canonical words
+    to values and finds the longest key; a w longer than it minus 2 is
+    skipped: its sws is outside xi.
     """
     s = system.generator_index(s)
-    cut = _symbol_radius(system, xi) - 2
+    vals, radius = {}, 0
+    for w, v in xi.items():
+        if w.system is not system:
+            raise InputError("element belongs to a different Coxeter system")
+        vals[w.word] = v
+        if len(w.word) > radius:
+            radius = len(w.word)
+    cut, step, pt = radius - 2, system._step, _terms(p)
     witnesses = []
-    for w in xi:
-        if len(w.word) > cut:
+    for w, v in vals.items():
+        if len(w) > cut:
             continue
-        ws, d2 = system._step(w.word, s, RIGHT)
+        ws, d2 = step(w, s, RIGHT)
         if d2 < 0:
             continue
-        sw, d1 = system._step(w.word, s, LEFT)
+        sw, d1 = step(w, s, LEFT)
         if d1 < 0:
             continue
-        sws, d3 = system._step(sw, s, RIGHT)
-        if d3 < 0:
+        sws, d3 = step(sw, s, RIGHT)
+        if d3 < 0 or not (sws in vals and sw in vals and ws in vals):
             continue
-        sws, sw, ws = (Element(system, x) for x in (sws, sw, ws))
-        if sws in xi and sw in xi and ws in xi and (
-                xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]):
-            witnesses.append(w)
+        a = _terms(vals[sw])
+        rhs = _sparse_mul_into(dict(_terms(v)), pt, a)
+        if a != _terms(vals[ws]) or _terms(vals[sws]) != {
+                e: c for e, c in rhs.items() if c}:
+            witnesses.append(Element(system, w))
     return sorted(witnesses, key=Element.sort_key)
 
 
@@ -459,10 +474,10 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
     """Check that a symbol is radial along one non-degenerate double coset.
 
     Every coset element dwd' in the domain of xi must carry the value
-    xi(w0) u^{|dwd'| - |w0|}, where w0 is the shortest representative;
-    values are Laurent polynomials in u and are compared exactly.  The
-    coset is walked on words up to the length of the longest key; a key
-    of another system raises ``InputError``.
+    xi(w0) u^{|dwd'| - |w0|}, where w0 is the shortest representative:
+    each value's {exponent: coefficient} dict is compared with xi(w0)'s,
+    shifted.  The coset is walked up to the longest key, found by a scan
+    of xi that refuses a key of another system with ``InputError``.
     """
     info = shortest_rep(system, pair, w)
     if not info.nondegenerate:
@@ -472,10 +487,10 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
     w0 = info.w0
     if w0 not in xi:
         raise InputError("the coset's shortest element is outside the symbol")
-    radius, base = _symbol_radius(system, xi), xi[w0]
+    radius, base = _symbol_radius(system, xi), _terms(xi[w0])
     witnesses = [v for v in coset_elements(system, info, radius)
-                 if v in xi
-                 and xi[v] != base * LaurentPoly.u_power(len(v) - len(w0))]
+                 if v in xi and _terms(xi[v]) != {
+                     e + len(v.word) - len(w0.word): c for e, c in base.items()}]
     return sorted(witnesses, key=Element.sort_key)
 
 

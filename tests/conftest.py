@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from coxhecke import (LEFT, RIGHT, CoxeterSystem, Element, InputError,
-                      LaurentPoly, verify)
+                      LaurentPoly, PreconditionError, shortest_rep, verify)
+from coxhecke.cosets import coset_elements
 from coxhecke.growth import (FACTOR, FACTOR_PLUS_C, NOT_APPLICABLE,
                              CenterReport, ComponentClassification, rho_info)
 
@@ -167,6 +168,25 @@ def oracle_symbol_commutation(sys, s, xi, p):
             continue
         if xi[sw] != xi[ws] or xi[sws] != xi[w] + p * xi[sw]:
             witnesses.append(w)
+    return sorted(witnesses, key=Element.sort_key)
+
+
+def oracle_double_coset_check(system, pair, w, xi):
+    """The body double_coset_symbol_check ran before it compared
+    coefficient dicts, kept as its oracle: each coset element in xi against
+    xi(w0) * u^(|v| - |w0|) as a LaurentPoly product, with !=."""
+    info = shortest_rep(system, pair, w)
+    if not info.nondegenerate:
+        raise PreconditionError("the double coset is degenerate")
+    w0 = info.w0
+    if w0 not in xi:
+        raise InputError("the coset's shortest element is outside the symbol")
+    if any(v.system is not system for v in xi):
+        raise InputError("element belongs to a different Coxeter system")
+    radius, base = max(len(v) for v in xi), xi[w0]
+    witnesses = [v for v in coset_elements(system, info, radius)
+                 if v in xi
+                 and xi[v] != base * LaurentPoly.u_power(len(v) - len(w0))]
     return sorted(witnesses, key=Element.sort_key)
 
 

@@ -348,6 +348,23 @@ def test_word_operations_match_greedy_normal_form():
                     greedy_normal_form(sys, (s,) + x.word)
 
 
+def test_left_step_is_a_right_step_from_the_prefix(named_systems):
+    """s(w't) = (sw')t: the left step of w = w't is one right step with t
+    from the left step of its prefix w', and s e = s."""
+    rng = random.Random(47)
+    balls = [sys.ball(5) for sys in named_systems.values()]
+    balls += [random_system(rng).ball(4) for _ in range(30)]
+    for ball in balls:
+        sys = ball[0].system
+        for s in range(sys.n):
+            assert sys._step((), s, LEFT)[0] == (s,)
+        for w in ball[1:]:
+            prefix, t = w.word[:-1], w.word[-1]
+            for s in range(sys.n):
+                assert sys._step(w.word, s, LEFT)[0] == sys._step(
+                    sys._step(prefix, s, LEFT)[0], t, RIGHT)[0], (sys, w, s)
+
+
 # -- descent sets -----------------------------------------------------------------
 
 def test_descent_examples(free3, z2xz2):

@@ -9,12 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coxhecke import (CapacityError, ConsistencyError, CoxeterSystem,
-                      DomainError, InfinitePair, InputError, LaurentPoly,
-                      P_SYMBOL, PreconditionError, check_symbol_commutation,
-                      classify, coset_recurrence, double_coset_symbol_check,
-                      growth_series, rho, rho_info, t_basis,
-                      verify_central_projection, zeta_symbol)
+from coxhecke import (LEFT, RIGHT, CapacityError, ConsistencyError,
+                      CoxeterSystem, DomainError, Element, InfinitePair,
+                      InputError, LaurentPoly, P_SYMBOL, PreconditionError,
+                      check_symbol_commutation, classify, coset_recurrence,
+                      double_coset_symbol_check, growth_series, rho, rho_info,
+                      shortest_rep, t_basis, verify_central_projection,
+                      zeta_symbol)
 from coxhecke import coxeter, growth
 from coxhecke.cli import main
 from coxhecke.growth import (RationalSeries, _clique_polynomial, _locate_root,
@@ -23,7 +24,8 @@ from coxhecke.laurent import (_has_root_up_to, _poly_add, _poly_mul,
                               _poly_trim, _sturm_chain, float_q)
 from coxhecke.verify import named_systems, random_system, suite_growth
 
-from conftest import oracle_classify, oracle_symbol_commutation
+from conftest import (oracle_classify, oracle_double_coset_check,
+                      oracle_symbol_commutation)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -898,6 +900,141 @@ def test_double_coset_check_random_symbol_fails(free3):
     pair = InfinitePair.of(free3, "s", "t")
     witnesses = double_coset_symbol_check(free3, pair, free3.element("u"), xi)
     assert witnesses
+
+
+def test_symbol_commutation_long_key_matches_oracle(free3):
+    """A key of 2,000 letters with its neighbours at lengths 1,999 to 2,002,
+    past the default recursion limit of 1,000: every witness list equals
+    the mult_gen oracle's, on the radial symbol and with the long key
+    moved."""
+    w = Element(free3, tuple((0, 1, 2)[i % 3] for i in range(2000)))
+    keys = {w, *(free3.mult_gen(w, g, side)[0]
+                 for g in range(3) for side in (LEFT, RIGHT))}
+    keys |= {free3.mult_gen(v, g, RIGHT)[0] for v in list(keys)
+             for g in range(3) if len(v) == 2001}
+    assert {len(v) for v in keys} == {1999, 2000, 2001, 2002}
+    radial = {v: LaurentPoly.u_power(len(v)) for v in keys}
+    moved = dict(radial)
+    moved[w] = radial[w] + 1
+    for xi in (radial, moved):
+        for p in (P_SYMBOL, -P_SYMBOL, 2):
+            for s in range(3):
+                assert check_symbol_commutation(free3, s, xi, p) == \
+                    oracle_symbol_commutation(free3, s, xi, p), (s, p)
+    assert check_symbol_commutation(free3, "u", radial, P_SYMBOL) == []
+    assert check_symbol_commutation(free3, "u", moved, P_SYMBOL) == [w]
+
+
+def typed_symbols(sys, rng):
+    """Symbols on ball(4) valued in ints, Fractions and LaurentPolys, zero
+    ones included: all zeros, mixed at random (in ball order and reversed),
+    and radial ones a^|w| for the p that solves a^2 = 1 + p a (noted)."""
+    ball = sys.ball(4)
+    yield {w: rng.choice((0, Fraction(0), LaurentPoly.zero())) for w in ball}
+    mixed = {w: rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2),
+                            LaurentPoly.zero(), LaurentPoly.u_power(len(w))))
+             for w in ball}
+    yield mixed
+    yield dict(reversed(mixed.items()))         # each key before its prefixes
+    yield {w: (-1) ** len(w) for w in ball}                     # p = 0
+    yield {w: 2 ** len(w) for w in ball}                        # p = 3/2
+    yield {w: Fraction(1, 2) ** len(w) for w in ball}           # p = -3/2
+    yield {w: LaurentPoly({-len(w): (-1) ** len(w)}) for w in ball}  # P_SYMBOL
+
+
+def test_symbol_commutation_typed_values_match_oracle(named_systems):
+    """Int, Fraction and zero values, with p a LaurentPoly, an int or a
+    Fraction, give the witnesses of the oracle's LaurentPoly arithmetic;
+    a float value or p is refused as that arithmetic refuses it, also
+    where the oracle's != met it and reported a witness, and a float p
+    also on a symbol with no quadruple."""
+    rng = random.Random(4747)
+    systems = list(named_systems.values())
+    systems += [random_system(rng, 5) for _ in range(10)]
+    cases = with_witnesses = 0
+    for sys in systems:
+        for xi in typed_symbols(sys, rng):
+            for p in (P_SYMBOL, -P_SYMBOL, 0, 2, Fraction(3, 2),
+                      Fraction(-3, 2)):
+                for s in range(sys.n):
+                    expected = oracle_symbol_commutation(sys, s, xi, p)
+                    assert check_symbol_commutation(sys, s, xi, p) == \
+                        expected, (sys, s, p)
+                    cases += 1
+                    with_witnesses += bool(expected)
+    assert 0 < with_witnesses < cases
+    free3 = named_systems["free3"]
+    xi = {w: LaurentPoly.u_power(len(w)) for w in free3.ball(4)}
+    for p in (0.5, Fraction(1, 2)):
+        assert oracle_symbol_commutation(free3, "s", {}, p) == []
+    with pytest.raises(TypeError):
+        check_symbol_commutation(free3, "s", {}, 0.5)
+    with pytest.raises(TypeError):
+        check_symbol_commutation(free3, "s", xi, 0.5)
+    for key in ("t", "ts"):                     # w = t, and its sw = ts
+        bad = dict(xi)
+        bad[free3.element(key)] = 0.5
+        with pytest.raises(TypeError):
+            check_symbol_commutation(free3, "s", bad, P_SYMBOL)
+    assert oracle_symbol_commutation(free3, "s", bad, P_SYMBOL) == \
+        [free3.element("t")]
+
+
+def coset_symbols(sys, rng):
+    """Symbols on ball(5): radial, perturbed at a few keys, Fraction-valued
+    (radial and constant), zero-valued, and radial and perturbed ones
+    missing about half their keys past length 3."""
+    ball = sys.ball(5)
+    radial = {w: LaurentPoly.u_power(len(w)) for w in ball}
+    perturbed = dict(radial)
+    for w in rng.sample(ball, min(5, len(ball))):
+        perturbed[w] = perturbed[w] + rng.choice((1, LaurentPoly.u_power(1)))
+    yield radial
+    yield perturbed
+    yield {w: LaurentPoly({len(w): Fraction(3, 7)}) for w in ball}
+    yield {w: Fraction(3, 7) for w in ball}
+    yield {w: rng.choice((0, Fraction(0), LaurentPoly.zero())) for w in ball}
+    for xi in (radial, perturbed):
+        yield {w: x for w, x in xi.items() if len(w) <= 3 or rng.random() < 0.5}
+
+
+def test_double_coset_check_matches_oracle(named_systems):
+    """The coefficient-dict comparison gives the witnesses of the
+    LaurentPoly product it replaced, on the named systems and 20 seeded
+    graphs with an infinite pair, for cosets of ball(3) elements."""
+    rng = random.Random(4748)
+    systems = list(named_systems.values())
+    while len(systems) < 23:
+        sys = random_system(rng, 5)
+        if any(not sys.commutes(s, t) for s in range(sys.n)
+               for t in range(s + 1, sys.n)):
+            systems.append(sys)
+    cases = with_witnesses = 0
+    for sys in systems:
+        pair = InfinitePair.of(sys, *next(
+            (s, t) for s in range(sys.n) for t in range(s + 1, sys.n)
+            if not sys.commutes(s, t)))
+        ws = [w for w in sys.ball(3)
+              if shortest_rep(sys, pair, w).nondegenerate]
+        ws = rng.sample(ws, min(6, len(ws)))
+        for xi in coset_symbols(sys, rng):
+            for w in ws:
+                expected = oracle_double_coset_check(sys, pair, w, xi)
+                assert double_coset_symbol_check(sys, pair, w, xi) == \
+                    expected, (sys, w)
+                cases += 1
+                with_witnesses += bool(expected)
+    assert 0 < with_witnesses < cases
+    # a float at a coset element: the oracle's != reports it, the check
+    # refuses it as LaurentPoly arithmetic does
+    free3 = named_systems["free3"]
+    pair, u = InfinitePair.of(free3, "s", "t"), free3.element("u")
+    xi = {w: LaurentPoly.u_power(len(w)) for w in free3.ball(4)}
+    xi[free3.element("sus")] = 0.5
+    assert oracle_double_coset_check(free3, pair, u, xi) == \
+        [free3.element("sus")]
+    with pytest.raises(TypeError):
+        double_coset_symbol_check(free3, pair, u, xi)
 
 
 # -- distance recurrence ---------------------------------------------------------------
