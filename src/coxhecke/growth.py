@@ -44,9 +44,9 @@ from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
                       _component, _level_ends, _tree_words)
 from .cosets import InfinitePair, coset_elements, shortest_rep
 from .errors import ConsistencyError, DomainError, InputError, PreconditionError
-from .laurent import (LaurentPoly, _has_root_up_to, _poly_add, _poly_eval,
-                      _poly_mul, _sparse_mul_into, _sturm_chain, float_q,
-                      poly_str, positive_q)
+from .laurent import (LaurentPoly, _coerce, _has_root_up_to, _poly_add,
+                      _poly_eval, _poly_mul, _sparse_mul_into, _sturm_chain,
+                      float_q, poly_str, positive_q)
 
 # -- the rational growth series -------------------------------------------------
 
@@ -423,11 +423,6 @@ def _symbol_radius(system: CoxeterSystem, xi: dict) -> int:
     return radius
 
 
-def _terms(x) -> dict:
-    """A value's {exponent: coefficient} terms, as LaurentPoly coerces it."""
-    return x.terms if type(x) is LaurentPoly else (LaurentPoly.one() * x).terms
-
-
 def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
                              p) -> list[Element]:
     """Check the two-sided constraints a generator imposes on a symbol.
@@ -447,7 +442,7 @@ def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
         vals[w.word] = v
         if len(w.word) > radius:
             radius = len(w.word)
-    cut, step, pt = radius - 2, system._step, _terms(p)
+    cut, step, pt = radius - 2, system._step, _coerce(p).terms
     witnesses = []
     for w, v in vals.items():
         if len(w) > cut:
@@ -461,9 +456,9 @@ def check_symbol_commutation(system: CoxeterSystem, s, xi: dict,
         sws, d3 = step(sw, s, RIGHT)
         if d3 < 0 or not (sws in vals and sw in vals and ws in vals):
             continue
-        a = _terms(vals[sw])
-        rhs = _sparse_mul_into(dict(_terms(v)), pt, a)
-        if a != _terms(vals[ws]) or _terms(vals[sws]) != {
+        a = _coerce(vals[sw]).terms
+        rhs = _sparse_mul_into(dict(_coerce(v).terms), pt, a)
+        if a != _coerce(vals[ws]).terms or _coerce(vals[sws]).terms != {
                 e: c for e, c in rhs.items() if c}:
             witnesses.append(Element(system, w))
     return sorted(witnesses, key=Element.sort_key)
@@ -487,9 +482,9 @@ def double_coset_symbol_check(system: CoxeterSystem, pair: InfinitePair,
     w0 = info.w0
     if w0 not in xi:
         raise InputError("the coset's shortest element is outside the symbol")
-    radius, base = _symbol_radius(system, xi), _terms(xi[w0])
+    radius, base = _symbol_radius(system, xi), _coerce(xi[w0]).terms
     witnesses = [v for v in coset_elements(system, info, radius)
-                 if v in xi and _terms(xi[v]) != {
+                 if v in xi and _coerce(xi[v]).terms != {
                      e + len(v.word) - len(w0.word): c for e, c in base.items()}]
     return sorted(witnesses, key=Element.sort_key)
 

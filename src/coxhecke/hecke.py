@@ -11,9 +11,10 @@ polynomials in u (u^2 = q) and p is the ring element u - 1/u; numeric
 mode fixes a concrete q > 0 and keeps float coefficients.
 
 An exact element holds {canonical word: {exponent of u: int}} over one
-positive denominator, with no zero entry and no common factor of them
-all, so equal elements are held alike; arithmetic works on that form, and
-``terms`` ({Element: LaurentPoly}) is built from it on first read.
+positive denominator, canonical as a LaurentPoly's numerators are (no
+zero entry, no common factor), so equal elements are held alike; arithmetic
+works on that form, and ``terms`` ({Element: LaurentPoly}) is built from it
+on first read, each coefficient put in its own canonical form.
 
 Both modes walk with right steps on canonical words: T_x T_s = T_{xs},
 plus p T_x on a descent.  A product walks each term of a alone, depth
@@ -40,8 +41,8 @@ import numpy as np
 
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
 from .errors import CapacityError, InputError, ParseError
-from .laurent import (LaurentPoly, P_SYMBOL, _coerce, _from_numerators,
-                      _numerators, _sparse_mul_into, float_q)
+from .laurent import (LaurentPoly, P_SYMBOL, _add, _canonical, _coerce,
+                      _evaluate, _reduce, _sparse_mul_into, float_q)
 
 EXACT = "exact"
 
@@ -70,9 +71,12 @@ class HeckeElement:
         if any(w.system is not system for w in terms):
             raise InputError("basis element from a different system")
         if q is None:
-            den, num = _canonical(*_numerators(
-                {w.word: _scalar(None, c, "a coefficient").terms
-                 for w, c in terms.items()}))
+            polys = {w.word: _scalar(None, c, "a coefficient")
+                     for w, c in terms.items()}
+            d = math.lcm(*(c._den for c in polys.values()))
+            den, num = _canonical(d, {
+                w: {e: n * (d // c._den) for e, n in c._num.items()}
+                for w, c in polys.items()})
         else:
             den, num = 1, {w.word: f for w, c in terms.items()
                            if (f := float(c))}
@@ -90,7 +94,7 @@ class HeckeElement:
         if self._terms is None:
             d, exact = self._den, self.q is None
             _set_terms(self, {
-                Element(self.system, w): _from_numerators(c, d) if exact else c
+                Element(self.system, w): _reduce(d, c) if exact else c
                 for w, c in self._num.items()})
         return self._terms
 
@@ -123,14 +127,8 @@ class HeckeElement:
                 out[w] = out.get(w, 0.0) + c
             return _make(self.system, self.q, 1,
                          {w: c for w, c in out.items() if c})
-        d = math.lcm(self._den, other._den)
-        f, g = d // self._den, d // other._den
-        out = {w: {e: n * f for e, n in c.items()} for w, c in self._num.items()}
-        for w, c in other._num.items():
-            acc = out.setdefault(w, {})
-            for e, n in c.items():
-                acc[e] = acc.get(e, 0) + n * g
-        return _make(self.system, None, *_canonical(d, out))
+        return _make(self.system, None, *_canonical(
+            *_add(self._den, self._num, other._den, other._num)))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
@@ -145,18 +143,13 @@ class HeckeElement:
         if self.q is not None:
             return _make(self.system, self.q, 1,
                          {w: f for w, x in self._num.items() if (f := x * c)})
-        d, k = _numerators({(): c.terms})
-        if len(k[()]) != 1:
-            return _make(self.system, None, *_canonical(self._den * d, {
-                w: _sparse_mul_into({}, x, k[()]) for w, x in self._num.items()}))
-        (s, f), = k[()].items()         # a monomial shifts and multiplies
-        return _make(self.system, None, *_canonical(self._den * d, {
+        d, k = self._den * c._den, c._num
+        if len(k) != 1:
+            return _make(self.system, None, *_canonical(d, {
+                w: _sparse_mul_into({}, x, k) for w, x in self._num.items()}))
+        (s, f), = k.items()             # a monomial shifts and multiplies
+        return _make(self.system, None, *_canonical(d, {
             w: {e + s: n * f for e, n in x.items()} for w, x in self._num.items()}))
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction, float, LaurentPoly)):
-            return self.scale(c)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -164,6 +157,8 @@ class HeckeElement:
         if isinstance(other, (int, Fraction, float, LaurentPoly)):
             return self.scale(other)
         return NotImplemented
+
+    __rmul__ = __mul__      # reached only with a scalar on the left
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement) and self.system is other.system
@@ -199,20 +194,19 @@ class HeckeElement:
 
     def specialize(self, q: float) -> "HeckeElement":
         """Evaluate exact coefficients at u = sqrt(q), yielding numeric mode:
-        n/d rounds as the rational does, so each word's numerators give the
-        float of ``LaurentPoly.evaluate`` on ``terms``, with no Element."""
+        each word's numerators as ``LaurentPoly.evaluate`` reads its own,
+        so the floats are those of ``terms``, with no Element built."""
         if self.q is not None:
             raise InputError("element is already numeric")
         (q, u, _), d = float_q(q), self._den
         return _make(self.system, q, 1, {
-            w: f for w, c in self._num.items()
-            if (f := math.fsum(n / d * u ** e for e, n in c.items()))})
+            w: f for w, c in self._num.items() if (f := _evaluate(d, c, u))})
 
     def __str__(self):
         """The terms in ShortLex order, formatted with no Element built."""
         d, name = self._den, self.system.word_str
         return " + ".join(
-            f"({c if self.q else _from_numerators(c, d)})*T({name(w)})"
+            f"({c if self.q else _reduce(d, c)})*T({name(w)})"
             for w, c in sorted(self._num.items(),
                                key=lambda t: (len(t[0]), t[0]))) or "0"
 
@@ -234,22 +228,6 @@ def _make(system: CoxeterSystem, q, den, num) -> HeckeElement:
     _set_num(out, num)
     _set_terms(out, None)
     return out
-
-
-def _canonical(den: int, num: dict) -> tuple[int, dict]:
-    """Exact numerators over den without zero entries or empty words, and
-    divided by the common factor of den and all of them (a gcd taken
-    only while it is not 1)."""
-    g, out = den, {}
-    for w, c in num.items():
-        if 0 in c.values():
-            c = {e: n for e, n in c.items() if n}
-        if c:
-            out[w] = c
-            g = 1 if g == 1 else math.gcd(g, *c.values())
-    if g != 1:
-        out = {w: {e: n // g for e, n in c.items()} for w, c in out.items()}
-    return den // g, out
 
 
 def _scalar(q: float | None, c, what: str):
@@ -297,18 +275,21 @@ def _walk(a: HeckeElement, b: HeckeElement, p) -> HeckeElement:
     k of them adds c_x p^k (built once per term, each power the one before
     times p) times b's coefficient at w into its target, which no other
     branch of the walk reaches.  Numeric coefficients are floats.  Exact
-    ones are numerators, one exponent dict per target over d_a d_b; a
-    rational p keeps its ``Fraction`` values through the sums, cleared to
-    integers at the end.
+    ones are numerators, one exponent dict per target over d_a d_b d_p^L
+    for p = p'/d_p and L the longest word of b: a's numerators times d_p^L
+    keep each power, the one before times p' divided by d_p, integral, as
+    a walk has at most L descents.
     With no descent, no two branches on one target, numerators 1 on b and
     d_a d_b = 1, the exact result is canonical as it stands."""
-    exact = a.q is None
-    pt, comm, tables, clean = p.terms if exact else p, a.system._comm, {}, True
-    result = {}
+    exact, comm, tables, result, clean = a.q is None, a.system._comm, {}, {}, True
+    pt, dp = (p._num, p._den) if exact else (p, 1)
+    lift = 1 if dp == 1 else dp ** max(map(len, b._num), default=0)
+    a_num = a._num if lift == 1 else {
+        x: {e: n * lift for e, n in c.items()} for x, c in a._num.items()}
     for w, cw in b._num.items():
         one, n = cw == {0: 1}, len(w)
         clean = clean and one
-        for x0, c0 in a._num.items():
+        for x0, c0 in a_num.items():
             x, i, k, branches = x0, 0, 0, None
             while True:
                 for i in range(i, n):
@@ -323,8 +304,10 @@ def _walk(a: HeckeElement, b: HeckeElement, p) -> HeckeElement:
                         if branches is None:     # the term's first descent
                             clean, branches, table = False, [], tables.setdefault(x0, [c0])
                         if k + 1 == len(table):
-                            table.append(_sparse_mul_into({}, table[k], pt)
-                                         if exact else table[k] * p)
+                            pk = (_sparse_mul_into({}, table[k], pt) if exact
+                                  else table[k] * pt)
+                            table.append(pk if dp == 1 else
+                                         {e: n // dp for e, n in pk.items()})
                         branches.append((x, i + 1, k + 1))
                         x = x[:j] + x[j + 1:]
                     else:                   # before the first larger letter
@@ -346,11 +329,8 @@ def _walk(a: HeckeElement, b: HeckeElement, p) -> HeckeElement:
                 x, i, k = branches.pop()
     if not exact:
         return _make(a.system, a.q, 1, {x: c for x, c in result.items() if c})
-    d = a._den * b._den
-    if p is not P_SYMBOL and any(type(x) is not int for x in pt.values()):
-        dp, result = _numerators(result)
-        d *= dp
-    elif clean and d == 1:
+    d = a._den * b._den * lift
+    if clean and d == 1:
         return _make(a.system, None, 1, result)
     return _make(a.system, None, *_canonical(d, result))
 
@@ -402,7 +382,7 @@ def inner(a: HeckeElement, b: HeckeElement):
         acc = {}
         for w in a._num.keys() & b._num.keys():
             _sparse_mul_into(acc, a._num[w], b._num[w])
-        return _from_numerators(acc, a._den * b._den)
+        return _reduce(a._den * b._den, acc)
     return math.fsum(c * b._num.get(w, 0.0) for w, c in a._num.items())
 
 

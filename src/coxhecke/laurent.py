@@ -5,12 +5,15 @@ The Hecke deformation parameter enters through u with u^2 = q, so the
 structure constant p = (q - 1)/sqrt(q) is the ring element u - 1/u and
 every algebra identity becomes a decidable equality of Laurent
 polynomials.  Numbers only appear when a polynomial is evaluated at a
-concrete sqrt(q).
+concrete sqrt(q).  A polynomial holds integer numerators over one positive
+denominator with no zero entry and no common factor, as an exact Hecke
+element holds each word's: both go through one :func:`_canonical`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -42,14 +45,6 @@ def _poly_add(a: Sequence, b: Sequence) -> list:
     for i, y in enumerate(b):
         out[i] += y
     return _poly_trim(out)
-
-
-def _sparse_add(c1: Mapping, c2: Mapping) -> dict:
-    """The sum of two {exponent: coefficient} dicts, as a new dict."""
-    out = dict(c1)
-    for e, n in c2.items():
-        out[e] = out.get(e, 0) + n
-    return out
 
 
 def _sparse_mul_into(acc: dict, c1: Mapping, c2: Mapping) -> dict:
@@ -112,16 +107,9 @@ def _terms_str(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
     """Sum of nonzero c*var^k in the given order; "0" when there is none."""
     parts = []
     for k, c in terms:
-        if k == 0:
-            parts.append(str(c))
-        else:
-            mono = var if k == 1 else f"{var}^{k}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
+        mono = var if k == 1 else f"{var}^{k}"
+        parts.append(str(c) if k == 0 else mono if c == 1
+                     else f"-{mono}" if c == -1 else f"{c}*{mono}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
@@ -143,37 +131,38 @@ def _coercing(op):
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial sum of c_k u^k with rational c_k.
+    """Immutable Laurent polynomial sum of c_k u^k with rational c_k, held
+    as canonical {k: int} numerators ``_num`` over ``_den``.  ``terms`` is
+    the {k: c_k} view, integral c_k as ``int``s, ``_num`` itself when
+    ``_den`` is 1.  A coefficient that is not ``numbers.Rational`` or an
+    exponent that is not an integer is an ``InputError``."""
 
-    A coefficient is stored as an ``int`` when it is integral (a
-    ``Fraction`` with denominator 1 is reduced to one) and as a
-    ``Fraction`` otherwise, so integer arithmetic is never boxed.
-    Equality, hashing and printing do not see the difference.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ("_den", "_num", "terms")
 
     def __init__(self, terms: Mapping[int, Fraction | int] | None = None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                try:
-                    k = operator.index(k)
-                except TypeError:
-                    raise InputError(f"exponent {k!r} is not an integer") from None
-                if type(c) is not int:
-                    c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
-                if c:
-                    clean[k] = c
-        object.__setattr__(self, "terms", clean)
+        den, view = 1, {}       # reduced fractions over their lcm: canonical
+        for k, c in (terms or {}).items():
+            try:
+                k = operator.index(k)
+            except TypeError:
+                raise InputError(f"exponent {k!r} is not an integer") from None
+            if type(c) is not int:
+                if type(c) is not Fraction and not isinstance(c, numbers.Rational):
+                    raise InputError(f"coefficient {c!r} is not rational")
+                c, den = ((int(c.numerator), den) if c.denominator == 1 else
+                          (Fraction(c), math.lcm(den, c.denominator)))
+            if c:
+                view[k] = c
+        _set_den(self, den)
+        _set_num(self, view if den == 1 else {
+            k: c.numerator * den // c.denominator for k, c in view.items()})
+        _set_terms(self, view)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
     def __reduce__(self):
-        return LaurentPoly, (self.terms,)
+        return _reduce, (self._den, self._num)
 
     # -- constructors --------------------------------------------------------
 
@@ -197,12 +186,13 @@ class LaurentPoly:
 
     @_coercing
     def __add__(self, other) -> "LaurentPoly":
-        return LaurentPoly(_sparse_add(self.terms, other.terms))
+        d, n = _add(self._den, {0: self._num}, other._den, {0: other._num})
+        return _reduce(d, n[0])
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
+        return _reduce(self._den, {k: -n for k, n in self._num.items()})
 
     @_coercing
     def __sub__(self, other) -> "LaurentPoly":
@@ -214,27 +204,26 @@ class LaurentPoly:
 
     @_coercing
     def __mul__(self, other) -> "LaurentPoly":
-        return LaurentPoly(_sparse_mul_into({}, self.terms, other.terms))
+        return _reduce(self._den * other._den,
+                       _sparse_mul_into({}, self._num, other._num))
 
     __rmul__ = __mul__
 
     # -- structure -----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
+    @_coercing
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, u_value: float) -> float:
-        """Numeric value at a concrete u (callers pass sqrt(q)); ``fsum``
-        makes it independent of the order of the terms."""
-        return math.fsum(float(c) * u_value ** k for k, c in self.terms.items())
+        """Numeric value at a concrete u (callers pass sqrt(q))."""
+        return _evaluate(self._den, self._num, u_value)
 
     def __str__(self):
         return _terms_str(sorted(self.terms.items()), "u")
@@ -243,33 +232,63 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def _coerce(x) -> LaurentPoly:
-    """An int, a Fraction or a LaurentPoly, as a LaurentPoly."""
-    return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
+#: The slots' setters, which bypass the refusing ``__setattr__``.
+_set_den, _set_num, _set_terms = (
+    LaurentPoly.__dict__[k].__set__ for k in LaurentPoly.__slots__)
 
 
-def _numerators(polys: Mapping) -> tuple[int, dict]:
-    """A common denominator d of the values of the {exponent: rational}
-    dicts in ``polys``, and d times each as an {exponent: int} dict."""
-    d = 1
-    for c in polys.values():
-        for x in c.values():
-            if type(x) is not int:
-                d = math.lcm(d, x.denominator)
-    return d, {key: {e: x * d if type(x) is int
-                     else x.numerator * (d // x.denominator)
-                     for e, x in c.items()}
-               for key, c in polys.items()}
-
-
-def _from_numerators(num: Mapping, d: int) -> LaurentPoly:
-    """num / d for {exponent: numerator}: an int where d divides it and a
-    ``Fraction`` otherwise, zeros dropped, built without re-validation."""
-    out = object.__new__(LaurentPoly)
-    object.__setattr__(out, "terms", {e: n // d if n % d == 0
-                                      else Fraction(n, d)
-                                      for e, n in num.items() if n})
+def _reduce(den: int, num: dict) -> LaurentPoly:
+    """The polynomial num / den, for a positive den and {k: int} num."""
+    den, num = _canonical(den, {0: num})
+    num, out = num.get(0, {}), object.__new__(LaurentPoly)
+    _set_den(out, den)
+    _set_num(out, num)
+    _set_terms(out, num if den == 1 else {
+        k: n // den if n % den == 0 else Fraction(n, den) for k, n in num.items()})
     return out
+
+
+def _coerce(x) -> LaurentPoly:
+    """An int, a Fraction or a LaurentPoly, as a LaurentPoly; else TypeError."""
+    if isinstance(x, LaurentPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return LaurentPoly.const(x)
+    raise TypeError(f"a {type(x).__name__} is not a Laurent polynomial")
+
+
+def _canonical(den: int, num: dict) -> tuple[int, dict]:
+    """Numerators {key: {k: int}} over den without zero entries or empty
+    keys, divided by the common factor of den and all of them (a gcd taken
+    only while it is not 1): equal values get equal forms."""
+    g, out = den, {}
+    for w, c in num.items():
+        if 0 in c.values():
+            c = {e: n for e, n in c.items() if n}
+        if c:
+            out[w] = c
+            g = 1 if g == 1 else math.gcd(g, *c.values())
+    if g != 1:
+        out = {w: {e: n // g for e, n in c.items()} for w, c in out.items()}
+    return den // g, out
+
+
+def _add(d1: int, n1: dict, d2: int, n2: dict) -> tuple[int, dict]:
+    """n1 / d1 + n2 / d2 for numerators {key: {k: int}}, not canonical."""
+    d = math.lcm(d1, d2)
+    f, g = d // d1, d // d2
+    out = {w: {e: n * f for e, n in c.items()} for w, c in n1.items()}
+    for w, c in n2.items():
+        acc = out.setdefault(w, {})
+        for e, n in c.items():
+            acc[e] = acc.get(e, 0) + n * g
+    return d, out
+
+
+def _evaluate(den: int, num: Mapping, u: float) -> float:
+    """sum n_k u^k / den, each n_k / den rounded as the rational is, by
+    ``fsum``, so independent of the order of the terms."""
+    return math.fsum(n / den * u ** k for k, n in num.items())
 
 
 _ZERO = LaurentPoly()
@@ -280,10 +299,14 @@ P_SYMBOL = LaurentPoly({1: 1, -1: -1})
 
 
 def positive_q(q) -> Fraction:
-    """The exact door for q: q as a rational, refused unless positive."""
-    if isinstance(q, float) and not math.isfinite(q) or Fraction(q) <= 0:
-        raise InputError("q must be positive")
-    return Fraction(q)
+    """The exact door for q: q as a rational, refused unless positive, as
+    is what ``Fraction`` refuses by value (NaN, inf, "abc"), not by type."""
+    try:
+        if (q := Fraction(q)) > 0:
+            return q
+    except (ValueError, OverflowError, ZeroDivisionError):
+        pass
+    raise InputError("q must be positive")
 
 
 def float_q(q) -> tuple[float, float, float]:

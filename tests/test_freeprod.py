@@ -3,6 +3,7 @@ iterated decomposition, and agreement with the growth-radius criterion."""
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -286,7 +287,8 @@ def test_freeness_partition_validation(z2sq_z2, free3):
         freeness_test(free3, [("s", "t"), ("t", "u")], 3)
 
 
-@pytest.mark.parametrize("q", [0, -1, math.nan, math.inf])
+@pytest.mark.parametrize("q", [0, -1, math.nan, math.inf, Decimal("NaN"),
+                               Decimal("Infinity")])
 def test_cross_validation_takes_q_through_positive_q(q):
     with pytest.raises(InputError, match="q must be positive"):
         cross_validate_with_rho(FreeFactorSpec((2, 1)), q)

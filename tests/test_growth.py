@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -1309,7 +1310,7 @@ def test_projection_peak_below_twice_the_table(pentagon):
 
 
 @pytest.mark.parametrize("q", [0, -1, Fraction(-1, 3), math.nan, math.inf,
-                               -math.inf])
+                               -math.inf, Decimal("NaN"), Decimal("Infinity")])
 def test_q_below_rho_takes_q_through_positive_q(pentagon, q):
     """q <= 0 and non-finite floats are refused as every exact reader of q
     refuses them, not answered or raised from Fraction."""

@@ -12,6 +12,8 @@ import itertools
 import math
 import pickle
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +92,8 @@ def test_numeric_element_rejects_bad_q(dihedral, q):
         HeckeElement(dihedral, {dihedral.identity: 1.0}, q=q)
 
 
-@pytest.mark.parametrize("q", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("q", [-1.0, 0.0, float("nan"), float("inf"),
+                               Decimal("NaN"), Decimal("Infinity"), "abc", "1/0"])
 def test_specialize_rejects_bad_q(dihedral, q):
     with pytest.raises(InputError, match="q must be positive"):
         t_basis(dihedral.element("s")).specialize(q)
@@ -982,6 +985,114 @@ def test_laurent_refuses_non_integral_exponents(terms):
     constant 2 and {"2": 1} was u^2."""
     with pytest.raises(InputError, match="is not an integer"):
         LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, "1/3", float("nan"), float("inf"),
+                               Decimal("0.5"), Decimal("NaN"), 1j])
+def test_laurent_refuses_non_rational_coefficients(c):
+    """A coefficient used to pass through ``Fraction``: 0.1 became
+    3602879701896397/36028797018963968, "1/3" became 1/3, and NaN raised
+    a bare ValueError."""
+    with pytest.raises(InputError, match=re.escape(f"coefficient {c!r} is "
+                                                   "not rational")):
+        LaurentPoly({0: 1, 1: c})
+
+
+def test_laurent_takes_rational_coefficient_types():
+    """bool and numpy integers are ``numbers.Rational`` and read as ints."""
+    p = LaurentPoly({0: True, 1: np.int64(3), 2: Fraction(np.int64(4), 2)})
+    assert p.terms == {0: 1, 1: 3, 2: 2}
+    assert all(type(c) is int for c in p.terms.values())
+
+
+def oracle_terms(c: dict) -> dict:
+    """A {k: rational} dict as the oracle holds it: Fractions, no zeros."""
+    return {k: Fraction(x) for k, x in c.items() if x}
+
+
+def oracle_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, x in b.items():
+        out[k] = out.get(k, 0) + x
+    return oracle_terms(out)
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for k, x in a.items():
+        for j, y in b.items():
+            out[k + j] = out.get(k + j, 0) + x * y
+    return oracle_terms(out)
+
+
+def assert_canonical(p: LaurentPoly, oracle: dict):
+    """p holds the value of the Fraction dict ``oracle`` in canonical form:
+    a positive denominator, no zero numerator, no common factor, and the
+    ``terms`` view as ints where integral and as ``_num`` when d = 1."""
+    assert p._den > 0 and 0 not in p._num.values()
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert {k: Fraction(n, p._den) for k, n in p._num.items()} == oracle
+    assert p.terms == oracle
+    assert all((type(c) is int) == (c.denominator == 1) for c in p.terms.values())
+    assert p._den > 1 or p.terms is p._num
+
+
+def random_rational_dict(rng: random.Random) -> dict:
+    """Up to five terms of u^-3 .. u^3, ints and Fractions, zeros among them,
+    with denominators that share factors."""
+    return {rng.randint(-3, 3): rng.choice((
+        rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 12)))))
+            for _ in range(rng.randint(0, 5))}
+
+
+def test_laurent_canonical_form_matches_fraction_oracle():
+    """On 400 seeded random {k: int | Fraction} dicts, the constructor, +,
+    -, *, negation and scalars give the Fraction oracle's value in
+    canonical form; equal values reached by other routes hold equal
+    (_den, _num) and hash alike, and a pickle keeps all three."""
+    rng = random.Random(149)
+    for _ in range(400):
+        x, y = random_rational_dict(rng), random_rational_dict(rng)
+        a, b = LaurentPoly(x), LaurentPoly(y)
+        ox, oy = oracle_terms(x), oracle_terms(y)
+        assert_canonical(a, ox)
+        assert_canonical(b, oy)
+        assert_canonical(a + b, oracle_add(ox, oy))
+        assert_canonical(a - b, oracle_add(ox, {k: -c for k, c in oy.items()}))
+        assert_canonical(-a, {k: -c for k, c in ox.items()})
+        assert_canonical(a * b, oracle_mul(ox, oy))
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        assert_canonical(c * a, oracle_mul({0: c}, ox))
+        assert_canonical(a + c, oracle_add(ox, oracle_terms({0: c})))
+        routes = [a + b, b + a, (a - b) + b + b, a * b * LaurentPoly({0: 1}) + b
+                  - a * b + a, LaurentPoly(oracle_add(ox, oy)),
+                  pickle.loads(pickle.dumps(a + b))]
+        for r in routes:
+            assert (r._den, r._num, hash(r)) == (routes[0]._den, routes[0]._num,
+                                                 hash(routes[0]))
+            assert r == routes[0]
+
+
+def test_hecke_terms_and_inner_are_canonical(dihedral):
+    """Over the element's denominator 6, the numerators 2 + 4u of T_s are
+    all even: ``terms`` and ``inner`` still give canonical polynomials."""
+    s, t = dihedral.element("s"), dihedral.element("t")
+    a = HeckeElement(dihedral, {s: LaurentPoly({0: Fraction(1, 3), 1: Fraction(2, 3)}),
+                                t: Fraction(1, 6)})
+    assert (a._den, a._num) == (6, {s.word: {0: 2, 1: 4}, t.word: {0: 1}})
+    assert_canonical(a.terms[s], {0: Fraction(1, 3), 1: Fraction(2, 3)})
+    assert_canonical(a.terms[t], {0: Fraction(1, 6)})
+    b = HeckeElement(dihedral, {s: 3, t: Fraction(1, 2)})
+    assert_canonical(inner(a, b), {0: Fraction(13, 12), 1: 2})
+    assert_canonical(inner(a, a), oracle_add(
+        oracle_mul(*[{0: Fraction(1, 3), 1: Fraction(2, 3)}] * 2),
+        {0: Fraction(1, 36)}))
+    rng = random.Random(151)
+    for _ in range(50):
+        x = random_exact_element(rng, dihedral, dihedral.ball(3), 6, 2)
+        for c in x.terms.values():
+            assert_canonical(c, oracle_terms(c.terms))
+        assert_canonical(inner(x, x), oracle_terms(inner(x, x).terms))
 
 
 def test_laurent_takes_numpy_integer_exponents():
