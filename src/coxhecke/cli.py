@@ -17,16 +17,10 @@ import sys
 from fractions import Fraction
 
 from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem, _tree_words
-from .cosets import _check_component_domain, _component_report, build_gamma_ball
 from .errors import (CapacityError, ConsistencyError, CoxheckeError,
                      DomainError, InputError, ParseError, PreconditionError)
-from .freeprod import FreeFactorSpec, cross_validate_with_rho
 from .groupfile import load_system
-from .growth import (classify, component_rhos, growth_series,
-                     verify_central_projection)
-from .hecke import parse_expression
 from .laurent import positive_q
-from .verify import run_suites
 
 SCHEMA = 1
 
@@ -109,6 +103,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .growth import growth_series
     sys_ = _load(args)
     if args.radius < 0:
         raise InputError("radius must be nonnegative")
@@ -136,6 +131,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_rho(args) -> int:
+    from .growth import component_rhos
     sys_ = _load(args)
     values = {",".join(sys_.names[i] for i in comp):
               math.inf if info is None else info.value
@@ -158,6 +154,7 @@ def cmd_rho(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .growth import classify
     sys_ = _load(args)
     report = classify(sys_, parse_q(args.q))
     payload = {
@@ -179,6 +176,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    from .cosets import _check_component_domain, _component_report, build_gamma_ball
     sys_ = _load(args)
     _check_component_domain(sys_, args.slack)
     graph = build_gamma_ball(sys_, args.radius, args.max_ball)
@@ -207,6 +205,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_zeta_check(args) -> int:
+    from .growth import verify_central_projection
     sys_ = _load(args)
     report = verify_central_projection(sys_, parse_q(args.q), args.radius,
                                        args.max_ball)
@@ -226,6 +225,7 @@ def cmd_zeta_check(args) -> int:
 
 
 def cmd_dykema(args) -> int:
+    from .freeprod import FreeFactorSpec, cross_validate_with_rho
     try:
         ranks = tuple(int(x) for x in args.ranks.split(","))
     except ValueError:
@@ -258,6 +258,7 @@ def cmd_dykema(args) -> int:
 
 
 def cmd_hecke(args) -> int:
+    from .hecke import parse_expression
     sys_ = _load(args)
     elem = parse_expression(sys_, args.expr)
     payload = {
@@ -270,6 +271,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
     results = run_suites(args.seed)
     payload = {
         "command": "verify", "seed": args.seed,

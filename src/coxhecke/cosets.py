@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-import numpy as np
-
 from .coxeter import (LEFT, RIGHT, BallTable, CoxeterSystem, Element,
                       DEFAULT_MAX_BALL, _bits)
 from .errors import CapacityError, DomainError, InputError
@@ -215,6 +213,7 @@ def _component_labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     compressed, until every edge joins one root; that root is the least
     vertex of its component, so ranking the roots gives first appearance.
     """
+    import numpy as np
     root = np.arange(n)
     while True:
         a, b = root[lo], root[hi]
@@ -276,6 +275,7 @@ class GammaBallGraph:
     def isolated_vertices(self) -> list[Element]:
         """Vertices without edges: the graph has no loops (ws != w != sw),
         so these are the vertices of the singleton components."""
+        import numpy as np
         sizes = np.bincount(self.component_label)
         return [v for v, lab in zip(self.vertices, self.component_label)
                 if sizes[lab] == 1]
@@ -297,6 +297,7 @@ def build_gamma_ball(system: CoxeterSystem, radius: int,
     are stored as sorted index pairs, so the set is symmetric by
     construction.
     """
+    import numpy as np
     table = system.ball_table(radius, max_elements)
     left, _ = table.left()
     supports = table.supports()
@@ -369,6 +370,7 @@ def verify_component_structure(system: CoxeterSystem, radius: int,
 def _component_report(graph: GammaBallGraph, slack: int) -> ComponentReport:
     """The checks of :func:`verify_component_structure` on a built graph;
     the caller checks the domain and the slack before building it."""
+    import numpy as np
     system, radius = graph.system, graph.radius
     exceptional = [system.identity]
     z2gen = system.free_z2_factor_generator()

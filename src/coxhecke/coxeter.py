@@ -26,8 +26,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import CapacityError, DomainError, InputError
 
 LEFT = "left"
@@ -364,6 +362,7 @@ class CoxeterSystem:
         array of its states, sized by their mask bits against the cap before
         it is built: children by parent, then letter (ShortLex).
         """
+        import numpy as np
         if radius < 0:
             raise InputError("radius must be nonnegative")
         if max_elements < 1:
@@ -409,6 +408,7 @@ class CoxeterSystem:
         ``right`` is int32, so the cap, checked before a level or a table
         is built, is at most 2^31 - 1 rows.
         """
+        import numpy as np
         lengths, parent, last = self._ball_levels(
             radius, min(max_elements, np.iinfo(np.int32).max))
         right = np.full((self.n, len(lengths)), -1, dtype=np.int32)
@@ -564,7 +564,7 @@ def _level_ends(lengths: np.ndarray) -> np.ndarray:
     """The end row of each level 0..lengths[-1] of a ball in ball order, or
     of a prefix of one: level k holds rows ends[k - 1]:ends[k]."""
     top = lengths[-1] + 1 if len(lengths) else 0
-    return np.searchsorted(lengths, np.arange(top), side="right")
+    return lengths.searchsorted(range(top), "right")
 
 
 def _level_rows(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -610,6 +610,7 @@ class BallTable(NamedTuple):
         since |sz'| <= |z|; a generator at a time, so temporaries hold one
         level of one row.  As |sz| = |z| +- 1 and rows ascend in length, sz
         is shorter exactly when its row comes first."""
+        import numpy as np
         left = self.right[:, :end].copy()   # row 0: se = es; levels follow
         for lo, hi in _level_rows(self.lengths[:end]):
             for row in left:
@@ -619,6 +620,7 @@ class BallTable(NamedTuple):
 
     def supports(self) -> np.ndarray:
         """Support bitmasks, level by level: supp(z't) = supp(z') | bit(t)."""
+        import numpy as np
         supp = np.zeros(len(self.lengths), dtype=np.int64)
         for lo, hi in _level_rows(self.lengths):
             supp[lo:hi] = supp[self.parent[lo:hi]] | (1 << self.last[lo:hi])

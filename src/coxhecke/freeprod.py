@@ -303,22 +303,20 @@ def freeness_test(system: CoxeterSystem, partition, max_len: int) -> list[tuple]
     (T_w - phi(T_w)) must have vanishing state, exactly.  Returns the
     violating sequences (empty = pass).
     """
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     blocks = [tuple(system.generator_index(g) for g in b) for b in partition]
-    seen: set[int] = set()
-    for b in blocks:
-        for g in b:
-            if g in seen:
-                raise InputError("partition blocks overlap")
-            seen.add(g)
-    if seen != set(range(system.n)):
+    gens = [g for b in blocks for g in b]
+    if len(set(gens)) < len(gens):
+        raise InputError("partition blocks overlap")
+    if set(gens) != set(range(system.n)):
         raise InputError("partition must cover every generator")
     for b1, b2 in itertools.combinations(blocks, 2):
-        for g1 in b1:
-            for g2 in b2:
-                if system.commutes(g1, g2):
-                    raise InputError(
-                        f"generators {system.names[g1]} and {system.names[g2]} "
-                        "commute across blocks; the blocks are not free factors")
+        for g1, g2 in itertools.product(b1, b2):
+            if system.commutes(g1, g2):
+                raise InputError(
+                    f"generators {system.names[g1]} and {system.names[g2]} "
+                    "commute across blocks; the blocks are not free factors")
 
     # nontrivial elements of each block subgroup, by total length
     block_elements: list[list[Element]] = []

@@ -38,8 +38,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-import numpy as np
-
 from .coxeter import (LEFT, RIGHT, CoxeterSystem, Element, DEFAULT_MAX_BALL,
                       _component, _level_ends, _tree_words)
 from .cosets import InfinitePair, coset_elements, shortest_rep
@@ -398,6 +396,7 @@ def zeta_symbol(system: CoxeterSystem, q, radius: int,
     Requires q <= 1: for larger parameters classify at 1/q instead (the
     duality isomorphism exchanges the two algebras).
     """
+    import numpy as np
     q = positive_q(q)
     if q > 1:
         raise PreconditionError(
@@ -510,9 +509,13 @@ class RecurrenceReport:
 
 def coset_recurrence(q, f0: float, f1: float, n: int) -> RecurrenceReport:
     """Iterate the recurrence and solve for the mode coefficients."""
+    if n < 0:
+        raise InputError("n must be nonnegative")
     q, sq, p = float_q(q)
     values = [float(f0), float(f1)]
-    for _ in range(max(n - 1, 0)):
+    if not all(map(math.isfinite, values)):
+        raise InputError("f0 and f1 must be finite")
+    for _ in range(n - 1):
         values.append(p * values[-1] + values[-2])
     # modes: f(k) = alpha q^{k/2} + beta (-1)^k q^{-k/2}
     alpha = (f0 / sq + f1) * sq / (q + 1.0)
@@ -577,6 +580,7 @@ def _table_phases(system: CoxeterSystem, radius: int, sq: float, p: float,
     """Phases (a) and (b) of :func:`verify_central_projection`, and what
     (c) reads of the ball table.  The table dies after (a): (b) reads copies
     of its first rows only, and (c) its left table of ball(h - 1)."""
+    import numpy as np
     table = system.ball_table(radius, max_elements)
     lengths, parent, last, idx, desc = table
     ends = _level_ends(lengths).tolist()
@@ -634,6 +638,7 @@ def verify_central_projection(system: CoxeterSystem, q, radius: int,
     Where (a) fails, those fields describe the rank-one operator it would
     give, not the computed M_h.
     """
+    import numpy as np
     q = positive_q(q)
     if not system.irreducible or system.is_finite() or system.n < 3:
         raise DomainError("projection certification needs an irreducible "

@@ -37,8 +37,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .coxeter import DEFAULT_MAX_BALL, LEFT, RIGHT, CoxeterSystem, Element
 from .errors import CapacityError, InputError, ParseError
 from .laurent import (LaurentPoly, P_SYMBOL, _add, _canonical, _coerce,
@@ -70,16 +68,14 @@ class HeckeElement:
             return _make(system, q, 1, {})
         if any(w.system is not system for w in terms):
             raise InputError("basis element from a different system")
+        coeffs = {w.word: _scalar(q, c, "a coefficient") for w, c in terms.items()}
         if q is None:
-            polys = {w.word: _scalar(None, c, "a coefficient")
-                     for w, c in terms.items()}
-            d = math.lcm(*(c._den for c in polys.values()))
+            d = math.lcm(*(c._den for c in coeffs.values()))
             den, num = _canonical(d, {
                 w: {e: n * (d // c._den) for e, n in c._num.items()}
-                for w, c in polys.items()})
+                for w, c in coeffs.items()})
         else:
-            den, num = 1, {w.word: f for w, c in terms.items()
-                           if (f := float(c))}
+            den, num = 1, {w: f for w, c in coeffs.items() if (f := float(c))}
         return _make(system, q, den, num)
 
     def __setattr__(self, *a):
@@ -414,6 +410,7 @@ class ActionMatrix:
 def _action_by_products(a: HeckeElement, ball: list[Element],
                         side: str) -> ActionMatrix:
     """The action matrix column by column, one Hecke product per column."""
+    import numpy as np
     index = {w.word: i for i, w in enumerate(ball)}
     n = len(ball)
     mat = np.zeros((n, n))
@@ -464,6 +461,7 @@ def _rows_walk(at, val, letters, step, descent, p):
     descent moves a row to its step and appends the row before it times
     p.  A walk's leaves have distinct targets, so the returned (column,
     row) pairs are distinct; they come with their values."""
+    import numpy as np
     col = np.arange(len(at))
     for s in letters:
         d = np.flatnonzero(descent[s][at])
@@ -499,6 +497,7 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
     Past the cap the columns come from single products, indexed by
     canonical word, and nothing is cached.
     """
+    import numpy as np
     if a.q is None:
         raise InputError("action matrices need numeric mode")
     if side not in (LEFT, RIGHT):

@@ -287,6 +287,26 @@ def test_freeness_partition_validation(z2sq_z2, free3):
         freeness_test(free3, [("s", "t"), ("t", "u")], 3)
 
 
+def test_freeness_partition_messages(z2sq_z2, free3):
+    """Each refused partition names its fault, an overlap within one block
+    included."""
+    for system, partition, message in [
+            (free3, [("s", "t"), ("t", "u")], "partition blocks overlap"),
+            (free3, [("s", "s"), ("t", "u")], "partition blocks overlap"),
+            (free3, [("s",), ("t",)], "partition must cover every generator"),
+            (z2sq_z2, [("s", "t"), ("u",)], "generators t and u commute across")]:
+        with pytest.raises(InputError, match=message):
+            freeness_test(system, partition, 3)
+
+
+def test_freeness_refuses_negative_max_len_first(free3):
+    """A negative length bound is named before the partition is read or
+    any ball is built."""
+    for partition in ([("s",), ("t",), ("u",)], [("s",), ("x",)]):
+        with pytest.raises(InputError, match="max_len must be nonnegative"):
+            freeness_test(free3, partition, -1)
+
+
 @pytest.mark.parametrize("q", [0, -1, math.nan, math.inf, Decimal("NaN"),
                                Decimal("Infinity")])
 def test_cross_validation_takes_q_through_positive_q(q):

@@ -1080,6 +1080,18 @@ def test_recurrence_q_one_degenerate():
     assert rep.admissible
 
 
+def test_recurrence_rejects_negative_n():
+    with pytest.raises(InputError, match="n must be nonnegative"):
+        coset_recurrence(0.25, 1.0, 0.5, -1)
+
+
+@pytest.mark.parametrize("f0, f1", [(math.nan, 0.5), (1.0, math.inf),
+                                    (-math.inf, 0.5), (1.0, math.nan)])
+def test_recurrence_rejects_non_finite_values(f0, f1):
+    with pytest.raises(InputError, match="f0 and f1 must be finite"):
+        coset_recurrence(0.25, f0, f1, 4)
+
+
 def test_recurrence_rejects_bad_q():
     with pytest.raises(InputError):
         coset_recurrence(-1, 1.0, 1.0, 3)

@@ -134,6 +134,27 @@ def test_scalars_of_the_wrong_mode(dihedral):
         Fraction(1, 2))
 
 
+def test_numeric_coefficients_are_read_as_scalars(dihedral):
+    """A numeric element's coefficients pass the check ``scale`` applies:
+    int, Fraction, float and bool are taken as floats, and a str, a
+    Decimal or a LaurentPoly is refused with the mode named.  Exact
+    elements take and refuse what they did."""
+    w, v = dihedral.element("s"), dihedral.element("t s")
+    for bad in ("2.5", Decimal("1.5"), P_SYMBOL):
+        with pytest.raises(InputError, match="a coefficient in numeric mode "
+                           f"cannot be a {type(bad).__name__}"):
+            HeckeElement(dihedral, {v: 1.0, w: bad}, q=0.5)
+    for c, f in [(2, 2.0), (Fraction(1, 4), 0.25), (1.5, 1.5), (True, 1.0)]:
+        a = HeckeElement(dihedral, {w: c, v: 0}, q=0.5)
+        assert a.terms == {w: f} and type(a.terms[w]) is float
+    for bad in ("2.5", Decimal("1.5"), 0.5):
+        with pytest.raises(InputError, match="a coefficient in exact mode "
+                           f"cannot be a {type(bad).__name__}"):
+            HeckeElement(dihedral, {w: bad})
+    exact = HeckeElement(dihedral, {w: Fraction(1, 2), v: P_SYMBOL})
+    assert exact.terms == {w: LaurentPoly.const(Fraction(1, 2)), v: P_SYMBOL}
+
+
 def test_mixed_operands(dihedral):
     """A LaurentPoly on the left defers to the element it multiplies, and
     operands neither side takes are refused with TypeError."""
