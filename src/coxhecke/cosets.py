@@ -125,7 +125,8 @@ def brute_force_min_rep(system: CoxeterSystem, pair: InfinitePair, w: Element,
         raise InputError("bound must be at least |w| + 2")
     count = (2 * bound + 1) ** 2
     if count > 2 * 10**6:
-        raise CapacityError(f"would enumerate {count} products")
+        raise CapacityError(f"would enumerate {count} products, more than"
+                            f" the cap of {2 * 10**6}")
     best = w
     for d in dihedral_words(pair, bound):
         dw = system.multiply(system.normalize(d), w)

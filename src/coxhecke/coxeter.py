@@ -38,6 +38,9 @@ Word = tuple[int, ...]
 #: automaton states of one level when spheres are counted.
 DEFAULT_MAX_BALL = 10**6
 
+#: States whose successor lists one sphere count keeps (bounds its memory).
+_STEP_MEMO_STATES = 4096
+
 #: Hard limit on the generator count; masks are kept in 64-bit words.
 MAX_GENERATORS = 62
 
@@ -432,19 +435,25 @@ class CoxeterSystem:
         """Counts a_k = #{w : |w| = k} for k = 0..n by the canonical-word
         automaton (the ShortLex automatic structure of Brink-Howlett): a
         level maps each state, a mask of :meth:`_ball_levels`, to the words
-        reaching it.  ``CapacityError`` past ``max_total`` elements
-        (``math.inf``: no cap) or ``DEFAULT_MAX_BALL`` states on a level,
-        checked after each parent state (so never more than cap + n)."""
+        reaching it.  Each state's successors are computed once per call and
+        kept for up to ``_STEP_MEMO_STATES`` states; later ones are stepped
+        afresh.  ``CapacityError`` past ``max_total`` elements (``math.inf``:
+        no cap) or ``DEFAULT_MAX_BALL`` states on a level, checked after each
+        parent state (so never more than cap + n)."""
         if n < 0:
             raise InputError("n must be nonnegative")
         nc, cgt = self._noncomm, self._ext_cgt
-        level, counts, total = {self._full: 1}, [], 0
+        level, counts, total, steps = {self._full: 1}, [], 0, {}
         for k in range(n + 1):
             if k:
                 nxt: dict[int, int] = {}
                 for mask, count in level.items():
-                    for s in _bits(mask):
-                        state = nc[s] | (cgt[s] & mask)
+                    succ = steps.get(mask)
+                    if succ is None:
+                        succ = [nc[s] | (cgt[s] & mask) for s in _bits(mask)]
+                        if len(steps) < _STEP_MEMO_STATES:
+                            steps[mask] = succ
+                    for state in succ:
                         nxt[state] = nxt.get(state, 0) + count
                     if len(nxt) > DEFAULT_MAX_BALL:
                         raise CapacityError(
@@ -455,7 +464,8 @@ class CoxeterSystem:
             total += counts[-1]
             if total > max_total:
                 raise CapacityError(
-                    f"ball of radius {n} would exceed {max_total} elements")
+                    f"ball of radius {n} would exceed {max_total} elements:"
+                    f" {total} counted through length {k}")
         return counts
 
     # -- length-additive joins ------------------------------------------------

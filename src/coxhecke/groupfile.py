@@ -31,6 +31,8 @@ def parse_system(text: str) -> CoxeterSystem:
                          line=exc.lineno, column=exc.colno) from None
     except ValueError:  # JSON's other error: a number past the digit limit
         raise ParseError("number exceeds Python's int-to-str digit limit") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("group file must be a JSON object")
     unknown = set(doc) - {"generators", "commuting_pairs"}
@@ -56,7 +58,9 @@ def parse_system(text: str) -> CoxeterSystem:
 
 def load_system(path) -> CoxeterSystem:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"group file is not valid UTF-8 (byte {exc.start})") from None
     except OSError as exc:
         raise InputError(f"cannot read group file: {exc}") from None
     return parse_system(text)

@@ -101,6 +101,23 @@ def test_parse_error_exit_code(capsys, group_file):
                        "limit\n")
 
 
+def test_undecodable_group_file_is_parse_error(capsys, tmp_path):
+    """Bytes that are not UTF-8 are a parse error, whatever the locale."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"generators": ["\u00e9"]}'.encode("latin-1"))
+    code, out, err = run(capsys, ["info", "--group", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: group file is not valid UTF-8")
+
+
+def test_deeply_nested_group_file_is_parse_error(capsys, group_file):
+    """JSON nested past the recursion limit is a parse error, not a crash."""
+    code, out, err = run(capsys, ["info", "--group",
+                                  group_file("[" * 100000 + "]" * 100000)])
+    assert (code, out) == (2, "")
+    assert err == "error: JSON nested too deeply\n"
+
+
 def test_missing_group_file(capsys):
     code, _, err = run(capsys, ["info", "--group", "/nonexistent/g.json"])
     assert code == 2

@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from coxhecke import (CoxeterSystem, DomainError, DoubleCosetInfo, Element,
-                      InputError, InfinitePair, LEFT, LaurentPoly, P_SYMBOL,
+from coxhecke import (CapacityError, CoxeterSystem, DomainError,
+                      DoubleCosetInfo, Element, InputError, InfinitePair,
+                      LEFT, LaurentPoly, P_SYMBOL,
                       RIGHT, brute_force_min_rep, build_gamma_ball,
                       check_symbol_commutation, double_coset_symbol_check,
                       gamma_neighbors, shortest_rep,
@@ -92,6 +93,16 @@ def test_brute_force_bound_validation(free3):
     pair = InfinitePair.of(free3, "s", "t")
     with pytest.raises(InputError):
         brute_force_min_rep(free3, pair, free3.element("u"), bound=1)
+
+
+def test_brute_force_capacity_names_count_and_cap(free3):
+    """Bound 708 asks for 1417^2 = 2,007,889 products, past the cap of
+    2,000,000: the error names both numbers."""
+    pair = InfinitePair.of(free3, "s", "t")
+    with pytest.raises(CapacityError) as info:
+        brute_force_min_rep(free3, pair, free3.element("u"), bound=708)
+    assert str(info.value) == ("would enumerate 2007889 products, more than "
+                               "the cap of 2000000")
 
 
 def test_nondegeneracy_is_coset_invariant(free3, z2sq_z2):

@@ -791,6 +791,45 @@ def test_sphere_automaton_state_cap_fails_fast(monkeypatch):
     assert 30 < states <= 30 + 14
 
 
+def sphere_counts_stepped_afresh(sys, n):
+    """Automaton counts that step every state again at every level, as
+    before the successor memo; kept as an oracle."""
+    nc, cgt = sys._noncomm, sys._ext_cgt
+    level, counts = {sys._full: 1}, [1]
+    for _ in range(n):
+        nxt = {}
+        for mask, count in level.items():
+            for s in coxeter._bits(mask):
+                state = nc[s] | (cgt[s] & mask)
+                nxt[state] = nxt.get(state, 0) + count
+        level = nxt
+        counts.append(sum(level.values()))
+    return counts
+
+
+@pytest.mark.parametrize("memo_states", [None, 1])
+def test_sphere_counts_memo_matches_fresh_steps(monkeypatch, memo_states):
+    """Depth-12 counts on 60 seeded graphs of up to 20 generators equal the
+    oracle's, with the default memo bound and with a bound of 1 state, so
+    that states past the bound are stepped afresh."""
+    if memo_states is not None:
+        monkeypatch.setattr(coxeter, "_STEP_MEMO_STATES", memo_states)
+    rng = random.Random(2051)
+    for _ in range(60):
+        sys = random_system(rng, max_n=20)
+        assert sys.sphere_counts(12, math.inf) == (
+            sphere_counts_stepped_afresh(sys, 12))
+
+
+def test_sphere_total_cap_names_cap_and_count(free3):
+    """free3's balls hold 766 elements through length 8 and 1534 through
+    length 9: a cap of 1000 names both numbers and the length reached."""
+    with pytest.raises(CapacityError) as info:
+        free3.sphere_counts(30, max_total=1000)
+    assert str(info.value) == ("ball of radius 30 would exceed 1000 elements:"
+                               " 1534 counted through length 9")
+
+
 def test_ball_matches_sphere_partial_sums(named_systems):
     for sys in named_systems.values():
         counts = sys.sphere_counts(5)
