@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hecke", help="evaluate a Hecke expression")
     common(p)
     p.add_argument("--expr", required=True,
-                   help="e.g. 'T(s t)*T(s) + 2/3*star(T(t s))'")
+                   help="any word in T(...), e.g. 'T(s.t)*T(t u) + 2/3*star(T(t))'")
     p.set_defaults(func=cmd_hecke)
 
     p = sub.add_parser("verify", help="run the property suites")

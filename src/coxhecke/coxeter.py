@@ -377,10 +377,11 @@ class CoxeterSystem:
         for _ in range(radius):
             bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1,
                                  count=self.n, bitorder="little")
-            if size + np.count_nonzero(bits) > max_elements:
+            if (total := size + np.count_nonzero(bits)) > max_elements:
                 raise CapacityError(
-                    f"ball would exceed {max_elements} elements; raise the cap "
-                    "to enumerate further")
+                    f"ball would exceed {max_elements} elements: {total} counted"
+                    f" through length {len(parents)}; raise the cap to"
+                    " enumerate further")
             parent, last = np.nonzero(bits)
             if not len(parent):
                 break
@@ -435,14 +436,16 @@ class CoxeterSystem:
         """Counts a_k = #{w : |w| = k} for k = 0..n by the canonical-word
         automaton (the ShortLex automatic structure of Brink-Howlett): a
         level maps each state, a mask of :meth:`_ball_levels`, to the words
-        reaching it.  Each state's successors are computed once per call and
-        kept for up to ``_STEP_MEMO_STATES`` states; later ones are stepped
-        afresh.  ``CapacityError`` past ``max_total`` elements (``math.inf``:
-        no cap) or ``DEFAULT_MAX_BALL`` states on a level, checked after each
-        parent state (so never more than cap + n)."""
+        reaching it.  Each state's successors come from one ``(bit, nc,
+        cgt)`` triple per generator, once per call, and are kept for up to
+        ``_STEP_MEMO_STATES`` states; later ones are stepped afresh.
+        ``CapacityError`` past ``max_total`` elements (``math.inf``: no cap)
+        or ``DEFAULT_MAX_BALL`` states on a level, checked after each parent
+        state (so never more than cap + n)."""
         if n < 0:
             raise InputError("n must be nonnegative")
-        nc, cgt = self._noncomm, self._ext_cgt
+        gens = [(1 << s, nc, cgt)
+                for s, (nc, cgt) in enumerate(zip(self._noncomm, self._ext_cgt))]
         level, counts, total, steps = {self._full: 1}, [], 0, {}
         for k in range(n + 1):
             if k:
@@ -450,7 +453,8 @@ class CoxeterSystem:
                 for mask, count in level.items():
                     succ = steps.get(mask)
                     if succ is None:
-                        succ = [nc[s] | (cgt[s] & mask) for s in _bits(mask)]
+                        succ = [nc | (cgt & mask) for bit, nc, cgt in gens
+                                if mask & bit]
                         if len(steps) < _STEP_MEMO_STATES:
                             steps[mask] = succ
                     for state in succ:

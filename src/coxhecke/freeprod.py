@@ -176,13 +176,11 @@ class DecompositionReport:
         lines = [f"ranks {self.spec.ranks} at q = {self.q}:",
                  f"  diffuse summand present: {self.diffuse_present}",
                  f"  atoms: {len(self.atoms)}"]
+        word_str = self.spec.system().word_str
+        starts = list(itertools.accumulate(self.spec.ranks, initial=0))
         for label in self.atoms.points():
-            parts = []
-            for fi, subset in enumerate(label):
-                if subset:
-                    parts.append(".".join(f"g{fi+1}_{j+1}" for j in subset))
-                else:
-                    parts.append("e")
+            parts = [word_str([start + j for j in subset])
+                     for start, subset in zip(starts, label)]
             lines.append(f"    ({', '.join(parts)})  weight "
                          f"{self.atoms.masses[label]}")
         return "\n".join(lines)

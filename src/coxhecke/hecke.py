@@ -546,6 +546,7 @@ def action_matrix(a: HeckeElement, ball: list[Element], side: str = LEFT) -> Act
 # -- expression mini-language --------------------------------------------------------------
 
 _TOKEN = re.compile(r"""
+    (?P<word>T\s*\([^()]*\))   |   # one token: its word goes to parse_word
     (?P<num>\d+(?:/\d+)?)      |
     (?P<name>[A-Za-z_]\w*)     |
     (?P<op>[()+\-*])           |
@@ -574,7 +575,8 @@ def _tokenize(text: str):
 
 class _ExprParser:
     """Recursive descent for: terms T(word), rational scalars, + - *,
-    star(...), j(...) and parentheses."""
+    star(...), j(...) and parentheses.  A term is one token whose word,
+    any text without a parenthesis, ``CoxeterSystem.normalize`` reads."""
 
     def __init__(self, system: CoxeterSystem, text: str):
         self.system = system
@@ -642,27 +644,20 @@ class _ExprParser:
             value = self.expr()
             self.take("op", ")")
             return value
+        if tok[0] == "word":
+            self.take()
+            return t_basis(self.system.normalize(tok[1][tok[1].index("(") + 1:-1]))
         if tok[0] == "name":
             name = tok[1]
             self.take()
-            if name == "T":
-                self.take("op", "(")
-                letters = []
-                while self.peek()[1] != ")":
-                    t = self.peek()
-                    if t[0] not in ("name", "num"):
-                        raise ParseError(f"bad word token {t[1]!r}",
-                                         line=1, column=t[2] + 1)
-                    letters.append(self.take()[1])
-                self.take("op", ")")
-                word = self.system.parse_word(" ".join(letters))
-                return t_basis(self.system.normalize(word))
             if name in ("star", "j"):
                 self.take("op", "(")
                 value = self.expr()
                 self.take("op", ")")
                 return value.star() if name == "star" else j_iso(value)
-            raise ParseError(f"unknown function {name!r}", line=1, column=tok[2] + 1)
+            raise ParseError("T needs a word in parentheses" if name == "T"
+                             else f"unknown function {name!r}",
+                             line=1, column=tok[2] + 1)
         raise ParseError(f"unexpected token {tok[1]!r}", line=1, column=tok[2] + 1)
 
 

@@ -218,8 +218,9 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def __hash__(self):     # a constant hashes as the number it equals
+        t = self.terms
+        return hash(t.get(0, 0) if t.keys() <= {0} else frozenset(t.items()))
 
     def evaluate(self, u_value: float) -> float:
         """Numeric value at a concrete u (callers pass sqrt(q))."""

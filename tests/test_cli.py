@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from coxhecke import coxeter
+from coxhecke import CapacityError, coxeter
 from coxhecke.cli import main, parse_q
 from coxhecke.coxeter import CoxeterSystem, Element
-from coxhecke.groupfile import load_system
+from coxhecke.groupfile import load_system, parse_system
 from coxhecke.growth import RationalSeries, rho_info
 from coxhecke.verify import named_systems
 from fractions import Fraction
@@ -99,6 +99,28 @@ def test_parse_error_exit_code(capsys, group_file):
         assert (code, out) == (2, "")
         assert err == ("error: number exceeds Python's int-to-str digit "
                        "limit\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('["s", "t"]', "group file must be a JSON object"),
+    ('{"generators": ["s"], "pairs": []}', "unknown fields ['pairs']"),
+    ('{"generators": ["s", 1]}', "'generators' must be a list of strings"),
+    ('{"generators": ["s", "t"], "commuting_pairs": {"s": "t"}}',
+     "'commuting_pairs' must be a list of pairs"),
+    ('{"generators": ["s", "t"], "commuting_pairs": [["s"]]}',
+     "bad commuting pair ['s']"),
+])
+def test_group_file_shape_errors(text, message):
+    from coxhecke import ParseError
+    with pytest.raises(ParseError) as info:
+        parse_system(text)
+    assert str(info.value) == message
+
+
+def test_info_needs_a_group_file(capsys):
+    code, out, err = run(capsys, ["info"])
+    assert (code, out) == (2, "")
+    assert err == "error: this command needs --group <file>\n"
 
 
 def test_undecodable_group_file_is_parse_error(capsys, tmp_path):
@@ -800,6 +822,51 @@ def test_input_ends_in_named_error(tmp_path, argv, code, message):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err and message in err
     assert elapsed < 5 and peak_mb < 500
+
+
+def _capacity_site(site, monkeypatch):
+    """A call that raises at one of the seven CapacityError sites, and the
+    cap and the size its message must name."""
+    from coxhecke import cosets, freeprod, hecke
+    from coxhecke.cli import build_parser
+    free3 = named_systems()["free3"]
+    if site == "ball-levels":       # 190 elements through length 6
+        return lambda: free3.ball(6, max_elements=100), "100", "190"
+    if site == "sphere-states":     # level 1 has 3 states
+        monkeypatch.setattr(coxeter, "DEFAULT_MAX_BALL", 2)
+        return lambda: free3.sphere_counts(1), "cap of 2", "3 states"
+    if site == "sphere-total":      # 1534 elements through length 9
+        return lambda: free3.sphere_counts(30, 1000), "1000", "1534"
+    if site == "hecke-product":     # 4 words times s
+        monkeypatch.setattr(hecke, "MAX_PRODUCT_TERMS", 3)
+        four = hecke.parse_expression(free3, "T(e) + T(t) + T(u) + T(t.u)")
+        s = hecke.t_basis(free3.element("s"))
+        return lambda: hecke.mul(four, s), "cap of 3", "reached 4 terms"
+    if site == "atoms":             # 2^20 pairs in the first fold step
+        return (lambda: freeprod.dykema_decompose(
+            freeprod.FreeFactorSpec((10, 10)), 3), "1000000", "1048576")
+    if site == "growth-digits":     # coefficients to degree 10500
+        args = build_parser().parse_args(["growth", "--group", PENTAGON,
+                                          "--radius", "10500"])
+        return (lambda: args.func(args), f"limit of {DIGIT_LIMIT} digits",
+                "degree 10500")
+    pair = cosets.InfinitePair.of(free3, "s", "t")   # (2 * 708 + 1)^2
+    return (lambda: cosets.brute_force_min_rep(free3, pair, free3.element("u"),
+                                               708), "2000000", "2007889")
+
+
+@pytest.mark.parametrize("site", [
+    "ball-levels", "sphere-states", "sphere-total", "hecke-product", "atoms",
+    "growth-digits", "brute-force"])
+def test_capacity_errors_name_the_cap_and_the_size(monkeypatch, site):
+    """Every place that raises CapacityError names both the cap it would
+    pass and the size that passes it."""
+    if site == "growth-digits" and not DIGIT_LIMIT:
+        pytest.skip("this interpreter converts ints of any length")
+    call, cap, size = _capacity_site(site, monkeypatch)
+    with pytest.raises(CapacityError) as info:
+        call()
+    assert cap in str(info.value) and size in str(info.value)
 
 
 def test_growth_stops_at_the_first_coefficient_past_the_digit_limit(

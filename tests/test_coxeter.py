@@ -99,6 +99,14 @@ def test_system_validation():
         CoxeterSystem(["s", "e"])
     with pytest.raises(InputError):
         CoxeterSystem(["s", "a b"])
+    with pytest.raises(InputError, match="at most 62 generators supported"):
+        CoxeterSystem([f"g{i}" for i in range(63)])
+
+
+def test_subsystem_refuses_indices_that_do_not_increase(free3):
+    for indices in ([1, 0], [0, 0], []):
+        with pytest.raises(InputError, match="strictly increasing"):
+            free3.subsystem(indices)
 
 
 def test_components_and_irreducibility(free3, z2xz2, z2sq_z2):
@@ -276,6 +284,8 @@ def test_mult_gen(free3, z2sq_z2):
     assert str(e) == "u" and d == -1
     e, d = z2sq_z2.mult_gen(z2sq_z2.element("t u"), "s", side=LEFT)
     assert str(e) == "s.t.u" and d == +1
+    with pytest.raises(InputError, match="side must be 'left' or 'right'"):
+        free3.mult_gen(free3.identity, "s", side="up")
 
 
 def test_mult_gen_matches_multiply(z2sq_z2, pentagon):
@@ -423,6 +433,8 @@ def test_elements_of_different_systems_differ(free3, z2sq_z2):
     s_free, s_z2 = free3.element("s"), z2sq_z2.element("s")
     assert hash(s_free) == hash(s_z2) and s_free != s_z2
     assert s_z2 not in {s_free: 1} and len({s_free, s_z2}) == 2
+    with pytest.raises(InputError, match="elements of different systems"):
+        s_free < s_z2
 
 
 def test_support(free3, dihedral):
@@ -507,7 +519,7 @@ def enumerated_ball_words(system, radius, max_elements):
     levels = [[((), system._full)]]
     total = 1
     nc, cgt = system._noncomm, system._ext_cgt
-    for _ in range(radius):
+    for length in range(1, radius + 1):
         nxt = []
         for word, mask in levels[-1]:
             for s in coxeter._bits(mask):
@@ -515,8 +527,8 @@ def enumerated_ball_words(system, radius, max_elements):
         total += len(nxt)
         if total > max_elements:
             raise CapacityError(
-                f"ball would exceed {max_elements} elements; raise the cap "
-                "to enumerate further")
+                f"ball would exceed {max_elements} elements: {total} counted"
+                f" through length {length}; raise the cap to enumerate further")
         if not nxt:
             break
         levels.append(nxt)
@@ -602,7 +614,8 @@ def test_ball_allocates_no_table():
 def test_ball_past_the_cap_refuses_before_it_allocates():
     """Level 5 of 30 free involutions has 21,218,430 words, past the cap:
     ball() and ball_table() refuse it from the count of its parents' mask
-    bits, with the cap's message and a traced peak far below the level."""
+    bits, with a message that names the cap and the 21,976,231 elements
+    through length 5, and a traced peak far below the level."""
     sys = CoxeterSystem([f"g{i}" for i in range(30)])
     for call in (sys.ball, sys.ball_table):
         tracemalloc.start()
@@ -613,8 +626,8 @@ def test_ball_past_the_cap_refuses_before_it_allocates():
         finally:
             tracemalloc.stop()
         assert str(err.value) == (
-            f"ball would exceed {coxeter.DEFAULT_MAX_BALL} elements; "
-            "raise the cap to enumerate further")
+            f"ball would exceed {coxeter.DEFAULT_MAX_BALL} elements: 21976231 "
+            "counted through length 5; raise the cap to enumerate further")
         assert peak < 100 * 2**20
 
 
@@ -766,6 +779,8 @@ def test_sphere_counts_automaton_random_graphs():
 def test_sphere_counts_deep_free3(free3):
     assert free3.sphere_counts(40, max_total=10**30) == (
         [1] + [3 * 2 ** (k - 1) for k in range(1, 41)])
+    with pytest.raises(InputError, match="n must be nonnegative"):
+        free3.sphere_counts(-1)
 
 
 def test_sphere_automaton_state_cap(free3, monkeypatch):

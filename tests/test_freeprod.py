@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxhecke import (CapacityError, CoxeterSystem, FreeFactorSpec, InputError,
+from coxhecke import (AtomicMeasure, CapacityError, CoxeterSystem, FreeFactorSpec, InputError,
                       PreconditionError, closed_form_condition,
                       cross_validate_with_rho, dykema_decompose,
                       freeness_test, hvn_z2_idempotents, mu_k, mul, rho,
@@ -43,6 +43,13 @@ def test_mu_k_validation():
         mu_k(0, 1)
     with pytest.raises(InputError):
         mu_k(2, 0)
+
+
+def test_atomic_measure_validation():
+    with pytest.raises(InputError, match="atom b carries non-positive mass"):
+        AtomicMeasure({"a": Fraction(1, 2), "b": Fraction(0)})
+    with pytest.raises(InputError, match="total mass exceeds one"):
+        AtomicMeasure({"a": Fraction(2, 3), "b": Fraction(1, 2)})
 
 
 # -- idempotents --------------------------------------------------------------------

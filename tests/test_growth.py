@@ -239,6 +239,8 @@ def test_taylor_error_paths():
         RationalSeries((1,), (2, -1)).taylor(3)
     with pytest.raises(DomainError, match="not regular at zero"):
         RationalSeries((1,), (0, 1)).taylor(3)
+    with pytest.raises(DomainError, match="pole at 1/2"):
+        RationalSeries((1,), (1, -2)).evaluate(Fraction(1, 2))
 
 
 # -- convergence radius -------------------------------------------------------------
@@ -893,6 +895,14 @@ def test_double_coset_check_degenerate_coset(free3):
                                   zv.exact_symbol())
 
 
+def test_double_coset_check_needs_the_shortest_element(free3):
+    xi = zeta_symbol(free3, Fraction(1, 4), 4).exact_symbol()
+    pair = InfinitePair.of(free3, "s", "t")
+    del xi[free3.element("u")]
+    with pytest.raises(InputError, match="shortest element is outside"):
+        double_coset_symbol_check(free3, pair, free3.element("s u t"), xi)
+
+
 def test_double_coset_check_random_symbol_fails(free3):
     rng = random.Random(29)
     zv = zeta_symbol(free3, Fraction(1, 4), 5)
@@ -1136,6 +1146,8 @@ def test_projection_preconditions(free3, dihedral, z2xz2):
         verify_central_projection(dihedral, Fraction(1, 4), 6)
     with pytest.raises(DomainError):
         verify_central_projection(z2xz2, Fraction(1, 4), 6)
+    with pytest.raises(InputError, match="radius must be at least 2"):
+        verify_central_projection(free3, Fraction(1, 4), 1)
 
 
 @pytest.mark.parametrize("q", [-1, 0, math.nan, math.inf])

@@ -99,6 +99,11 @@ def test_specialize_rejects_bad_q(dihedral, q):
         t_basis(dihedral.element("s")).specialize(q)
 
 
+def test_specialize_refuses_a_numeric_element(dihedral):
+    with pytest.raises(InputError, match="element is already numeric"):
+        t_basis(dihedral.element("s"), q=0.5).specialize(0.5)
+
+
 def test_coefficient_of_foreign_element(dihedral):
     """A basis element of another system, even one with the same word, is
     refused in both modes."""
@@ -108,6 +113,9 @@ def test_coefficient_of_foreign_element(dihedral):
         with pytest.raises(InputError,
                            match="basis element from a different system"):
             a.coefficient(other.element("s"))
+        with pytest.raises(InputError,
+                           match="basis element from a different system"):
+            HeckeElement(dihedral, {other.element("s"): 1}, q=q)
 
 
 def test_scalars_of_the_wrong_mode(dihedral):
@@ -1094,6 +1102,16 @@ def test_laurent_canonical_form_matches_fraction_oracle():
             assert r == routes[0]
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 5, Fraction(1, 2), Fraction(-7, 3)])
+def test_laurent_constants_hash_as_the_numbers_they_equal(c):
+    """A polynomial with no term but u^0 equals its number and hashes as it,
+    so a set holds the two once and a dict finds either by the other."""
+    p = LaurentPoly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+    assert {p: "poly"}[c] == "poly" and {c: "number"}[p] == "number"
+
+
 def test_hecke_terms_and_inner_are_canonical(dihedral):
     """Over the element's denominator 6, the numerators 2 + 4u of T_s are
     all even: ``terms`` and ``inner`` still give canonical polynomials."""
@@ -1303,6 +1321,16 @@ def test_action_matrix_generator_columns(free3):
 def test_action_matrix_requires_numeric(free3):
     with pytest.raises(InputError):
         action_matrix(t_basis(free3.element("s")), free3.ball(2))
+
+
+def test_action_matrix_refuses_a_side_or_ball_it_cannot_read(free3):
+    a = t_basis(free3.element("s"), q=0.5)
+    with pytest.raises(InputError, match="side must be 'left' or 'right'"):
+        action_matrix(a, free3.ball(2), side="up")
+    other = CoxeterSystem(free3.names)
+    with pytest.raises(InputError,
+                       match="elements live over different Coxeter systems"):
+        action_matrix(a, free3.ball(1) + [other.element("s")])
 
 
 def test_left_right_actions_commute_on_exact_columns(named_systems):
@@ -1653,6 +1681,54 @@ def test_parse_expression_errors(free3):
         parse_expression(free3, "T(x)")
     with pytest.raises(ParseError):
         parse_expression(free3, "T(s) ? T(t)")
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("T(s) T(t)", "trailing input 'T(t)'", 6),
+    ("star(T(s)", "expected ), found ''", 10),
+    ("T", "T needs a word in parentheses", 1),
+    ("2*T (s", "T needs a word in parentheses", 3),
+    ("T((s))", "T needs a word in parentheses", 1),
+])
+def test_parse_expression_error_columns(free3, text, message, column):
+    from coxhecke import ParseError
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse_expression(free3, text)
+    assert info.value.column == column
+
+
+def test_expression_words_read_as_parse_word_reads_them(named_systems):
+    """``T(...)`` holds one word that ``parse_word`` reads.  On the named
+    systems, 20 seeded random graphs and a group whose names hold '-', a
+    leading digit and a quote: each ball(3) word as ``word_str`` spells it
+    reads back as its basis element, exact elements with rational
+    coefficients read back from their printed form, and spaces, dots and,
+    for one-letter names, juxtaposition spell the same word."""
+    rng = random.Random(52)
+    systems = [*named_systems.values(),
+               *(random_system(rng) for _ in range(20)),
+               CoxeterSystem(["a-b", "1a", "s'", "x"], [("a-b", "x")])]
+    for sys in systems:
+        ball = sys.ball(3)
+        for w in ball:
+            assert parse_expression(sys, f"T({w})") == t_basis(w)
+        for _ in range(5):
+            x = HeckeElement(sys)
+            for w in rng.sample(ball, min(len(ball), rng.randint(0, 4))):
+                x = x + t_basis(w).scale(Fraction(rng.randint(-9, 9),
+                                                  rng.randint(1, 9)))
+            assert parse_expression(sys, str(x)) == x
+        for s, t in itertools.product(sys.names, repeat=2):
+            spaced = parse_expression(sys, f"T({s} {t})")
+            assert parse_expression(sys, f"T({s}.{t})") == spaced
+            if all(len(name) == 1 for name in sys.names):
+                assert parse_expression(sys, f"T({s}{t})") == spaced
+
+
+def test_words_take_no_nesting_level(free3):
+    """``T(...)`` is one token: 200 parentheses around it are allowed."""
+    text = "(" * hecke.MAX_EXPR_DEPTH + "T(s.t)" + ")" * hecke.MAX_EXPR_DEPTH
+    assert parse_expression(free3, text) == t_basis(free3.element("s t"))
 
 
 @pytest.mark.parametrize("text, column", [("1/0", 1), ("3/0*T(s)", 1),
