@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from .coxeter import DEFAULT_MAX_BALL, CoxeterSystem, _tree_words
-from .errors import (CapacityError, ConsistencyError, CoxheckeError,
-                     DomainError, InputError, ParseError, PreconditionError)
+from .errors import (CapacityError, CoxheckeError, DomainError, InputError,
+                     PreconditionError)
 from .groupfile import load_system
 from .laurent import positive_q
 
@@ -36,7 +36,8 @@ def parse_q(text: str) -> Fraction:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **payload},
+                         sort_keys=True))
     else:
         print(text)
 
@@ -61,7 +62,6 @@ def cmd_info(args) -> int:
              for i in range(sys_.n) for j in range(i + 1, sys_.n)
              if sys_.commutes(i, j)]
     payload = {
-        "command": "info",
         "generators": list(sys_.names),
         "commuting_pairs": edges,
         "irreducible": sys_.irreducible,
@@ -94,7 +94,7 @@ def cmd_ball(args) -> int:
     ends = lengths.searchsorted(range(-1, args.radius + 1), "right")
     counts = (ends[1:] - ends[:-1]).tolist()
     names = [sys_.word_str(w) for w in _tree_words(parent, last)]
-    payload = {"command": "ball", "radius": args.radius, "size": len(names),
+    payload = {"radius": args.radius, "size": len(names),
                "sphere_counts": counts, "elements": names}
     text = "\n".join([f"ball of radius {args.radius}: {len(names)} elements",
                       f"sphere counts: {counts}"] + names)
@@ -117,7 +117,6 @@ def cmd_growth(args) -> int:
                                 f"pass Python's int-to-str limit of {limit} digits")
         coefficients.append(c)
     payload = {
-        "command": "growth",
         "numerator": list(series.numerator),
         "denominator": list(series.denominator),
         "coefficients": coefficients,
@@ -134,21 +133,16 @@ def cmd_rho(args) -> int:
     from .growth import component_rhos
     sys_ = _load(args)
     values = {",".join(sys_.names[i] for i in comp):
-              math.inf if info is None else info.value
+              None if info is None else info.value
               for comp, info in component_rhos(sys_).items()}
-    overall = min(values.values())
-    payload = {
-        "command": "rho",
-        "rho": None if math.isinf(overall) else overall,
-        "components": {key: None if math.isinf(v) else v
-                       for key, v in values.items()},
-    }
-    lines = ["rho = " + ("inf (finite group)" if math.isinf(overall)
+    overall = min((v for v in values.values() if v is not None), default=None)
+    payload = {"rho": overall, "components": values}
+    lines = ["rho = " + ("inf (finite group)" if overall is None
                          else f"{overall:.12f}")]
     if len(values) > 1:
         for key, v in values.items():
             lines.append(f"  component {{{key}}}: "
-                         + ("inf" if math.isinf(v) else f"{v:.12f}"))
+                         + ("inf" if v is None else f"{v:.12f}"))
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -158,7 +152,6 @@ def cmd_classify(args) -> int:
     sys_ = _load(args)
     report = classify(sys_, parse_q(args.q))
     payload = {
-        "command": "classify",
         "q": str(report.q),
         "rho": None if math.isinf(report.rho) else report.rho,
         "classification": report.classification,
@@ -188,7 +181,7 @@ def cmd_gamma(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot write edge list: {exc}") from None
     payload = {
-        "command": "gamma", "radius": args.radius, "slack": args.slack,
+        "radius": args.radius, "slack": args.slack,
         "vertices": len(graph.component_label), "edges": len(graph.edges),
         "components": graph.n_components,
         "passed": report.passed,
@@ -210,7 +203,7 @@ def cmd_zeta_check(args) -> int:
     report = verify_central_projection(sys_, parse_q(args.q), args.radius,
                                        args.max_ball)
     payload = {
-        "command": "zeta-check", "q": str(report.q),
+        "q": str(report.q),
         "radius": report.radius, "certified_radius": report.certified_radius,
         "w_q": report.w_q, "partial_norm_sq": report.partial_norm_sq,
         "scaling_identity_exact": report.scaling_identity_exact,
@@ -235,7 +228,7 @@ def cmd_dykema(args) -> int:
     q = parse_q(args.q)
     cv = cross_validate_with_rho(spec, q)
     payload = {
-        "command": "dykema", "ranks": list(ranks), "q": str(q),
+        "ranks": list(ranks), "q": str(q),
         "closed_form_condition": cv.condition,
         "classification": cv.classification.classification,
         "rho": cv.rho,
@@ -262,7 +255,7 @@ def cmd_hecke(args) -> int:
     sys_ = _load(args)
     elem = parse_expression(sys_, args.expr)
     payload = {
-        "command": "hecke", "expr": args.expr,
+        "expr": args.expr,
         "terms": [{"word": str(w), "coefficient": str(elem.terms[w])}
                   for w in elem.support()],
     }
@@ -274,7 +267,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suites
     results = run_suites(args.seed)
     payload = {
-        "command": "verify", "seed": args.seed,
+        "seed": args.seed,
         "results": [{"suite": r.name, "passed": r.passed, "detail": r.detail}
                     for r in results],
         "passed": all(r.passed for r in results),
@@ -365,12 +358,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InputError, PreconditionError, DomainError) as exc:
+    except CoxheckeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CapacityError, ConsistencyError, CoxheckeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (InputError, DomainError, PreconditionError)) else 1
     except ValueError as exc:   # digit limit; inputs are checked when parsed
         if "integer string conversion" not in str(exc):
             raise

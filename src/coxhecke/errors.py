@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
-Exit-code mapping for the CLI lives in ``cli.py``: input-side problems
-(bad files, bad arguments, violated preconditions) map to exit code 2,
-computational failures (capacity, internal consistency) to exit code 1.
+``cli.main`` maps every ``CoxheckeError`` to an exit code in one clause:
+``InputError`` (``ParseError`` included), ``DomainError`` and
+``PreconditionError`` give 2, every other class (capacity, consistency) 1.
 """
 
 

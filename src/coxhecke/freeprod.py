@@ -304,6 +304,8 @@ def freeness_test(system: CoxeterSystem, partition, max_len: int) -> list[tuple]
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
     blocks = [tuple(system.generator_index(g) for g in b) for b in partition]
+    if not all(blocks):
+        raise InputError("partition blocks must be nonempty")
     gens = [g for b in blocks for g in b]
     if len(set(gens)) < len(gens):
         raise InputError("partition blocks overlap")

@@ -646,7 +646,10 @@ class _ExprParser:
             return value
         if tok[0] == "word":
             self.take()
-            return t_basis(self.system.normalize(tok[1][tok[1].index("(") + 1:-1]))
+            try:
+                return t_basis(self.system.normalize(tok[1][tok[1].index("(") + 1:-1]))
+            except InputError as exc:
+                raise ParseError(str(exc), line=1, column=tok[2] + 1) from None
         if tok[0] == "name":
             name = tok[1]
             self.take()

@@ -316,6 +316,22 @@ def test_rho_reducible_pinned(capsys, group_file):
         '"rho": 0.49999999999962746, "schema": 1}\n')
 
 
+@pytest.mark.parametrize("doc, text, components", [
+    ({"generators": ["a", "b"], "commuting_pairs": [["a", "b"]]},
+     "rho = inf (finite group)\n  component {a}: inf\n  component {b}: inf\n",
+     '{"a": null, "b": null}'),
+    ({"generators": ["a"]}, "rho = inf (finite group)\n", '{"a": null}'),
+], ids=["z2xz2", "z2"])
+def test_rho_finite_group_pinned(capsys, group_file, doc, text, components):
+    """A finite group has no radius: the overall rho and each component's
+    read inf in text and null in JSON."""
+    path = group_file(json.dumps(doc))
+    assert run(capsys, ["rho", "--group", path]) == (0, text, "")
+    assert run(capsys, ["rho", "--group", path, "--format", "json"]) == (
+        0, f'{{"command": "rho", "components": {components}, "rho": null, '
+        '"schema": 1}\n', "")
+
+
 def test_classify_text_and_json(capsys):
     path = FREE3
     code, out, _ = run(capsys, ["classify", "--group", path, "--q", "1/4"])
@@ -432,6 +448,23 @@ def test_hecke_zero_denominator(capsys, expr):
     code, out, err = run(capsys, ["hecke", "--group", FREE3, "--expr", expr])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "column 1" in err
+
+
+@pytest.mark.parametrize("name, code", [
+    ("InputError", 2), ("ParseError", 2), ("DomainError", 2),
+    ("PreconditionError", 2), ("CapacityError", 1), ("ConsistencyError", 1),
+    ("CoxheckeError", 1)])
+def test_error_classes_map_to_exit_codes(capsys, monkeypatch, name, code):
+    """Input-side errors exit 2 and computational ones 1, each with one
+    ``error:`` line on stderr and nothing on stdout."""
+    import coxhecke
+    from coxhecke import cli
+
+    def fail(path):
+        raise getattr(coxhecke, name)(f"{name} from {path}")
+    monkeypatch.setattr(cli, "load_system", fail)
+    assert run(capsys, ["info", "--group", "x"]) == (
+        code, "", f"error: {name} from x\n")
 
 
 def test_reports_byte_identical(capsys):
@@ -806,12 +839,14 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
      "digit limit (line 1, column 1)"),
     (["hecke", "--group", PENTAGON, "--expr", "(" * 340 + "T(p)" + ")" * 340],
      2, "nest deeper than 200 levels (line 1, column 201)"),
+    (["hecke", "--group", FREE3, "--expr", "T(s) + T(s+t)"], 2,
+     "unknown generator '+' (line 1, column 8)"),
     (["zeta-check", "--group", PENTAGON, "--q", "1e-400"], 2,
      "q is 0.0 as a float"),
     (["gamma", "--group", PENTAGON, "--radius", "3",
       "--edges-out", "/nonexistent/dir/x"], 2, "cannot write edge list"),
 ], ids=["hecke-cap", "growth-digits", "hecke-literal", "hecke-depth",
-        "zeta-tiny-q", "gamma-edges-out"])
+        "hecke-word", "zeta-tiny-q", "gamma-edges-out"])
 def test_input_ends_in_named_error(tmp_path, argv, code, message):
     if "limit" in message and not DIGIT_LIMIT:
         pytest.skip("this interpreter converts ints of any length")

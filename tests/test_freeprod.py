@@ -280,6 +280,12 @@ def test_freeness_three_blocks(free3):
     assert freeness_test(free3, [("s",), ("t",), ("u",)], 5) == []
 
 
+def test_freeness_empty_block(z2sq_z2):
+    """An empty block is refused by name, before any subsystem is built."""
+    with pytest.raises(InputError, match="partition blocks must be nonempty"):
+        freeness_test(z2sq_z2, [(), ("s",), ("t", "u")], 3)
+
+
 def test_freeness_dihedral_block(free3):
     # a two-generator block is itself a valid free factor
     assert freeness_test(free3, [("s", "t"), ("u",)], 6) == []

@@ -1689,6 +1689,7 @@ def test_parse_expression_errors(free3):
     ("T", "T needs a word in parentheses", 1),
     ("2*T (s", "T needs a word in parentheses", 3),
     ("T((s))", "T needs a word in parentheses", 1),
+    ("T(s) + T(s+t)", "unknown generator '+'", 8),
 ])
 def test_parse_expression_error_columns(free3, text, message, column):
     from coxhecke import ParseError
